@@ -36,6 +36,15 @@ namespace esharp::cluster {
 std::vector<expert::CandidateEvidence> MergeShardEvidence(
     const std::vector<const std::vector<expert::CandidateEvidence>*>& pools);
 
+/// \brief Checks that one shard's pool is something MergeAndRank can
+/// rank: sorted-unique by user (the k-way merge invariant above) and every
+/// user below `num_users`, the union corpus size the detector indexes its
+/// per-user totals with. Evidence that crossed a process boundary is
+/// outside input; the router fails the attempt on a violation (IOError)
+/// instead of ranking it.
+Status CheckShardEvidence(
+    const std::vector<expert::CandidateEvidence>& pool, size_t num_users);
+
 /// \brief Merge + the single cluster-level rank step. `detector` must be
 /// built over the union corpus (the paper's §3 features divide by
 /// corpus-wide per-user totals; partition-local denominators would skew

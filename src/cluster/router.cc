@@ -159,6 +159,17 @@ void ClusterRouter::LaunchAttempt(const std::shared_ptr<GatherState>& state,
         expired ? Result<ShardEvidence>(Status::DeadlineExceeded(
                       "client budget exhausted before shard attempt"))
                 : shards_[index]->Collect(shard_request);
+    if (attempt.ok()) {
+      // Unrankable evidence fails the attempt: the query degrades instead
+      // of ranking out-of-range or unmerged pools.
+      std::shared_ptr<const expert::ExpertDetector> override_detector =
+          detector_override_.load(std::memory_order_acquire);
+      const expert::ExpertDetector& detector =
+          override_detector != nullptr ? *override_detector : *detector_;
+      Status rankable = CheckShardEvidence(attempt->evidence,
+                                           detector.corpus()->num_users());
+      if (!rankable.ok()) attempt = std::move(rankable);
+    }
     double seconds = attempt_timer.ElapsedSeconds();
     if (attempt.ok()) {
       health_.RecordSuccess(index, seconds,
@@ -175,8 +186,8 @@ void ClusterRouter::LaunchAttempt(const std::shared_ptr<GatherState>& state,
         rec.outcome = "ok";
         rec.candidates = evidence.evidence.size();
         // The breakdown is trustworthy when the shard echoed our trace
-        // (in-process always does; over HTTP it proves the profile line
-        // belongs to this attempt, not a stale or garbled response).
+        // (in-process always does; over HTTP it proves the frame belongs
+        // to this attempt, not a stale or garbled response).
         rec.has_breakdown = evidence.trace.SameTrace(shard_request.trace);
         rec.queue_ms = evidence.queue_ms;
         rec.expand_ms = evidence.expand_ms;

@@ -1,16 +1,26 @@
 #include "cluster/transport_http.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
+#include "common/byte_io.h"
+#include "common/simd.h"
 #include "common/strings.h"
+#include "serving/snapshot_file.h"
 
 namespace esharp::cluster {
 
 namespace {
+
+constexpr uint32_t kFrameMagic = 0x56454853;  // "SHEV" in file byte order
+constexpr uint32_t kFrameVersion = 1;
+constexpr size_t kFrameHeaderBytes = 24;
+/// Payload bytes before the candidate columns.
+constexpr size_t kFrameFixedBytes = 11 * 8;
+constexpr char kFrameContext[] = "shard evidence frame";
+
+/// Idle connections an HttpShardTransport keeps per shard.
+constexpr size_t kMaxIdleConnections = 8;
 
 int StatusToHttp(const Status& status) {
   if (status.IsInvalidArgument()) return 400;
@@ -45,100 +55,86 @@ Status HttpToStatus(int http_status, const std::string& body) {
 }  // namespace
 
 std::string EncodeShardEvidence(const ShardEvidence& evidence) {
-  std::string out = StrFormat(
-      "version=%llu terms=%llu candidates=%llu ms=%.6f\n",
-      static_cast<unsigned long long>(evidence.snapshot_version),
-      static_cast<unsigned long long>(evidence.terms),
-      static_cast<unsigned long long>(evidence.evidence.size()),
-      evidence.shard_ms);
-  // Optional profile line: trace adoption proof plus the shard-side timing
-  // breakdown the router stitches into its per-query profile. Decoders
-  // that predate it skip nothing — it is only written when there is a
-  // trace to report, and DecodeShardEvidence tolerates its absence.
-  if (evidence.trace.valid()) {
-    out += StrFormat("profile trace=%s queue=%.6f expand=%.6f detect=%.6f\n",
-                     evidence.trace.ToHeader().c_str(), evidence.queue_ms,
-                     evidence.expand_ms, evidence.detect_ms);
-  }
-  out.reserve(out.size() + evidence.evidence.size() * 32);
-  for (const expert::CandidateEvidence& c : evidence.evidence) {
-    unsigned flags = (c.is_author ? 1u : 0u) | (c.is_mentioned ? 2u : 0u);
-    out += StrFormat("%u %u %llu %llu %llu %llu %llu\n", c.user, flags,
-                     static_cast<unsigned long long>(c.tweets_on_topic),
-                     static_cast<unsigned long long>(c.mentions_on_topic),
-                     static_cast<unsigned long long>(c.retweets_on_topic),
-                     static_cast<unsigned long long>(c.conversational_on_topic),
-                     static_cast<unsigned long long>(c.hashtag_on_topic));
-  }
+  std::string out;
+  out.reserve(kFrameHeaderBytes + kFrameFixedBytes +
+              evidence.evidence.size() * serving::kEvidenceColumnBytes);
+  out.resize(kFrameHeaderBytes);  // filled in once the payload is known
+  AppendU64(&out, evidence.snapshot_version);
+  AppendU64(&out, evidence.terms);
+  AppendF64(&out, evidence.shard_ms);
+  AppendU64(&out, evidence.trace.trace_hi);
+  AppendU64(&out, evidence.trace.trace_lo);
+  AppendU64(&out, evidence.trace.span_id);
+  AppendU64(&out, evidence.trace.sampled ? 1 : 0);
+  AppendF64(&out, evidence.queue_ms);
+  AppendF64(&out, evidence.expand_ms);
+  AppendF64(&out, evidence.detect_ms);
+  AppendU64(&out, evidence.evidence.size());
+  serving::AppendEvidenceColumns(&out, {&evidence.evidence});
+
+  const uint64_t payload_bytes = out.size() - kFrameHeaderBytes;
+  std::string header;
+  AppendU32(&header, kFrameMagic);
+  AppendU32(&header, kFrameVersion);
+  AppendU64(&header, payload_bytes);
+  AppendU64(&header, simd::Checksum64(out.data() + kFrameHeaderBytes,
+                                      payload_bytes));
+  out.replace(0, kFrameHeaderBytes, header);
   return out;
 }
 
 Result<ShardEvidence> DecodeShardEvidence(const std::string& body) {
+  const auto* bytes = reinterpret_cast<const uint8_t*>(body.data());
+  ByteReader header(bytes, body.size(), kFrameContext);
+  uint32_t magic = 0, version = 0;
+  uint64_t payload_bytes = 0, checksum = 0;
+  ESHARP_RETURN_NOT_OK(header.ReadU32(&magic));
+  if (magic != kFrameMagic) {
+    return Status::IOError(kFrameContext, ": bad magic");
+  }
+  ESHARP_RETURN_NOT_OK(header.ReadU32(&version));
+  if (version != kFrameVersion) {
+    return Status::FailedPrecondition(kFrameContext, ": version ", version,
+                                      " (this build reads version ",
+                                      kFrameVersion, ")");
+  }
+  ESHARP_RETURN_NOT_OK(header.ReadU64(&payload_bytes));
+  ESHARP_RETURN_NOT_OK(header.ReadU64(&checksum));
+  if (payload_bytes != header.remaining()) {
+    return Status::IOError(kFrameContext, ": header announces ",
+                           payload_bytes, " payload bytes, ",
+                           header.remaining(), " arrived");
+  }
+  const uint8_t* payload = bytes + kFrameHeaderBytes;
+  if (simd::Checksum64(payload, payload_bytes) != checksum) {
+    return Status::IOError(kFrameContext, ": checksum mismatch");
+  }
+
+  ByteReader r(payload, payload_bytes, kFrameContext);
   ShardEvidence evidence;
-  unsigned long long version = 0, terms = 0, candidates = 0;
-  double ms = 0;
-  const char* p = body.c_str();
-  int header_len = 0;
-  if (std::sscanf(p, "version=%llu terms=%llu candidates=%llu ms=%lf\n%n",
-                  &version, &terms, &candidates, &ms, &header_len) < 4) {
-    return Status::Internal("malformed shard evidence header");
+  uint64_t terms = 0, sampled = 0, candidates = 0;
+  ESHARP_RETURN_NOT_OK(r.ReadU64(&evidence.snapshot_version));
+  ESHARP_RETURN_NOT_OK(r.ReadU64(&terms));
+  ESHARP_RETURN_NOT_OK(r.ReadF64(&evidence.shard_ms));
+  ESHARP_RETURN_NOT_OK(r.ReadU64(&evidence.trace.trace_hi));
+  ESHARP_RETURN_NOT_OK(r.ReadU64(&evidence.trace.trace_lo));
+  ESHARP_RETURN_NOT_OK(r.ReadU64(&evidence.trace.span_id));
+  ESHARP_RETURN_NOT_OK(r.ReadU64(&sampled));
+  if (sampled > 1) {
+    return Status::IOError(kFrameContext, ": sampled flag ", sampled);
   }
-  evidence.snapshot_version = version;
+  ESHARP_RETURN_NOT_OK(r.ReadF64(&evidence.queue_ms));
+  ESHARP_RETURN_NOT_OK(r.ReadF64(&evidence.expand_ms));
+  ESHARP_RETURN_NOT_OK(r.ReadF64(&evidence.detect_ms));
+  ESHARP_RETURN_NOT_OK(r.ReadU64(&candidates));
+  ESHARP_RETURN_NOT_OK(
+      serving::ReadEvidenceColumns(&r, candidates, &evidence.evidence));
+  if (r.remaining() != 0) {
+    return Status::IOError(kFrameContext, ": ", r.remaining(),
+                           " trailing bytes");
+  }
   evidence.terms = static_cast<size_t>(terms);
-  evidence.shard_ms = ms;
-  evidence.evidence.reserve(static_cast<size_t>(candidates));
-  p += header_len;
-  // Optional profile line (see EncodeShardEvidence). A malformed one is
-  // dropped, not fatal: the candidate payload is still good, and the
-  // evidence's trace simply stays invalid.
-  if (std::strncmp(p, "profile ", 8) == 0) {
-    char trace_buf[64] = {0};
-    double queue = 0, expand = 0, detect = 0;
-    int line_len = 0;
-    if (std::sscanf(p, "profile trace=%63s queue=%lf expand=%lf detect=%lf\n%n",
-                    trace_buf, &queue, &expand, &detect, &line_len) == 4 &&
-        line_len > 0) {
-      Result<obs::TraceContext> trace =
-          obs::TraceContext::FromHeader(trace_buf);
-      if (trace.ok()) {
-        evidence.trace = trace.ValueOrDie();
-        evidence.queue_ms = queue;
-        evidence.expand_ms = expand;
-        evidence.detect_ms = detect;
-      }
-    } else {
-      // Skip the unparseable line so the candidate loop starts clean.
-      const char* nl = std::strchr(p, '\n');
-      if (nl == nullptr) {
-        return Status::Internal("malformed shard evidence profile line");
-      }
-      line_len = static_cast<int>(nl - p) + 1;
-    }
-    p += line_len;
-  }
-  for (unsigned long long i = 0; i < candidates; ++i) {
-    expert::CandidateEvidence c;
-    unsigned user = 0, flags = 0;
-    unsigned long long tweets = 0, mentions = 0, retweets = 0;
-    unsigned long long conversational = 0, hashtag = 0;
-    int line_len = 0;
-    if (std::sscanf(p, "%u %u %llu %llu %llu %llu %llu\n%n", &user, &flags,
-                    &tweets, &mentions, &retweets, &conversational, &hashtag,
-                    &line_len) < 7) {
-      return Status::Internal("malformed shard evidence line ", i, " of ",
-                              candidates);
-    }
-    c.user = user;
-    c.is_author = (flags & 1u) != 0;
-    c.is_mentioned = (flags & 2u) != 0;
-    c.tweets_on_topic = tweets;
-    c.mentions_on_topic = mentions;
-    c.retweets_on_topic = retweets;
-    c.conversational_on_topic = conversational;
-    c.hashtag_on_topic = hashtag;
-    evidence.evidence.push_back(c);
-    p += line_len;
-  }
+  evidence.trace.sampled = sampled == 1;
   return evidence;
 }
 
@@ -195,6 +191,7 @@ void MountShardEndpoint(obs::DebugServer* server,
     wire.queue_ms = evidence.queue_ms;
     wire.expand_ms = evidence.stages.expand_ms;
     wire.detect_ms = evidence.stages.detect_ms;
+    response.content_type = "application/octet-stream";
     response.body = EncodeShardEvidence(wire);
     return response;
   });
@@ -229,8 +226,7 @@ Result<ShardEvidence> HttpShardTransport::Collect(
     // ToHeader() is pure unreserved characters — no encoding needed.
     path += "&trace=" + request.trace.ToHeader();
   }
-  Result<obs::HttpResponseData> http =
-      obs::HttpGet(host_, port_, path, timeout);
+  Result<obs::HttpResponseData> http = Get(path, timeout);
   if (!http.ok()) {
     // Connection refused / socket timeout: the shard process is gone or
     // unreachably slow — either way, this attempt failed.
@@ -240,11 +236,53 @@ Result<ShardEvidence> HttpShardTransport::Collect(
   const obs::HttpResponseData& data = http.ValueOrDie();
   if (data.status != 200) return HttpToStatus(data.status, data.body);
   Result<ShardEvidence> decoded = DecodeShardEvidence(data.body);
-  if (decoded.ok()) {
-    last_version_.store(decoded.ValueOrDie().snapshot_version,
-                        std::memory_order_release);
+  if (!decoded.ok()) return decoded.status();
+  if (request.trace.valid() && decoded->trace != request.trace) {
+    return Status::Internal("shard ", name_, " answered under trace ",
+                            decoded->trace.ToHeader(), ", not this attempt's ",
+                            request.trace.ToHeader());
   }
+  last_version_.store(decoded->snapshot_version, std::memory_order_release);
   return decoded;
+}
+
+Result<obs::HttpResponseData> HttpShardTransport::Get(
+    const std::string& path, double timeout_seconds) {
+  std::unique_ptr<obs::HttpClientConnection> connection;
+  {
+    std::lock_guard<std::mutex> lock(idle_mu_);
+    if (!idle_.empty()) {
+      connection = std::move(idle_.back());
+      idle_.pop_back();
+    }
+  }
+  bool reused = connection != nullptr;
+  for (;;) {
+    if (connection == nullptr) {
+      ESHARP_ASSIGN_OR_RETURN(
+          connection,
+          obs::HttpClientConnection::Connect(host_, port_, timeout_seconds));
+    } else {
+      connection->SetTimeout(timeout_seconds);
+    }
+    bool closed_by_peer = false;
+    Result<obs::HttpResponseData> response =
+        connection->Get(path, /*keep_alive=*/true, &closed_by_peer);
+    if (response.ok()) {
+      if (response->keep_alive) {
+        std::lock_guard<std::mutex> lock(idle_mu_);
+        if (idle_.size() < kMaxIdleConnections) {
+          idle_.push_back(std::move(connection));
+        }
+      }
+      return response;
+    }
+    if (!reused || !closed_by_peer) return response.status();
+    // The shard closed this pooled connection while it sat idle (restart,
+    // idle timeout): one retry on a fresh connection.
+    connection.reset();
+    reused = false;
+  }
 }
 
 }  // namespace esharp::cluster

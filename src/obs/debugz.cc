@@ -1,6 +1,7 @@
 #include "obs/debugz.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -11,6 +12,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 #include "common/strings.h"
 #include "obs/flightrecorder.h"
@@ -24,6 +26,17 @@ namespace {
 /// Bounded request size: a debug GET line plus a handful of headers. A
 /// client that sends more is broken or hostile; drop it.
 constexpr size_t kMaxRequestBytes = 8192;
+
+/// Largest Content-Length a client accepts; anything above is a corrupt
+/// or hostile header, not a debug page.
+constexpr size_t kMaxResponseBodyBytes = size_t{1} << 32;
+
+/// Poll tick: bounds how late an idle connection's timeout is noticed.
+constexpr int kPollTickMs = 50;
+
+/// Idle keep-alive connections a server holds at most; past it the
+/// longest-idle one is closed.
+constexpr size_t kMaxIdleConnections = 64;
 
 const char* ReasonPhrase(int status) {
   switch (status) {
@@ -85,6 +98,12 @@ void SetIoTimeout(int fd, double seconds) {
   setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
+/// Small request/response exchanges must not wait out Nagle's algorithm.
+void SetNoDelay(int fd) {
+  int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 /// Writes the whole buffer, tolerating short writes; false on error.
 bool SendAll(int fd, const std::string& data) {
   size_t sent = 0;
@@ -102,15 +121,53 @@ bool SendAll(int fd, const std::string& data) {
   return true;
 }
 
-void SendResponse(int fd, const HttpResponse& response) {
-  std::string head = StrFormat(
+/// Sends head and body in one write, so the peer never waits out a
+/// delayed ACK between them.
+bool SendResponse(int fd, const HttpResponse& response, bool keep_alive) {
+  std::string out = StrFormat(
       "HTTP/1.1 %d %s\r\n"
       "Content-Type: %s\r\n"
       "Content-Length: %zu\r\n"
-      "Connection: close\r\n\r\n",
+      "Connection: %s\r\n\r\n",
       response.status, ReasonPhrase(response.status),
-      response.content_type.c_str(), response.body.size());
-  if (SendAll(fd, head)) SendAll(fd, response.body);
+      response.content_type.c_str(), response.body.size(),
+      keep_alive ? "keep-alive" : "close");
+  out += response.body;
+  return SendAll(fd, out);
+}
+
+/// One past the blank line that ends the header block of `raw` (CRLF or
+/// bare LF), or npos while it has not arrived.
+size_t HeaderEnd(std::string_view raw) {
+  size_t end = std::string::npos;
+  size_t crlf = raw.find("\r\n\r\n");
+  if (crlf != std::string::npos) end = crlf + 4;
+  size_t lf = raw.find("\n\n");
+  if (lf != std::string::npos) end = std::min(end, lf + 2);
+  return end;
+}
+
+/// Value of field `name` (lower-case) in a header block whose first line
+/// is the start line; surrounding blanks trimmed, empty when absent.
+std::string HeaderValue(std::string_view headers, std::string_view name) {
+  size_t eol = headers.find('\n');
+  while (eol != std::string::npos) {
+    const size_t start = eol + 1;
+    eol = headers.find('\n', start);
+    std::string_view field = headers.substr(
+        start, eol == std::string::npos ? std::string::npos : eol - start);
+    size_t colon = field.find(':');
+    if (colon == name.size() && ToLowerAscii(field.substr(0, colon)) == name) {
+      return std::string(StripAscii(field.substr(colon + 1)));
+    }
+  }
+  return "";
+}
+
+/// True when the header block asks for `Connection: keep-alive`.
+bool WantsKeepAlive(std::string_view headers) {
+  return ToLowerAscii(HeaderValue(headers, "connection"))
+             .find("keep-alive") != std::string::npos;
 }
 
 /// Parses the request line "GET /path?a=1&b=2 HTTP/1.1". Returns false on
@@ -146,6 +203,80 @@ bool ParseRequestLine(const std::string& raw, HttpRequest* request) {
     }
   }
   return true;
+}
+
+/// Reads one response: the header block, then Content-Length body bytes,
+/// or everything up to EOF when the server sent no length. The one parser
+/// behind HttpGet and pooled keep-alive clients.
+Result<HttpResponseData> ReadResponse(int fd, bool* closed_by_peer) {
+  std::string raw;
+  char buf[16384];
+  size_t header_end = std::string::npos;
+  size_t content_length = 0;
+  bool framed = false;  // Content-Length seen
+  HttpResponseData response;
+  for (;;) {
+    if (header_end == std::string::npos) {
+      header_end = HeaderEnd(raw);
+      if (header_end != std::string::npos) {
+        std::string_view headers(raw.data(), header_end);
+        // Status line: "HTTP/1.1 200 OK".
+        size_t sp = headers.find(' ');
+        if (sp != std::string::npos) {
+          response.status = std::atoi(raw.c_str() + sp + 1);
+        }
+        response.content_type = HeaderValue(headers, "content-type");
+        std::string length = HeaderValue(headers, "content-length");
+        if (!length.empty()) {
+          char* end = nullptr;
+          unsigned long long parsed = std::strtoull(length.c_str(), &end, 10);
+          if (*end != '\0' || length[0] == '-' ||
+              parsed > kMaxResponseBodyBytes) {
+            return Status::IOError("malformed response (Content-Length '",
+                                   length, "')");
+          }
+          content_length = static_cast<size_t>(parsed);
+          framed = true;
+        }
+        response.keep_alive = WantsKeepAlive(headers);
+      }
+    }
+    if (framed && raw.size() >= header_end + content_length) break;
+    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      if (raw.empty() && closed_by_peer != nullptr) {
+        *closed_by_peer = n == 0 || errno == ECONNRESET;
+      }
+      if (n < 0) return Status::IOError("recv failed: ", std::strerror(errno));
+      break;  // EOF
+    }
+    raw.append(buf, static_cast<size_t>(n));
+  }
+  if (header_end == std::string::npos) {
+    return Status::IOError("malformed response (no header terminator)");
+  }
+  if (!framed) {
+    response.body = raw.substr(header_end);
+    response.keep_alive = false;
+    return response;
+  }
+  if (raw.size() < header_end + content_length) {
+    return Status::IOError("response cut after ", raw.size() - header_end,
+                           " of ", content_length, " body bytes");
+  }
+  response.body = raw.substr(header_end, content_length);
+  // Bytes past the body belong to no request of ours; never reuse a
+  // connection that carried them.
+  response.keep_alive =
+      response.keep_alive && raw.size() == header_end + content_length;
+  return response;
+}
+
+void Wake(int fd) {
+  const char byte = 0;
+  ssize_t written = ::write(fd, &byte, 1);
+  (void)written;  // a full pipe already holds a pending wake-up
 }
 
 }  // namespace
@@ -212,6 +343,12 @@ Status DebugServer::Start() {
     ::close(fd);
     return Status::IOError("debugz: listen() failed: ", std::strerror(errno));
   }
+  int wake[2];
+  if (::pipe(wake) != 0) {
+    ::close(fd);
+    return Status::IOError("debugz: pipe() failed: ", std::strerror(errno));
+  }
+  for (int end : wake) ::fcntl(end, F_SETFL, O_NONBLOCK);
   // Resolve port 0 to the kernel's ephemeral pick.
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
@@ -219,10 +356,15 @@ Status DebugServer::Start() {
     port_.store(ntohs(bound.sin_port), std::memory_order_release);
   }
   listen_fd_ = fd;
-  stop_.store(false, std::memory_order_release);
+  wake_read_fd_ = wake[0];
+  wake_write_fd_ = wake[1];
+  {
+    std::lock_guard<std::mutex> lock(returned_mu_);
+    stop_.store(false, std::memory_order_release);
+  }
   workers_ = std::make_unique<ThreadPool>(options_.num_workers);
   running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  poll_thread_ = std::thread([this] { PollLoop(); });
   ESHARP_LOG(INFO) << "debugz serving on http://" << options_.bind_address
                    << ":" << port();
   return Status::OK();
@@ -230,86 +372,172 @@ Status DebugServer::Start() {
 
 void DebugServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  stop_.store(true, std::memory_order_release);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // Destroying the pool drains queued connections and joins the workers, so
-  // no handler can run past this point.
+  {
+    std::lock_guard<std::mutex> lock(returned_mu_);
+    stop_.store(true, std::memory_order_release);
+  }
+  Wake(wake_write_fd_);
+  // The poll loop closes the idle connections it holds on its way out.
+  if (poll_thread_.joinable()) poll_thread_.join();
+  // Destroying the pool runs the queued requests and joins the workers, so
+  // no handler can run past this point; with stop_ set, their connections
+  // close instead of returning.
   workers_.reset();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  {
+    std::lock_guard<std::mutex> lock(returned_mu_);
+    for (int fd : returned_) ::close(fd);
+    returned_.clear();
+  }
+  for (int* fd : {&listen_fd_, &wake_read_fd_, &wake_write_fd_}) {
+    ::close(*fd);
+    *fd = -1;
   }
   port_.store(0, std::memory_order_release);
 }
 
-void DebugServer::AcceptLoop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    // Short poll timeout so Stop() is observed promptly without signals.
-    int ready = ::poll(&pfd, 1, /*timeout_ms=*/50);
-    if (ready <= 0) continue;
-    int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
-    SetIoTimeout(client, options_.io_timeout_seconds);
-    size_t in_flight =
-        connections_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-    if (in_flight >= options_.max_in_flight) {
-      // Shed inline: the bounded pool must not queue scrapes without limit
-      // behind a slow handler.
-      connections_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      shed_->Increment();
-      HttpResponse overloaded;
-      overloaded.status = 503;
-      overloaded.body = "overloaded\n";
-      SendResponse(client, overloaded);
-      ::close(client);
-      continue;
+void DebugServer::PollLoop() {
+  struct Idle {
+    int fd;
+    double since;
+  };
+  std::vector<Idle> idle;  // longest-idle first
+  std::vector<pollfd> fds;
+  auto hold = [&idle](int fd, double now) {
+    if (idle.size() >= kMaxIdleConnections) {
+      ::close(idle.front().fd);
+      idle.erase(idle.begin());
     }
-    workers_->Submit([this, client] {
-      ServeConnection(client);
-      ::close(client);
-      connections_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    });
+    idle.push_back({fd, now});
+  };
+  while (!stop_.load(std::memory_order_acquire)) {
+    fds.clear();
+    fds.push_back({listen_fd_, POLLIN, 0});
+    fds.push_back({wake_read_fd_, POLLIN, 0});
+    for (const Idle& c : idle) fds.push_back({c.fd, POLLIN, 0});
+    if (::poll(fds.data(), fds.size(), kPollTickMs) < 0) continue;
+    const double now = NowSeconds();
+    // A readable connection carries a request (or its client hung up):
+    // hand it to a worker. A quiet one is closed once idle too long.
+    size_t kept = 0;
+    for (size_t i = 0; i < idle.size(); ++i) {
+      if (fds[i + 2].revents != 0) {
+        Submit(idle[i].fd);
+      } else if (now - idle[i].since >= options_.io_timeout_seconds) {
+        ::close(idle[i].fd);
+      } else {
+        idle[kept++] = idle[i];
+      }
+    }
+    idle.resize(kept);
+    if (fds[1].revents != 0) {
+      char drain[64];
+      while (::read(wake_read_fd_, drain, sizeof(drain)) > 0) {
+      }
+      std::vector<int> returned;
+      {
+        std::lock_guard<std::mutex> lock(returned_mu_);
+        returned.swap(returned_);
+      }
+      for (int fd : returned) hold(fd, now);
+    }
+    if (fds[0].revents != 0) {
+      int client = ::accept(listen_fd_, nullptr, nullptr);
+      if (client >= 0) {
+        SetIoTimeout(client, options_.io_timeout_seconds);
+        SetNoDelay(client);
+        hold(client, now);
+      }
+    }
   }
+  for (const Idle& c : idle) ::close(c.fd);
 }
 
-void DebugServer::ServeConnection(int fd) {
+void DebugServer::Submit(int fd) {
+  size_t in_flight =
+      requests_in_flight_.fetch_add(1, std::memory_order_acq_rel);
+  if (in_flight < options_.max_in_flight) {
+    workers_->Submit([this, fd] {
+      HttpResponse response;
+      bool keep_alive = false;
+      const bool answer = HandleRequest(fd, &response, &keep_alive);
+      // Released before the answer goes out: a client that sends its next
+      // request the moment it reads this one must find the slot free.
+      requests_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+      if (answer && SendResponse(fd, response, keep_alive) && keep_alive) {
+        ReturnConnection(fd);
+      } else {
+        ::close(fd);
+      }
+    });
+    return;
+  }
+  requests_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  // Shed inline: the bounded pool must not queue requests without limit
+  // behind a slow handler. Reading what already arrived first lets the
+  // close end in FIN rather than a reset that could destroy the 503; a
+  // client that merely hung up gets nothing.
+  char discard[kMaxRequestBytes];
+  if (::recv(fd, discard, sizeof(discard), MSG_DONTWAIT) != 0) {
+    shed_->Increment();
+    HttpResponse overloaded;
+    overloaded.status = 503;
+    overloaded.body = "overloaded\n";
+    SendResponse(fd, overloaded, /*keep_alive=*/false);
+  }
+  ::close(fd);
+}
+
+void DebugServer::ReturnConnection(int fd) {
+  {
+    std::lock_guard<std::mutex> lock(returned_mu_);
+    if (!stop_.load(std::memory_order_relaxed)) {
+      returned_.push_back(fd);
+      fd = -1;
+    }
+  }
+  if (fd >= 0) {
+    ::close(fd);
+    return;
+  }
+  Wake(wake_write_fd_);
+}
+
+bool DebugServer::HandleRequest(int fd, HttpResponse* response,
+                                bool* keep_alive) {
   std::string raw;
   char buf[2048];
-  while (raw.size() < kMaxRequestBytes &&
-         raw.find("\r\n\r\n") == std::string::npos &&
-         raw.find("\n\n") == std::string::npos) {
+  size_t header_end = std::string::npos;
+  while (header_end == std::string::npos && raw.size() < kMaxRequestBytes) {
     ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     raw.append(buf, static_cast<size_t>(n));
+    header_end = HeaderEnd(raw);
   }
-  if (raw.empty()) return;
+  if (raw.empty()) return false;
 
   HttpRequest request;
   if (!ParseRequestLine(raw, &request)) {
     errors_->Increment();
-    HttpResponse bad;
-    bad.status = 400;
-    bad.body = "malformed request\n";
-    SendResponse(fd, bad);
-    return;
+    response->status = 400;
+    response->body = "malformed request\n";
+    return true;
   }
   if (request.method != "GET") {
     errors_->Increment();
-    HttpResponse bad;
-    bad.status = 405;
-    bad.body = "only GET is supported\n";
-    SendResponse(fd, bad);
-    return;
+    response->status = 405;
+    response->body = "only GET is supported\n";
+    return true;
   }
+  // Keep-alive is opt-in, and only for a complete request with nothing
+  // pipelined behind it.
+  *keep_alive = header_end == raw.size() &&
+                WantsKeepAlive(std::string_view(raw).substr(0, header_end));
   requests_->Increment();
   double started = NowSeconds();
-  HttpResponse response = Dispatch(request);
+  *response = Dispatch(request);
   handler_seconds_->Observe(NowSeconds() - started);
-  if (response.status >= 500) errors_->Increment();
-  SendResponse(fd, response);
+  if (response->status >= 500) errors_->Increment();
+  return true;
 }
 
 HttpResponse DebugServer::Dispatch(const HttpRequest& request) {
@@ -339,11 +567,10 @@ HttpResponse DebugServer::Dispatch(const HttpRequest& request) {
   return not_found;
 }
 
-// ----------------------------------------------------------------- HttpGet --
+// ---------------------------------------------------------- HTTP clients --
 
-Result<HttpResponseData> HttpGet(const std::string& host, int port,
-                                 const std::string& path,
-                                 double timeout_seconds) {
+Result<std::unique_ptr<HttpClientConnection>> HttpClientConnection::Connect(
+    const std::string& host, int port, double timeout_seconds) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status::IOError("socket() failed: ", std::strerror(errno));
@@ -361,51 +588,42 @@ Result<HttpResponseData> HttpGet(const std::string& host, int port,
     return Status::IOError("cannot connect to ", host, ":", port, ": ",
                            std::strerror(errno));
   }
-  std::string request = "GET " + path +
-                        " HTTP/1.1\r\nHost: " + host +
-                        "\r\nConnection: close\r\n\r\n";
-  if (!SendAll(fd, request)) {
-    ::close(fd);
+  SetNoDelay(fd);
+  return std::unique_ptr<HttpClientConnection>(
+      new HttpClientConnection(fd, host, timeout_seconds));
+}
+
+HttpClientConnection::~HttpClientConnection() { ::close(fd_); }
+
+void HttpClientConnection::SetTimeout(double seconds) {
+  if (seconds == timeout_seconds_) return;
+  SetIoTimeout(fd_, seconds);
+  timeout_seconds_ = seconds;
+}
+
+Result<HttpResponseData> HttpClientConnection::Get(const std::string& path,
+                                                   bool keep_alive,
+                                                   bool* closed_by_peer) {
+  if (closed_by_peer != nullptr) *closed_by_peer = false;
+  std::string request = "GET " + path + " HTTP/1.1\r\nHost: " + host_ +
+                        (keep_alive ? "\r\nConnection: keep-alive\r\n\r\n"
+                                    : "\r\nConnection: close\r\n\r\n");
+  if (!SendAll(fd_, request)) {
+    if (closed_by_peer != nullptr) {
+      *closed_by_peer = errno == EPIPE || errno == ECONNRESET;
+    }
     return Status::IOError("send failed: ", std::strerror(errno));
   }
-  std::string raw;
-  char buf[4096];
-  for (;;) {
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0) {
-      ::close(fd);
-      return Status::IOError("recv failed: ", std::strerror(errno));
-    }
-    if (n == 0) break;
-    raw.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
+  return ReadResponse(fd_, closed_by_peer);
+}
 
-  size_t header_end = raw.find("\r\n\r\n");
-  size_t body_start = header_end == std::string::npos ? 0 : header_end + 4;
-  if (header_end == std::string::npos) {
-    return Status::IOError("malformed response (no header terminator)");
-  }
-  HttpResponseData response;
-  // Status line: "HTTP/1.1 200 OK".
-  size_t sp = raw.find(' ');
-  if (sp != std::string::npos) {
-    response.status = std::atoi(raw.c_str() + sp + 1);
-  }
-  // Content-Type header (case-insensitive match on the name).
-  std::string headers = raw.substr(0, header_end);
-  std::string lowered = ToLowerAscii(headers);
-  size_t ct = lowered.find("content-type:");
-  if (ct != std::string::npos) {
-    size_t value_start = ct + std::strlen("content-type:");
-    size_t value_end = headers.find("\r\n", value_start);
-    std::string value = headers.substr(value_start, value_end - value_start);
-    size_t first = value.find_first_not_of(' ');
-    response.content_type =
-        first == std::string::npos ? "" : value.substr(first);
-  }
-  response.body = raw.substr(body_start);
-  return response;
+Result<HttpResponseData> HttpGet(const std::string& host, int port,
+                                 const std::string& path,
+                                 double timeout_seconds) {
+  ESHARP_ASSIGN_OR_RETURN(
+      std::unique_ptr<HttpClientConnection> connection,
+      HttpClientConnection::Connect(host, port, timeout_seconds));
+  return connection->Get(path, /*keep_alive=*/false);
 }
 
 // ------------------------------------------------------------ MountStatusz --

@@ -47,15 +47,50 @@ struct HttpResponse {
 
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
-/// \brief What one HttpGet returned.
+/// \brief One HTTP response as a client read it.
 struct HttpResponseData {
   int status = 0;
   std::string content_type;
   std::string body;
+  /// The server answered `Connection: keep-alive` and framed the body
+  /// with Content-Length, so the connection may carry another request.
+  bool keep_alive = false;
+};
+
+/// \brief One client-side HTTP/1.1 connection: blocking, IPv4 only,
+/// TCP_NODELAY, with a socket read/write timeout. Closed on destruction.
+class HttpClientConnection {
+ public:
+  static Result<std::unique_ptr<HttpClientConnection>> Connect(
+      const std::string& host, int port, double timeout_seconds);
+  ~HttpClientConnection();
+
+  HttpClientConnection(const HttpClientConnection&) = delete;
+  HttpClientConnection& operator=(const HttpClientConnection&) = delete;
+
+  /// Sends one GET and reads its response. `keep_alive` opts in to reuse;
+  /// the response's keep_alive says whether the server agreed. When the
+  /// exchange fails because the server had already closed the connection
+  /// (reset or EOF before the first response byte), `*closed_by_peer` is
+  /// set; a timeout or a cut mid-response leaves it false.
+  Result<HttpResponseData> Get(const std::string& path, bool keep_alive,
+                               bool* closed_by_peer = nullptr);
+
+  /// Socket read/write timeout of the next exchanges.
+  void SetTimeout(double seconds);
+
+ private:
+  HttpClientConnection(int fd, std::string host, double timeout_seconds)
+      : fd_(fd), host_(std::move(host)), timeout_seconds_(timeout_seconds) {}
+
+  int fd_;
+  std::string host_;
+  double timeout_seconds_;
 };
 
 /// \brief Minimal blocking HTTP/1.1 GET client for tests and benches that
-/// scrape a DebugServer (no external dependency, IPv4 only).
+/// scrape a DebugServer: one connection per call, closed after the
+/// response (no external dependency, IPv4 only).
 Result<HttpResponseData> HttpGet(const std::string& host, int port,
                                  const std::string& path,
                                  double timeout_seconds = 5.0);
@@ -66,21 +101,30 @@ struct DebugServerOptions {
   /// Bind address. The default only accepts local connections — a debug
   /// server exposes internals and should not face the open network.
   std::string bind_address = "127.0.0.1";
-  /// Worker threads serving parsed connections (the accept loop is its own
-  /// thread).
+  /// Worker threads serving requests (the poll loop is its own thread).
   size_t num_workers = 2;
-  /// Connections in flight (queued + executing) beyond which new ones are
-  /// answered 503 inline — scrapes must never pile up behind a slow
-  /// handler and starve the process they are observing.
+  /// Requests in flight (queued + executing) beyond which a new one is
+  /// answered 503 inline and its connection closed — scrapes must never
+  /// pile up behind a slow handler and starve the process they are
+  /// observing. Idle keep-alive connections do not count.
   size_t max_in_flight = 8;
-  /// Per-connection socket read/write timeout.
+  /// Socket read/write timeout, and how long a keep-alive connection may
+  /// sit idle before the server closes it.
   double io_timeout_seconds = 5.0;
 };
 
-/// \brief Dependency-free embedded HTTP/1.1 server: a blocking accept loop
-/// plus a bounded common::ThreadPool of workers. Built for statusz-style
-/// debug endpoints: GET only, one request per connection, bounded request
-/// size, every handler response sent with Connection: close.
+/// \brief Dependency-free embedded HTTP/1.1 server: one poll loop plus a
+/// bounded common::ThreadPool of workers. Built for statusz-style debug
+/// endpoints and the shard evidence RPC: GET only, bounded request size,
+/// each response sent in one write with Content-Length and TCP_NODELAY.
+///
+/// Connections: a request that sends `Connection: keep-alive` gets the
+/// same header back and its connection stays open. The poll loop owns
+/// idle connections (at most 64, the longest-idle closed first, and each
+/// closed after io_timeout_seconds idle); when one turns readable it hands
+/// it to a worker, which serves one request and gives the connection back.
+/// Every other request — HttpGet, curl, raw sockets — is answered with
+/// `Connection: close` and EOF.
 ///
 /// Lifecycle: construct, Handle() your endpoints, Start(), Stop() (also in
 /// the destructor). Handlers run on worker threads concurrently with
@@ -98,11 +142,12 @@ class DebugServer {
   /// one). Thread-safe; may be called before or after Start().
   void Handle(const std::string& path, HttpHandler handler);
 
-  /// Binds, listens and spawns the accept loop. IOError when the port is
+  /// Binds, listens and spawns the poll loop. IOError when the port is
   /// taken.
   Status Start();
 
-  /// Stops accepting, drains workers and joins. Idempotent.
+  /// Stops accepting, closes idle connections, drains workers and joins.
+  /// Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -117,8 +162,16 @@ class DebugServer {
   const DebugServerOptions& options() const { return options_; }
 
  private:
-  void AcceptLoop();
-  void ServeConnection(int fd);
+  void PollLoop();
+  /// Answers one readable connection on a worker, or sheds it inline.
+  void Submit(int fd);
+  /// Reads one request and runs its handler. False when there is nothing
+  /// to answer (the client hung up or went silent); otherwise `*response`
+  /// holds the answer and `*keep_alive` whether the connection stays open.
+  bool HandleRequest(int fd, HttpResponse* response, bool* keep_alive);
+  /// Gives a kept-alive connection back to the poll loop (or closes it
+  /// once the server is stopping).
+  void ReturnConnection(int fd);
   HttpResponse Dispatch(const HttpRequest& request);
 
   DebugServerOptions options_;
@@ -126,12 +179,21 @@ class DebugServer {
   std::map<std::string, HttpHandler> handlers_;
 
   std::atomic<bool> running_{false};
-  std::atomic<bool> stop_{false};
   std::atomic<int> port_{0};
   int listen_fd_ = -1;
-  std::thread accept_thread_;
+  /// Self-pipe: ReturnConnection and Stop write a byte to wake the poll.
+  int wake_read_fd_ = -1;
+  int wake_write_fd_ = -1;
   std::unique_ptr<ThreadPool> workers_;
-  std::atomic<size_t> connections_in_flight_{0};
+  std::atomic<size_t> requests_in_flight_{0};
+
+  std::mutex returned_mu_;
+  std::vector<int> returned_;  // guarded by returned_mu_
+  /// Written under returned_mu_, so a worker's check-then-return cannot
+  /// interleave with Stop(); the poll loop reads it lock-free.
+  std::atomic<bool> stop_{false};
+
+  std::thread poll_thread_;
 
   // Cached global-registry instruments.
   Counter* requests_ = nullptr;

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/byte_io.h"
 #include "common/file_io.h"
 #include "common/simd.h"
 
@@ -22,17 +23,18 @@ enum SectionId : uint32_t {
   kEvidence = 7,
 };
 
+/// The section's name as errors and its ByteReader context print it.
 const char* SectionName(uint32_t id) {
   switch (id) {
-    case kMeta: return "META";
-    case kUsers: return "USERS";
-    case kTweets: return "TWEETS";
-    case kTokens: return "TOKENS";
-    case kTotals: return "TOTALS";
-    case kStore: return "STORE";
-    case kEvidence: return "EVIDENCE";
+    case kMeta: return "snapshot section META";
+    case kUsers: return "snapshot section USERS";
+    case kTweets: return "snapshot section TWEETS";
+    case kTokens: return "snapshot section TOKENS";
+    case kTotals: return "snapshot section TOTALS";
+    case kStore: return "snapshot section STORE";
+    case kEvidence: return "snapshot section EVIDENCE";
   }
-  return "?";
+  return "snapshot section ?";
 }
 
 constexpr size_t kHeaderBytes = 24;       // magic + version + count + cksum
@@ -40,41 +42,6 @@ constexpr size_t kSectionEntryBytes = 32; // id + reserved + off + size + cksum
 constexpr uint32_t kMaxSections = 64;     // format sanity bound
 
 // ---- writer ---------------------------------------------------------------
-
-void AppendU32(std::string* s, uint32_t v) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  s->append(b, 4);
-}
-
-void AppendU64(std::string* s, uint64_t v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  s->append(b, 8);
-}
-
-void AppendF64(std::string* s, double v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  s->append(b, 8);
-}
-
-template <typename T>
-void AppendArray(std::string* s, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  s->append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
-}
-
-/// Writes a string column: offsets[n+1] (u64, into the blob) then the blob.
-void AppendStringColumn(std::string* s, const std::vector<std::string>& col) {
-  uint64_t off = 0;
-  AppendU64(s, off);
-  for (const std::string& str : col) {
-    off += str.size();
-    AppendU64(s, off);
-  }
-  for (const std::string& str : col) s->append(str);
-}
 
 std::string EncodeMeta(const microblog::TweetCorpus& corpus,
                        const community::CommunityStore& store,
@@ -210,122 +177,22 @@ std::string EncodeEvidence(const expert::TermEvidenceIndex& evidence) {
   AppendU64(&s, n);
   AppendStringColumn(&s, evidence.TermStrings());
   std::vector<uint64_t> pool_offsets;
+  std::vector<const std::vector<expert::CandidateEvidence>*> pools;
   pool_offsets.reserve(n + 1);
   pool_offsets.push_back(0);
+  pools.reserve(n);
   uint64_t total = 0;
   for (size_t i = 0; i < n; ++i) {
+    pools.push_back(&evidence.pool(i));
     total += evidence.pool(i).size();
     pool_offsets.push_back(total);
   }
   AppendArray(&s, pool_offsets);
-  // Columnar pool entries: users, author/mention flags, then the five
-  // counters, each as one contiguous array across all pools.
-  std::vector<uint32_t> user(total);
-  std::vector<uint8_t> flags(total);
-  std::vector<uint64_t> tweets(total), mentions(total), retweets(total),
-      conversational(total), hashtag(total);
-  size_t at = 0;
-  for (size_t i = 0; i < n; ++i) {
-    for (const expert::CandidateEvidence& e : evidence.pool(i)) {
-      user[at] = e.user;
-      flags[at] = static_cast<uint8_t>((e.is_author ? 1 : 0) |
-                                       (e.is_mentioned ? 2 : 0));
-      tweets[at] = e.tweets_on_topic;
-      mentions[at] = e.mentions_on_topic;
-      retweets[at] = e.retweets_on_topic;
-      conversational[at] = e.conversational_on_topic;
-      hashtag[at] = e.hashtag_on_topic;
-      ++at;
-    }
-  }
-  AppendArray(&s, user);
-  AppendArray(&s, flags);
-  AppendArray(&s, tweets);
-  AppendArray(&s, mentions);
-  AppendArray(&s, retweets);
-  AppendArray(&s, conversational);
-  AppendArray(&s, hashtag);
+  AppendEvidenceColumns(&s, pools);
   return s;
 }
 
 // ---- reader ---------------------------------------------------------------
-
-/// Bounds-checked cursor over one section's bytes. Every primitive checks
-/// remaining length, so a corrupted count can fail cleanly mid-decode but
-/// can never read outside the mapped file.
-class ByteReader {
- public:
-  ByteReader(const uint8_t* data, size_t size, const char* section)
-      : p_(data), n_(size), section_(section) {}
-
-  Status ReadU32(uint32_t* v) { return ReadRaw(v, 4); }
-  Status ReadU64(uint64_t* v) { return ReadRaw(v, 8); }
-
-  /// Reads `count` fixed-width elements. Guards count*width overflow by
-  /// checking against the remaining bytes first.
-  template <typename T>
-  Status ReadArray(size_t count, std::vector<T>* out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (count > (n_ - pos_) / sizeof(T)) {
-      return Status::IOError("snapshot section ", section_,
-                             ": array of ", count, " x ", sizeof(T),
-                             "B overruns section (", n_ - pos_,
-                             " bytes left)");
-    }
-    out->resize(count);
-    std::memcpy(out->data(), p_ + pos_, count * sizeof(T));
-    pos_ += count * sizeof(T);
-    return Status::OK();
-  }
-
-  /// Reads a string column written by AppendStringColumn: offsets[count+1]
-  /// then the blob the offsets index into.
-  Status ReadStringColumn(size_t count, std::vector<std::string>* out) {
-    std::vector<uint64_t> offsets;
-    ESHARP_RETURN_NOT_OK(ReadArray(count + 1, &offsets));
-    if (offsets[0] != 0) {
-      return Status::IOError("snapshot section ", section_,
-                             ": string column does not start at 0");
-    }
-    for (size_t i = 0; i < count; ++i) {
-      if (offsets[i + 1] < offsets[i]) {
-        return Status::IOError("snapshot section ", section_,
-                               ": string offsets not monotone");
-      }
-    }
-    const uint64_t blob = offsets[count];
-    if (blob > n_ - pos_) {
-      return Status::IOError("snapshot section ", section_, ": string blob (",
-                             blob, "B) overruns section");
-    }
-    out->resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      (*out)[i].assign(reinterpret_cast<const char*>(p_ + pos_ + offsets[i]),
-                       offsets[i + 1] - offsets[i]);
-    }
-    pos_ += blob;
-    return Status::OK();
-  }
-
-  size_t remaining() const { return n_ - pos_; }
-  const char* section() const { return section_; }
-
- private:
-  Status ReadRaw(void* out, size_t len) {
-    if (len > n_ - pos_) {
-      return Status::IOError("snapshot section ", section_,
-                             ": truncated read at offset ", pos_);
-    }
-    std::memcpy(out, p_ + pos_, len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  const uint8_t* p_;
-  size_t n_;
-  size_t pos_ = 0;
-  const char* section_;
-};
 
 /// Splits a flattened array back into per-row vectors using an offsets
 /// array (offsets[i+1] >= offsets[i], already validated by the caller).
@@ -529,31 +396,13 @@ Status DecodeEvidence(
   ESHARP_RETURN_NOT_OK(r->ReadArray(n + 1, &offsets));
   const uint64_t total = offsets.empty() ? 0 : offsets.back();
   ESHARP_RETURN_NOT_OK(CheckOffsets(offsets, total, "EVIDENCE"));
-  std::vector<uint32_t> user;
-  std::vector<uint8_t> flags;
-  std::vector<uint64_t> tweets, mentions, retweets, conversational, hashtag;
-  ESHARP_RETURN_NOT_OK(r->ReadArray(total, &user));
-  ESHARP_RETURN_NOT_OK(r->ReadArray(total, &flags));
-  ESHARP_RETURN_NOT_OK(r->ReadArray(total, &tweets));
-  ESHARP_RETURN_NOT_OK(r->ReadArray(total, &mentions));
-  ESHARP_RETURN_NOT_OK(r->ReadArray(total, &retweets));
-  ESHARP_RETURN_NOT_OK(r->ReadArray(total, &conversational));
-  ESHARP_RETURN_NOT_OK(r->ReadArray(total, &hashtag));
-  std::vector<expert::CandidateEvidence> flat(total);
-  for (size_t i = 0; i < total; ++i) {
-    if (user[i] >= num_users) {
-      return Status::IOError("snapshot section EVIDENCE: user ", user[i],
+  std::vector<expert::CandidateEvidence> flat;
+  ESHARP_RETURN_NOT_OK(ReadEvidenceColumns(r, total, &flat));
+  for (const expert::CandidateEvidence& e : flat) {
+    if (e.user >= num_users) {
+      return Status::IOError("snapshot section EVIDENCE: user ", e.user,
                              " out of range (", num_users, " users)");
     }
-    expert::CandidateEvidence& e = flat[i];
-    e.user = user[i];
-    e.is_author = (flags[i] & 1) != 0;
-    e.is_mentioned = (flags[i] & 2) != 0;
-    e.tweets_on_topic = tweets[i];
-    e.mentions_on_topic = mentions[i];
-    e.retweets_on_topic = retweets[i];
-    e.conversational_on_topic = conversational[i];
-    e.hashtag_on_topic = hashtag[i];
   }
   std::vector<std::vector<expert::CandidateEvidence>> pools =
       Unflatten(offsets, flat);
@@ -663,12 +512,12 @@ Result<SnapshotArtifacts> LoadSnapshotFile(const std::string& path) {
     std::memcpy(&entries[i].size, e + 16, 8);
     std::memcpy(&entries[i].checksum, e + 24, 8);
     if (entries[i].offset > size || entries[i].size > size - entries[i].offset) {
-      return Status::IOError("snapshot '", path, "': section ",
+      return Status::IOError("snapshot '", path, "': ",
                              SectionName(entries[i].id), " overruns file");
     }
     if (simd::Checksum64(data + entries[i].offset, entries[i].size) !=
         entries[i].checksum) {
-      return Status::IOError("snapshot '", path, "': section ",
+      return Status::IOError("snapshot '", path, "': ",
                              SectionName(entries[i].id),
                              " checksum mismatch");
     }
@@ -686,7 +535,7 @@ Result<SnapshotArtifacts> LoadSnapshotFile(const std::string& path) {
   auto require = [&](uint32_t id, const SectionEntry** e) -> Status {
     *e = find(id);
     if (*e == nullptr) {
-      return Status::IOError("snapshot '", path, "': missing section ",
+      return Status::IOError("snapshot '", path, "': missing ",
                              SectionName(id));
     }
     return Status::OK();
@@ -783,6 +632,74 @@ Result<SnapshotArtifacts> LoadSnapshotFile(const std::string& path) {
   artifacts.info.num_sections = count;
   artifacts.info.has_evidence = evidence_e != nullptr;
   return artifacts;
+}
+
+void AppendEvidenceColumns(
+    std::string* out,
+    const std::vector<const std::vector<expert::CandidateEvidence>*>& runs) {
+  size_t n = 0;
+  for (const std::vector<expert::CandidateEvidence>* run : runs) {
+    n += run->size();
+  }
+  const size_t base = out->size();
+  out->resize(base + n * kEvidenceColumnBytes);
+  char* user = out->data() + base;
+  char* flags = user + 4 * n;
+  char* tweets = flags + n;
+  char* mentions = tweets + 8 * n;
+  char* retweets = mentions + 8 * n;
+  char* conversational = retweets + 8 * n;
+  char* hashtag = conversational + 8 * n;
+  size_t i = 0;
+  for (const std::vector<expert::CandidateEvidence>* run : runs) {
+    for (const expert::CandidateEvidence& e : *run) {
+      std::memcpy(user + 4 * i, &e.user, 4);
+      flags[i] = static_cast<char>((e.is_author ? 1 : 0) |
+                                   (e.is_mentioned ? 2 : 0));
+      std::memcpy(tweets + 8 * i, &e.tweets_on_topic, 8);
+      std::memcpy(mentions + 8 * i, &e.mentions_on_topic, 8);
+      std::memcpy(retweets + 8 * i, &e.retweets_on_topic, 8);
+      std::memcpy(conversational + 8 * i, &e.conversational_on_topic, 8);
+      std::memcpy(hashtag + 8 * i, &e.hashtag_on_topic, 8);
+      ++i;
+    }
+  }
+}
+
+Status ReadEvidenceColumns(ByteReader* reader, uint64_t count,
+                           std::vector<expert::CandidateEvidence>* out) {
+  if (count > reader->remaining() / kEvidenceColumnBytes) {
+    return Status::IOError(reader->context(), ": ", count,
+                           " evidence entries overrun (",
+                           reader->remaining(), " bytes left)");
+  }
+  const size_t n = static_cast<size_t>(count);
+  const uint8_t* user = nullptr;
+  ESHARP_RETURN_NOT_OK(reader->ReadBytes(n * kEvidenceColumnBytes, &user));
+  const uint8_t* flags = user + 4 * n;
+  const uint8_t* tweets = flags + n;
+  const uint8_t* mentions = tweets + 8 * n;
+  const uint8_t* retweets = mentions + 8 * n;
+  const uint8_t* conversational = retweets + 8 * n;
+  const uint8_t* hashtag = conversational + 8 * n;
+  out->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    if ((flags[i] & ~3u) != 0) {
+      return Status::IOError(reader->context(), ": evidence entry ", i,
+                             " has unknown flag bits ",
+                             static_cast<unsigned>(flags[i]));
+    }
+    expert::CandidateEvidence& e = (*out)[i];
+    std::memcpy(&e.user, user + 4 * i, 4);
+    e.is_author = (flags[i] & 1) != 0;
+    e.is_mentioned = (flags[i] & 2) != 0;
+    std::memcpy(&e.tweets_on_topic, tweets + 8 * i, 8);
+    std::memcpy(&e.mentions_on_topic, mentions + 8 * i, 8);
+    std::memcpy(&e.retweets_on_topic, retweets + 8 * i, 8);
+    std::memcpy(&e.conversational_on_topic, conversational + 8 * i, 8);
+    std::memcpy(&e.hashtag_on_topic, hashtag + 8 * i, 8);
+  }
+  return Status::OK();
 }
 
 }  // namespace esharp::serving

@@ -4,9 +4,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/byte_io.h"
 #include "common/result.h"
 #include "community/store.h"
+#include "expert/detector.h"
 #include "expert/evidence_index.h"
 #include "microblog/corpus.h"
 
@@ -74,6 +77,24 @@ Status SaveSnapshotFile(const std::string& path,
 /// failure returns a Status naming the failing section — callers fall back
 /// to the offline pipeline path.
 Result<SnapshotArtifacts> LoadSnapshotFile(const std::string& path);
+
+/// Bytes one CandidateEvidence takes in the columnar layout below.
+inline constexpr size_t kEvidenceColumnBytes = 4 + 1 + 5 * 8;
+
+/// Columnar layout of a run of CandidateEvidence, shared by the snapshot's
+/// EVIDENCE section and the shard evidence frame: user u32[n], flags u8[n]
+/// (bit 0 author, bit 1 mentioned), then tweets, mentions, retweets,
+/// conversational and hashtag counts as u64[n] each. Appends the entries
+/// of `runs`, concatenated in order, as one column set.
+void AppendEvidenceColumns(
+    std::string* out,
+    const std::vector<const std::vector<expert::CandidateEvidence>*>& runs);
+
+/// Reads `count` entries written by AppendEvidenceColumns. Fails (IOError
+/// naming the reader's context) when the columns overrun the reader or a
+/// flags byte sets any other bit.
+Status ReadEvidenceColumns(ByteReader* reader, uint64_t count,
+                           std::vector<expert::CandidateEvidence>* out);
 
 }  // namespace esharp::serving
 

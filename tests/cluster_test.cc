@@ -3,11 +3,16 @@
 // unsharded engine over the union corpus, across partition counts — the
 // PR's acceptance criterion — and the failure modes must degrade instead
 // of failing: a dead shard yields annotated partial results, a slow shard
-// triggers a hedge, lost quorum flips /readyz. The stress test at the
-// bottom joins the serving label's TSan runs.
+// triggers a hedge, lost quorum flips /readyz, unrankable evidence fails
+// its attempt. The HTTP wire frame must survive mutation fuzzing, and a
+// pooled shard connection must never carry one attempt's reply to
+// another. The stress test at the bottom joins the serving label's TSan
+// runs.
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +27,7 @@
 #include "cluster/router.h"
 #include "cluster/shard.h"
 #include "cluster/transport_http.h"
+#include "common/simd.h"
 #include "community/store.h"
 #include "esharp/pipeline.h"
 #include "expert/detector.h"
@@ -178,7 +184,9 @@ class FaultShard final : public cluster::ShardTransport {
     if (timeout_.load(std::memory_order_relaxed)) {
       return Status::DeadlineExceeded("injected timeout on ", name_);
     }
-    return delegate_->Collect(request);
+    Result<cluster::ShardEvidence> result = delegate_->Collect(request);
+    if (result.ok() && mutate_) mutate_(&result->evidence);
+    return result;
   }
 
   uint64_t VersionHint() const override { return delegate_->VersionHint(); }
@@ -187,11 +195,17 @@ class FaultShard final : public cluster::ShardTransport {
   void set_timeout(bool t) { timeout_.store(t, std::memory_order_relaxed); }
   /// The *next* Collect (only) sleeps this long before proceeding.
   void set_sleep_first_ms(double ms) { sleep_first_ms_.store(ms); }
+  /// Rewrites every answer's evidence before the router sees it; set
+  /// before traffic starts.
+  void set_mutate(std::function<void(std::vector<CandidateEvidence>*)> f) {
+    mutate_ = std::move(f);
+  }
   size_t calls() const { return calls_.load(std::memory_order_relaxed); }
 
  private:
   std::string name_;
   std::unique_ptr<cluster::ShardTransport> delegate_;
+  std::function<void(std::vector<CandidateEvidence>*)> mutate_;
   std::atomic<bool> fail_{false};
   std::atomic<bool> timeout_{false};
   std::atomic<double> sleep_first_ms_{0.0};
@@ -623,6 +637,146 @@ TEST(ClusterTest, HttpTransportMatchesInProcessBitForBit) {
   EXPECT_TRUE(dead.status().IsUnavailable()) << dead.status().ToString();
 }
 
+/// An HTTP shard whose /shard/evidence handler the test writes: answers a
+/// frame with `terms` = the call's index, echoing the request's trace
+/// unless `echo` is off; the call with index `sleep_call` first sleeps.
+struct ScriptedShard {
+  explicit ScriptedShard(obs::DebugServerOptions options = {})
+      : server(options) {
+    server.Handle("/shard/evidence", [this](const obs::HttpRequest& request) {
+      const int call = calls.fetch_add(1);
+      if (call == sleep_call.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+      }
+      cluster::ShardEvidence evidence;
+      evidence.terms = static_cast<size_t>(call);
+      evidence.trace = echo.load()
+                           ? obs::TraceContext::FromHeaderOrRoot(
+                                 request.Param("trace"))
+                           : obs::TraceContext::NewRoot();
+      obs::HttpResponse response;
+      response.body = cluster::EncodeShardEvidence(evidence);
+      return response;
+    });
+  }
+
+  std::atomic<int> calls{0};
+  std::atomic<int> sleep_call{-1};
+  std::atomic<bool> echo{true};
+  obs::DebugServer server;  // last: stopped before the knobs go away
+};
+
+cluster::ShardRequest TracedRequest(const std::string& query) {
+  cluster::ShardRequest request;
+  request.query = query;
+  request.trace = obs::TraceContext::NewRoot();
+  return request;
+}
+
+TEST(ClusterTest, PooledConnectionClosedByTheShardIsReplaced) {
+  obs::DebugServerOptions options;
+  options.io_timeout_seconds = 0.3;
+  auto shard = std::make_unique<ScriptedShard>(options);
+  ASSERT_TRUE(shard->server.Start().ok());
+  const int port = shard->server.port();
+  cluster::HttpShardTransport remote("remote", "127.0.0.1", port);
+  ASSERT_TRUE(remote.Collect(TracedRequest("q")).ok());  // pools a connection
+
+  // The shard closes the pooled connection after its idle timeout...
+  std::this_thread::sleep_for(std::chrono::milliseconds(900));
+  auto after_idle = remote.Collect(TracedRequest("q"));
+  EXPECT_TRUE(after_idle.ok()) << after_idle.status().ToString();
+
+  // ...or because it restarted on the same port.
+  shard.reset();
+  options.port = port;
+  shard = std::make_unique<ScriptedShard>(options);
+  ASSERT_TRUE(shard->server.Start().ok());
+  auto after_restart = remote.Collect(TracedRequest("q"));
+  EXPECT_TRUE(after_restart.ok()) << after_restart.status().ToString();
+}
+
+TEST(ClusterTest, TimedOutAttemptNeverHandsItsLateReplyToTheNext) {
+  ScriptedShard shard;
+  ASSERT_TRUE(shard.server.Start().ok());
+  cluster::HttpShardTransport::Options options;
+  options.default_timeout_seconds = 0.3;
+  cluster::HttpShardTransport remote("remote", "127.0.0.1",
+                                     shard.server.port(), options);
+  ASSERT_TRUE(remote.Collect(TracedRequest("q")).ok());  // pools a connection
+
+  shard.sleep_call = 1;
+  auto late = remote.Collect(TracedRequest("q"));
+  EXPECT_FALSE(late.ok());
+  EXPECT_EQ(shard.calls.load(), 2);  // a timeout is not retried
+
+  // The next attempt reads its own answer (call 2), never call 1's reply
+  // still on its way back over the timed-out connection.
+  cluster::ShardRequest request = TracedRequest("q");
+  auto next = remote.Collect(request);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->terms, 2u);
+  EXPECT_EQ(next->trace, request.trace);
+  shard.server.Stop();  // waits out the sleeping handler
+}
+
+TEST(ClusterTest, FrameEchoingAnotherTraceFailsTheAttempt) {
+  ScriptedShard shard;
+  shard.echo = false;
+  ASSERT_TRUE(shard.server.Start().ok());
+  cluster::HttpShardTransport remote("remote", "127.0.0.1",
+                                     shard.server.port());
+  auto stray = remote.Collect(TracedRequest("q"));
+  ASSERT_FALSE(stray.ok());
+  EXPECT_NE(stray.status().message().find("not this attempt's"),
+            std::string::npos)
+      << stray.status().ToString();
+  EXPECT_EQ(remote.VersionHint(), 0u);  // a refused frame is no contact
+
+  // Without a trace there is nothing to compare.
+  cluster::ShardRequest untraced;
+  untraced.query = "q";
+  EXPECT_TRUE(remote.Collect(untraced).ok());
+}
+
+TEST(ClusterTest, RouterRejectsShardEvidenceItCannotRank) {
+  World world = MakeWorld(2801);
+  const std::string query = FirstTopicQuery(world);
+  const size_t num_users = world.corpus.num_users();
+  cluster::RouterOptions ro;
+  ro.enable_cache = false;
+  ro.enable_hedging = false;
+  const std::vector<std::pair<
+      std::string, std::function<void(std::vector<CandidateEvidence>*)>>>
+      cases = {
+          {"union corpus",
+           [num_users](std::vector<CandidateEvidence>* pool) {
+             CandidateEvidence bad;
+             bad.user = static_cast<microblog::UserId>(num_users);
+             bad.is_author = true;
+             pool->push_back(bad);
+           }},
+          {"sorted-unique",
+           [](std::vector<CandidateEvidence>* pool) {
+             ASSERT_FALSE(pool->empty());
+             pool->push_back(pool->front());
+           }},
+      };
+  for (const auto& [detail, mutate] : cases) {
+    SCOPED_TRACE(detail);
+    FaultyCluster fc = MakeFaultyCluster(world, 2, ro);
+    fc.faults[1]->set_mutate(mutate);
+    auto routed = fc.base.router->Query({query});
+    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    EXPECT_TRUE(routed->degraded);
+    EXPECT_EQ(routed->shards_answered, 1u);
+    cluster::ShardStatus status = fc.base.router->health().StatusOf(1);
+    EXPECT_EQ(status.failures, 1u);
+    EXPECT_NE(status.last_error.find(detail), std::string::npos)
+        << status.last_error;
+  }
+}
+
 TEST(ClusterTest, WireFormatRoundTripsExactly) {
   cluster::ShardEvidence evidence;
   evidence.snapshot_version = 0xFFFFFFFFFFFFFFFFULL;
@@ -654,11 +808,152 @@ TEST(ClusterTest, WireFormatRoundTripsExactly) {
   EXPECT_EQ(decoded->evidence[1].is_mentioned, b.is_mentioned);
   EXPECT_EQ(decoded->evidence[1].hashtag_on_topic, b.hashtag_on_topic);
 
+  EXPECT_EQ(decoded->evidence[1].mentions_on_topic, b.mentions_on_topic);
+  EXPECT_EQ(decoded->evidence[1].retweets_on_topic, b.retweets_on_topic);
+  EXPECT_EQ(decoded->evidence[1].conversational_on_topic,
+            b.conversational_on_topic);
+
+  // No candidates at all is a valid (and common) answer.
+  auto empty = cluster::DecodeShardEvidence(
+      cluster::EncodeShardEvidence(cluster::ShardEvidence{}));
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_TRUE(empty->evidence.empty());
+
   EXPECT_FALSE(cluster::DecodeShardEvidence("garbage").ok());
+  std::string frame = cluster::EncodeShardEvidence(evidence);
   EXPECT_FALSE(
-      cluster::DecodeShardEvidence("version=1 terms=1 candidates=2 ms=0\n"
-                                   "1 0 0 0 0 0 0\n")
-          .ok());  // truncated
+      cluster::DecodeShardEvidence(frame.substr(0, frame.size() - 1)).ok());
+}
+
+/// Rewrites a mutated frame's payload length and checksum (header bytes
+/// 8..24, see cluster/transport_http.h), so the decoder's parser behind
+/// the checksum sees the mutation.
+std::string Reseal(std::string frame) {
+  const uint64_t payload = frame.size() - 24;
+  std::memcpy(&frame[8], &payload, 8);
+  const uint64_t checksum = simd::Checksum64(frame.data() + 24, payload);
+  std::memcpy(&frame[16], &checksum, 8);
+  return frame;
+}
+
+/// The decoder's contract on arbitrary bytes: a clean Status, or an
+/// evidence this encoder writes back byte for byte (and that decodes
+/// again). Returns a description of the first violation, empty if none.
+std::string CheckDecodeContract(const std::string& bytes) {
+  Result<cluster::ShardEvidence> decoded = cluster::DecodeShardEvidence(bytes);
+  if (!decoded.ok()) return "";
+  std::string again = cluster::EncodeShardEvidence(*decoded);
+  if (again != bytes) return "accepted frame does not re-encode to itself";
+  Result<cluster::ShardEvidence> twice = cluster::DecodeShardEvidence(again);
+  if (!twice.ok() || cluster::EncodeShardEvidence(*twice) != again) {
+    return "second encode/decode changed the evidence";
+  }
+  return "";
+}
+
+TEST(ClusterTest, WireFrameDecoderSurvivesMutationFuzz) {
+  cluster::ShardEvidence evidence;
+  evidence.snapshot_version = 9;
+  evidence.terms = 4;
+  evidence.shard_ms = 0.75;
+  evidence.trace = obs::TraceContext::NewRoot();
+  evidence.queue_ms = 0.01;
+  evidence.expand_ms = 0.2;
+  evidence.detect_ms = 0.5;
+  for (uint32_t i = 0; i < 12; ++i) {
+    CandidateEvidence c;
+    c.user = 3 * i + 1;
+    c.is_author = i % 2 == 0;
+    c.is_mentioned = i % 3 == 0;
+    c.tweets_on_topic = i;
+    c.mentions_on_topic = 100 + i;
+    c.retweets_on_topic = uint64_t{1} << i;
+    c.conversational_on_topic = i * i;
+    c.hashtag_on_topic = 7;
+    evidence.evidence.push_back(c);
+  }
+  const std::string frame = cluster::EncodeShardEvidence(evidence);
+  ASSERT_TRUE(cluster::DecodeShardEvidence(frame).ok());
+  ASSERT_EQ(CheckDecodeContract(frame), "");
+  constexpr size_t kCountAt = 24 + 10 * 8;  // the candidates field
+
+  // Every truncation and every single-byte flip fails outright.
+  for (size_t n = 0; n < frame.size(); ++n) {
+    ASSERT_FALSE(cluster::DecodeShardEvidence(frame.substr(0, n)).ok())
+        << "truncated to " << n;
+  }
+  for (size_t pos = 0; pos < frame.size(); ++pos) {
+    std::string flipped = frame;
+    flipped[pos] = static_cast<char>(flipped[pos] ^ 0xFF);
+    ASSERT_FALSE(cluster::DecodeShardEvidence(flipped).ok())
+        << "flip at " << pos;
+    // Resealed, the flip reaches the parser: a Status or a canonical frame.
+    if (pos >= 24) {
+      ASSERT_EQ(CheckDecodeContract(Reseal(flipped)), "") << "flip at " << pos;
+    }
+  }
+
+  // Structural lies behind a valid checksum must fail too.
+  auto with_count = [&](uint64_t count) {
+    std::string s = frame;
+    std::memcpy(&s[kCountAt], &count, 8);
+    return Reseal(s);
+  };
+  const uint64_t n = evidence.evidence.size();
+  for (uint64_t count : {n + 1, n - 1, uint64_t{1} << 40, ~uint64_t{0}}) {
+    EXPECT_FALSE(cluster::DecodeShardEvidence(with_count(count)).ok())
+        << "count " << count;
+  }
+  EXPECT_FALSE(cluster::DecodeShardEvidence(Reseal(frame + '\0')).ok())
+      << "trailing byte";
+  std::string wrong_magic = frame;
+  wrong_magic[0] = 'X';
+  EXPECT_FALSE(cluster::DecodeShardEvidence(wrong_magic).ok());
+  std::string wrong_version = frame;
+  wrong_version[4] = 9;
+  EXPECT_TRUE(cluster::DecodeShardEvidence(wrong_version)
+                  .status()
+                  .IsFailedPrecondition());
+
+  // Seeded random mutations, resealed: overwritten bytes, boundary counts,
+  // cut or grown payloads.
+  uint64_t lcg = 0x2545F4914F6CDD1DULL;
+  auto next = [&lcg] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg >> 17;
+  };
+  size_t accepted = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::string s = frame;
+    switch (next() % 4) {
+      case 0:  // a few payload bytes overwritten
+        for (uint64_t k = 1 + next() % 4; k > 0; --k) {
+          s[24 + next() % (s.size() - 24)] = static_cast<char>(next());
+        }
+        break;
+      case 1: {  // a boundary value in a random aligned payload word
+        const uint64_t values[] = {0, 1, n, n + 1, ~uint64_t{0},
+                                   uint64_t{1} << 63, next()};
+        uint64_t v = values[next() % 7];
+        size_t at = 24 + 8 * (next() % 11);
+        std::memcpy(&s[at], &v, 8);
+        break;
+      }
+      case 2:  // payload cut short
+        s.resize(24 + next() % (s.size() - 24));
+        break;
+      default:  // payload grown
+        for (uint64_t k = 1 + next() % 16; k > 0; --k) {
+          s.push_back(static_cast<char>(next()));
+        }
+    }
+    s = Reseal(s);
+    ASSERT_EQ(CheckDecodeContract(s), "") << "mutation " << i;
+    if (cluster::DecodeShardEvidence(s).ok()) ++accepted;
+  }
+  // Counter and id overwrites decode fine, so the fuzz ran the parser
+  // through to the end, not only its first check.
+  EXPECT_GT(accepted, 100u);
 }
 
 TEST(ClusterTest, UrlEncodeEscapesReservedCharacters) {

@@ -202,6 +202,23 @@ TEST(SnapshotRoundTripTest, WithoutEvidenceServesLiveCollection) {
   }
 }
 
+// Zero communities make the STORE section a run of empty arrays (no terms,
+// no inter-community weights): they must decode without ever handing a
+// null pointer to memcpy, which UBSan reports even for zero bytes.
+TEST(SnapshotRoundTripTest, EmptyArraysRoundTrip) {
+  World world = MakeWorld(454);
+  const std::string path = TempPath("empty_store.esnap");
+  const community::CommunityStore empty_store;
+  ASSERT_TRUE(
+      serving::SaveSnapshotFile(path, world.corpus, empty_store, nullptr)
+          .ok());
+  Result<serving::SnapshotArtifacts> loaded = serving::LoadSnapshotFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(loaded->store->num_communities(), 0u);
+  EXPECT_TRUE(loaded->store->InterWeights().empty());
+  EXPECT_EQ(loaded->corpus->num_tweets(), world.corpus.num_tweets());
+}
+
 TEST(SnapshotRoundTripTest, SaveBeforePublishFails) {
   World world = MakeWorld(505);
   serving::SnapshotManager manager(&world.corpus);

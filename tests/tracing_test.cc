@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -367,7 +368,7 @@ TEST(TraceContextTest, MalformedHeadersRejectedStrictlyAndHealedLeniently) {
 
 // ------------------------------------------------------ wire piggyback ----
 
-TEST(TracingWireTest, ProfileLineRoundTripsThroughShardEncoding) {
+TEST(TracingWireTest, TraceAndBreakdownRoundTripThroughTheFrame) {
   cluster::ShardEvidence evidence;
   evidence.snapshot_version = 7;
   evidence.terms = 3;
@@ -380,42 +381,60 @@ TEST(TracingWireTest, ProfileLineRoundTripsThroughShardEncoding) {
   c.user = 42;
   evidence.evidence.push_back(c);
 
-  std::string body = cluster::EncodeShardEvidence(evidence);
-  EXPECT_NE(body.find("profile trace=" + evidence.trace.ToHeader()),
-            std::string::npos);
-
-  auto decoded = cluster::DecodeShardEvidence(body);
+  auto decoded =
+      cluster::DecodeShardEvidence(cluster::EncodeShardEvidence(evidence));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->trace, evidence.trace);
-  EXPECT_DOUBLE_EQ(decoded->queue_ms, 0.25);
-  EXPECT_DOUBLE_EQ(decoded->expand_ms, 1.5);
-  EXPECT_DOUBLE_EQ(decoded->detect_ms, 9.75);
+  EXPECT_EQ(decoded->queue_ms, 0.25);
+  EXPECT_EQ(decoded->expand_ms, 1.5);
+  EXPECT_EQ(decoded->detect_ms, 9.75);
   ASSERT_EQ(decoded->evidence.size(), 1u);
   EXPECT_EQ(decoded->evidence[0].user, 42u);
+
+  // Raw fields: extreme ids, the unsampled bit and doubles no decimal
+  // format would keep come back bit for bit.
+  evidence.trace.trace_hi = ~uint64_t{0};
+  evidence.trace.trace_lo = 1;
+  evidence.trace.span_id = ~uint64_t{0};
+  evidence.trace.sampled = false;
+  evidence.snapshot_version = ~uint64_t{0};
+  evidence.queue_ms = 1.0 / 3.0;
+  evidence.expand_ms = 4.9e-324;  // smallest subnormal
+  evidence.detect_ms = 1.7976931348623157e308;
+  evidence.shard_ms = -0.0;
+  auto extreme =
+      cluster::DecodeShardEvidence(cluster::EncodeShardEvidence(evidence));
+  ASSERT_TRUE(extreme.ok()) << extreme.status().ToString();
+  EXPECT_EQ(extreme->trace, evidence.trace);
+  EXPECT_FALSE(extreme->trace.sampled);
+  EXPECT_EQ(extreme->snapshot_version, evidence.snapshot_version);
+  EXPECT_EQ(extreme->queue_ms, evidence.queue_ms);
+  EXPECT_EQ(extreme->expand_ms, evidence.expand_ms);
+  EXPECT_EQ(extreme->detect_ms, evidence.detect_ms);
+  EXPECT_TRUE(std::signbit(extreme->shard_ms));
 }
 
-TEST(TracingWireTest, DecodeToleratesMissingAndMalformedProfileLines) {
+TEST(TracingWireTest, FrameWithoutTraceDecodesAndUnknownVersionFails) {
   cluster::ShardEvidence evidence;
   evidence.snapshot_version = 7;
-  // No trace -> no profile line (the pre-tracing wire format).
+  // No trace: zero ids on the wire, an invalid trace after decoding.
   std::string body = cluster::EncodeShardEvidence(evidence);
-  EXPECT_EQ(body.find("profile "), std::string::npos);
   auto decoded = cluster::DecodeShardEvidence(body);
-  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_FALSE(decoded->trace.valid());
+  EXPECT_EQ(decoded->snapshot_version, 7u);
 
-  // A shard speaking a newer dialect: the router skips what it cannot
-  // parse instead of failing the payload.
+  // A shard speaking another frame version is refused cleanly, with the
+  // version named, instead of being half-parsed.
   evidence.trace = obs::TraceContext::NewRoot();
-  std::string with_profile = cluster::EncodeShardEvidence(evidence);
-  size_t line_start = with_profile.find("profile ");
-  ASSERT_NE(line_start, std::string::npos);
-  std::string mangled = with_profile;
-  mangled.replace(line_start, 8, "profile_");
-  auto skipped = cluster::DecodeShardEvidence(mangled);
-  ASSERT_TRUE(skipped.ok()) << skipped.status().ToString();
-  EXPECT_FALSE(skipped->trace.valid());
-  EXPECT_EQ(skipped->snapshot_version, 7u);
+  std::string other = cluster::EncodeShardEvidence(evidence);
+  other[4] = static_cast<char>(other[4] + 1);  // version u32 at offset 4
+  auto refused = cluster::DecodeShardEvidence(other);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsFailedPrecondition())
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().message().find("version 2"), std::string::npos)
+      << refused.status().ToString();
 }
 
 // ------------------------------------------------------- slow-query log ----
@@ -557,8 +576,8 @@ TEST(TracingHttpTest, OneTraceIdSpansRouterAndAllShardsOverHttp) {
 #endif
 
     // The stitched profile: one lane per shard, every attempt answered
-    // with the piggybacked breakdown (proof the profile line crossed the
-    // wire and matched this attempt's child context).
+    // with the piggybacked breakdown (proof the frame's trace fields
+    // crossed the wire and matched this attempt's child context).
     auto profile = hc.router->slow_queries().Find(routed->trace.TraceIdHex());
     ASSERT_NE(profile, nullptr);
     EXPECT_EQ(profile->outcome, "ok");
