@@ -4,8 +4,8 @@
 // partition graphs of growing size:
 //  * Newman's sequential greedy heuristic (§4.2.1) — quality reference;
 //  * the paper's parallel neighborhood-merge algorithm, native in-memory;
-//  * the same algorithm executed as SQL plans on the relational engine,
-//    serial and parallel (§4.2.2-4.2.3).
+//  * the same algorithm executed as the SQL text of Fig. 4 on the
+//    relational engine, serial and parallel (§4.2.2-4.2.3).
 //
 // google-benchmark timings plus a printed quality table (modularity and
 // iteration counts), since the paper's pitch is that the SQL formulation

@@ -35,9 +35,14 @@
 // load — a burst slows one whole run, but each metric only needs one
 // unperturbed sample to show its true value.
 //
+// Metric objects are read whatever their line layout (one per line or
+// pretty-printed).
+//
 // Exit status: 0 when no directional metric regressed by more than the
-// threshold, 1 otherwise (also 1 on parse/read errors).
+// threshold, 1 otherwise (also 1 on parse/read errors, and when a file
+// holds no metrics, which would make the comparison vacuous).
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -67,27 +72,26 @@ Direction DirectionOf(const std::string& name) {
   return Direction::kInformational;
 }
 
-/// Extracts the string value of `"key":"..."` starting at or after `from`
-/// within `line`. Returns npos-sentinel empty string when absent. Escapes
-/// are passed through verbatim — metric names and label values in this
-/// schema are plain identifiers.
-bool FindStringField(const std::string& line, const char* key,
+/// Extracts the string value of `"key":"..."` from one metric object.
+/// Escapes are passed through verbatim — metric names and label values in
+/// this schema are plain identifiers.
+bool FindStringField(const std::string& object, const char* key,
                      std::string* out) {
   std::string needle = std::string("\"") + key + "\":\"";
-  size_t at = line.find(needle);
+  size_t at = object.find(needle);
   if (at == std::string::npos) return false;
   size_t start = at + needle.size();
-  size_t end = line.find('"', start);
+  size_t end = object.find('"', start);
   if (end == std::string::npos) return false;
-  *out = line.substr(start, end - start);
+  *out = object.substr(start, end - start);
   return true;
 }
 
-bool FindNumberField(const std::string& line, const char* key, double* out) {
+bool FindNumberField(const std::string& object, const char* key, double* out) {
   std::string needle = std::string("\"") + key + "\":";
-  size_t at = line.find(needle);
+  size_t at = object.find(needle);
   if (at == std::string::npos) return false;
-  const char* p = line.c_str() + at + needle.size();
+  const char* p = object.c_str() + at + needle.size();
   char* end = nullptr;
   double v = std::strtod(p, &end);
   if (end == p) return false;
@@ -97,13 +101,60 @@ bool FindNumberField(const std::string& line, const char* key, double* out) {
 
 /// `"labels":{...}` verbatim (already canonically ordered by the emitter),
 /// "{}" when absent.
-std::string FindLabels(const std::string& line) {
-  size_t at = line.find("\"labels\":");
+std::string FindLabels(const std::string& object) {
+  size_t at = object.find("\"labels\":");
   if (at == std::string::npos) return "{}";
-  size_t open = line.find('{', at);
-  size_t close = line.find('}', open);
+  size_t open = object.find('{', at);
+  size_t close = object.find('}', open);
   if (open == std::string::npos || close == std::string::npos) return "{}";
-  return line.substr(open, close - open + 1);
+  return object.substr(open, close - open + 1);
+}
+
+/// The JSON text without whitespace outside string literals, so a
+/// pretty-printed snapshot reads exactly like a one-object-per-line one.
+std::string Minify(std::istream& in) {
+  std::string out;
+  bool in_string = false, escaped = false;
+  for (char c; in.get(c);) {
+    if (in_string) {
+      in_string = escaped || c != '"';
+      escaped = !escaped && c == '\\';
+    } else if (c == '"') {
+      in_string = true;
+    } else if (std::isspace(static_cast<unsigned char>(c))) {
+      continue;
+    }
+    out.push_back(c);
+  }
+  return out;
+}
+
+/// The objects of the top-level array `"key":[...]` of minified JSON;
+/// false when the array is absent.
+bool ArrayObjects(const std::string& json, const char* key,
+                  std::vector<std::string>* objects) {
+  const std::string needle = std::string("\"") + key + "\":[";
+  size_t at = json.find(needle);
+  if (at == std::string::npos) return false;
+  int depth = 0;
+  bool in_string = false, escaped = false;
+  size_t start = 0;
+  for (size_t i = at + needle.size(); i < json.size(); ++i) {
+    const char c = json[i];
+    if (in_string) {
+      in_string = escaped || c != '"';
+      escaped = !escaped && c == '\\';
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '{') {
+      if (depth++ == 0) start = i;
+    } else if (c == '}') {
+      if (--depth == 0) objects->push_back(json.substr(start, i - start + 1));
+    } else if (c == ']' && depth == 0) {
+      break;
+    }
+  }
+  return true;
 }
 
 /// Flat metric map: "name{labels}" (plus ".p50" etc. for histogram
@@ -116,31 +167,35 @@ bool ParseFile(const std::string& path, MetricMap* out) {
     std::fprintf(stderr, "bench_diff: cannot read %s\n", path.c_str());
     return false;
   }
-  std::string line;
+  const std::string json = Minify(in);
+  std::vector<std::string> objects;
   bool saw_any_array = false;
-  while (std::getline(in, line)) {
-    if (line.find("\"counters\"") != std::string::npos ||
-        line.find("\"gauges\"") != std::string::npos ||
-        line.find("\"histograms\"") != std::string::npos) {
-      saw_any_array = true;
-    }
+  for (const char* array : {"counters", "gauges", "histograms"}) {
+    saw_any_array |= ArrayObjects(json, array, &objects);
+  }
+  if (!saw_any_array) {
+    std::fprintf(stderr, "bench_diff: %s is not a metrics JSON snapshot\n",
+                 path.c_str());
+    return false;
+  }
+  for (const std::string& object : objects) {
     std::string name;
-    if (!FindStringField(line, "name", &name)) continue;
-    std::string key = name + FindLabels(line);
+    if (!FindStringField(object, "name", &name)) continue;
+    std::string key = name + FindLabels(object);
     double v = 0;
-    if (FindNumberField(line, "value", &v)) {
+    if (FindNumberField(object, "value", &v)) {
       (*out)[key] = v;
       continue;
     }
     // Histogram entry: explode the summary fields into sub-metrics.
     static const char* kFields[] = {"count", "mean", "max", "p50", "p95", "p99"};
     for (const char* f : kFields) {
-      if (FindNumberField(line, f, &v)) (*out)[key + "." + f] = v;
+      if (FindNumberField(object, f, &v)) (*out)[key + "." + f] = v;
     }
   }
-  if (!saw_any_array) {
-    std::fprintf(stderr, "bench_diff: %s is not a metrics JSON snapshot\n",
-                 path.c_str());
+  // An empty comparison passes every gate, so it is an error instead.
+  if (out->empty()) {
+    std::fprintf(stderr, "bench_diff: %s holds no metrics\n", path.c_str());
     return false;
   }
   return true;

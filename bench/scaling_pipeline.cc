@@ -83,7 +83,7 @@ Row RunOne(size_t domains_per_category, size_t threads) {
 }
 
 /// One kSqlEngine clustering run (8 partitions); profiles the first
-/// iteration's main plan into `explain`.
+/// iteration's `neighbors` statement into `explain`.
 Row RunSqlOne(size_t domains_per_category, bool use_columnar,
               sql::ExplainStats* explain) {
   size_t num_domains = 0;

@@ -1,13 +1,13 @@
-// The paper's core systems idea, step by step: community detection as
-// declarative relational plans (Fig. 4 of the paper), executed on the
-// bundled mini SQL engine.
+// The paper's core systems idea, step by step: community detection as the
+// SQL of Fig. 4, executed on the bundled mini SQL engine.
 //
-// This example builds the similarity graph of a toy world, registers the
-// `graph` and `communities` tables, then runs ONE iteration of the
-// algorithm statement by statement, printing each plan (EXPLAIN) and its
-// materialized result, so you can see exactly what the production pipeline
-// ships to Hive/SCOPE. It then runs the full loop via DetectCommunitiesSql
-// and cross-checks against the native implementation.
+// This example builds the similarity graph of the paper's Fig. 3, registers
+// the `graph` and `communities` tables, then runs ONE iteration of the
+// algorithm statement by statement: each statement's SQL text, its EXPLAIN
+// and its materialized result. The statements and UDFs are the ones
+// DetectCommunitiesSql executes (community/sql_cd.h). It then runs the
+// full loop via DetectCommunitiesSql and cross-checks against the native
+// implementation.
 
 #include <cstdio>
 
@@ -15,7 +15,7 @@
 #include "community/sql_cd.h"
 #include "community/store.h"
 #include "sqlengine/catalog.h"
-#include "sqlengine/plan.h"
+#include "sqlengine/parser.h"
 
 using namespace esharp;
 using namespace esharp::sql;
@@ -66,63 +66,30 @@ Table SingletonCommunities(const graph::Graph& g) {
   return b.Build();
 }
 
-void Show(const char* title, const Plan& plan, const Table& result) {
-  std::printf("\n--- %s ---\n%s%s", title, plan.Explain().c_str(),
-              result.ToString(12).c_str());
-}
-
 }  // namespace
 
 int main() {
   graph::Graph g = Fig3Graph();
-  const double total_weight = g.TotalWeight();
 
   Catalog catalog;
   catalog.Register("graph", GraphTable(g));
   catalog.Register("communities", SingletonCommunities(g));
+  const FunctionRegistry functions =
+      community::Fig4Functions(g.TotalWeight());
   Executor executor;
 
-  ScalarUdf modul_gain = [total_weight](const std::vector<Value>& args)
-      -> Result<Value> {
-    double d1 = *args[0].AsDouble(), d2 = *args[1].AsDouble();
-    double w = *args[2].AsDouble();
-    return Value::Double(w - d1 * d2 / (2.0 * total_weight));
-  };
-
-  // Step 0: attach each edge endpoint to its community.
-  Plan edges_c =
-      Plan::Scan("graph")
-          .Join(Plan::Scan("communities"), {"query1"}, {"query"})
-          .Join(Plan::Scan("communities"), {"query2"}, {"query"})
-          .Select({{Col("comm_name"), "comm1"},
-                   {Col("r_comm_name"), "comm2"},
-                   {Col("distance"), "w"}});
-
-  Plan degrees = edges_c.GroupBy({"comm1"}, {SumOf(Col("w"), "degree")})
-                     .Select({{Col("comm1"), "comm"},
-                              {Col("degree"), "degree"}});
-  Show("community degree sums", degrees, *executor.Execute(degrees, catalog));
-
-  // Step 1 (Fig. 4 "neighbors"): positive-gain community pairs.
-  Plan neighbors =
-      edges_c.Where(Ne(Col("comm1"), Col("comm2")))
-          .GroupBy({"comm1", "comm2"}, {SumOf(Col("w"), "w12")})
-          .Join(degrees, {"comm1"}, {"comm"})
-          .Join(degrees, {"comm2"}, {"comm"})
-          .Select({{Col("comm1"), "comm1"},
-                   {Col("comm2"), "comm2"},
-                   {Udf("ModulGain", modul_gain,
-                        {Col("degree"), Col("r_degree"), Col("w12")}),
-                    "gain"}})
-          .Where(Gt(Col("gain"), LitDouble(0.0)));
-  Show("neighbors (DeltaMod > 0)", neighbors,
-       *executor.Execute(neighbors.OrderBy({"comm1", "comm2"}), catalog));
-
-  // Step 2 (Fig. 4 "partitions"): keep the closest neighborhood, argmax.
-  Plan partitions = neighbors.GroupBy(
-      {"comm1"}, {ArgMaxOf(Col("gain"), Col("comm2"), "best")});
-  Show("partitions (argmax gain)", partitions,
-       *executor.Execute(partitions.OrderBy({"comm1"}), catalog));
+  // One iteration: each statement's result is registered under its name,
+  // and the last one replaces `communities`.
+  for (const community::SqlStatement& statement : community::kFig4Statements) {
+    auto plan = ParseSql(statement.sql, functions);
+    if (!plan.ok()) return 1;
+    auto result = executor.Execute(*plan, catalog);
+    if (!result.ok()) return 1;
+    result->SortLexicographic();
+    std::printf("\n--- %s ---%s\n%s%s", statement.table, statement.sql,
+                plan->Explain().c_str(), result->ToString(12).c_str());
+    catalog.Register(statement.table, std::move(result).MoveValueUnsafe());
+  }
 
   // Full loop, then cross-check against the native implementation.
   auto sql_result = community::DetectCommunitiesSql(g);

@@ -1,11 +1,85 @@
 #ifndef ESHARP_COMMUNITY_SQL_CD_H_
 #define ESHARP_COMMUNITY_SQL_CD_H_
 
+#include <string>
+
 #include "common/result.h"
 #include "community/parallel_cd.h"
+#include "sqlengine/parser.h"
 #include "sqlengine/plan.h"
 
 namespace esharp::community {
+
+/// \name The SQL of Fig. 4
+///
+/// The algorithm as the SQL a SCOPE/Hive deployment submits, over
+/// `graph(query1, query2, distance)` (both directions of every similarity
+/// edge) and `communities(comm_name, query)` (vertex memberships, each
+/// community named after a member vertex). A caller runs the statements in
+/// the order of kFig4Statements and registers each result under the name
+/// listed there; the last one replaces `communities`.
+/// @{
+
+/// Community degree sums (the symmetric edge table already counts each
+/// incident edge once per endpoint, which is what a degree needs).
+inline constexpr const char* kDegreesSql = R"sql(
+    SELECT c1.comm_name AS comm, sum(graph.distance) AS degree
+    FROM graph
+    INNER JOIN communities c1 ON graph.query1 = c1.query
+    GROUP BY c1.comm_name
+)sql";
+
+/// Neighborhood creation: inter-community weights, kept where the merge
+/// gain (Eq. 8) is positive.
+inline constexpr const char* kNeighborsSql = R"sql(
+    SELECT b.comm1 AS comm1, b.comm2 AS comm2,
+           modulgain(d1.degree, d2.degree, b.w12) AS gain
+    FROM (SELECT c1.comm_name AS comm1, c2.comm_name AS comm2,
+                 sum(graph.distance) AS w12
+          FROM graph
+          INNER JOIN communities c1 ON graph.query1 = c1.query
+          INNER JOIN communities c2 ON graph.query2 = c2.query
+          WHERE c1.comm_name <> c2.comm_name
+          GROUP BY c1.comm_name, c2.comm_name) b
+    INNER JOIN degrees d1 ON b.comm1 = d1.comm
+    INNER JOIN degrees d2 ON b.comm2 = d2.comm
+    WHERE modulgain(d1.degree, d2.degree, b.w12) > 0
+)sql";
+
+/// Neighborhood separation: every community keeps its closest neighbor.
+inline constexpr const char* kPartitionsSql = R"sql(
+    SELECT comm1, argmax(gain, comm2) AS best
+    FROM neighbors
+    GROUP BY comm1
+)sql";
+
+/// Aggregation: every community renames itself LEAST(chosen target,
+/// itself); the outer join keeps communities with no positive-gain
+/// neighbor, whose target is NULL.
+inline constexpr const char* kRenameSql = R"sql(
+    SELECT least(p.best, c.comm_name) AS comm_name, c.query AS query
+    FROM communities c
+    LEFT OUTER JOIN partitions p ON c.comm_name = p.comm1
+)sql";
+
+/// One iteration of Fig. 4: each statement with the table its result is
+/// registered as.
+struct SqlStatement {
+  const char* table;
+  const char* sql;
+};
+inline constexpr SqlStatement kFig4Statements[] = {
+    {"degrees", kDegreesSql},
+    {"neighbors", kNeighborsSql},
+    {"partitions", kPartitionsSql},
+    {"communities", kRenameSql},
+};
+
+/// The UDFs the statements call: `modulgain(d1, d2, w) = w - d1*d2 / (2 m_G)`
+/// (Eqs. 8-9, with m_G = `total_weight`) and `least(a, b)`, the smaller of
+/// two values, or the non-NULL one.
+sql::FunctionRegistry Fig4Functions(double total_weight);
+/// @}
 
 /// \brief Options of the SQL-based detection.
 struct SqlCdOptions {
@@ -26,10 +100,9 @@ struct SqlCdOptions {
   /// (annotated with community count and modularity) under `trace_parent`.
   obs::Tracer* tracer = nullptr;
   const obs::Span* trace_parent = nullptr;
-  /// When set, the first iteration's main plan (the Fig. 4 "partitions"
-  /// statement: join graph to communities, aggregate weights, ModulGain
-  /// filter, argmax) is profiled into this EXPLAIN ANALYZE tree with exact
-  /// per-operator row counts.
+  /// When set, the first iteration's `neighbors` statement (the joins,
+  /// filters and aggregates of Fig. 4) is profiled into this EXPLAIN
+  /// ANALYZE tree with exact per-operator row counts.
   sql::ExplainStats* explain = nullptr;
   /// When > 0, use this as the graph total weight m_G in the ModulGain UDF
   /// and the modularity trace instead of g.TotalWeight(). Set by the
@@ -38,19 +111,9 @@ struct SqlCdOptions {
   double total_weight_override = 0;
 };
 
-/// \brief The paper's SQL-based modularity maximization (Fig. 4), executed
-/// on the relational engine.
-///
-/// Tables mirror the figure: `graph(query1, query2, distance)` holds both
-/// directions of every similarity edge and `communities(comm_name, query)`
-/// the vertex memberships, with communities named after member vertices.
-/// Each iteration runs the figure's three statements as engine plans:
-///
-///   neighbors  = join graph to communities on both endpoints, aggregate
-///                inter-community weight, join community degree sums, and
-///                keep pairs where the ModulGain UDF is positive;
-///   partitions = per community, argmax(gain) over neighborhoods;
-///   communities = rename each community to LEAST(itself, chosen target).
+/// \brief The paper's SQL-based modularity maximization: the statements of
+/// Fig. 4, parsed once by the engine's text front end and executed every
+/// iteration until no community is renamed.
 ///
 /// The LEAST canonicalization is the deterministic tie-break that makes the
 /// rename cascade converge (mutual best pairs collapse onto the smaller
@@ -58,23 +121,13 @@ struct SqlCdOptions {
 /// closest neighborhood" rule of §4.2.2 step 2 with a stable naming choice.
 /// Vertex names are zero-padded ids so lexicographic order equals numeric
 /// order; the result is then identical, community by community, to
-/// DetectCommunitiesParallel.
+/// DetectCommunitiesParallel, and so are the community counts and the
+/// modularity trace, which are computed from each iteration's assignment.
 Result<DetectionResult> DetectCommunitiesSql(const graph::Graph& g,
                                              const SqlCdOptions& options = {});
 
 /// \brief Renders the zero-padded vertex name used inside the SQL tables.
 std::string SqlVertexName(graph::VertexId v);
-
-/// \brief The same algorithm once more, but driven by LITERAL SQL text: the
-/// four statements of Fig. 4 (degrees, neighbors, partitions, rename) are
-/// written as SQL strings, compiled by the bundled parser and executed on
-/// the engine, with the ModulGain and LEAST UDFs supplied through the
-/// function registry. This is the closest possible rendering of the paper's
-/// claim that the algorithm "can directly be implemented in a SQL-like
-/// language such as Hive, Microsoft's SCOPE or Pig". Produces results
-/// identical to DetectCommunitiesSql and DetectCommunitiesParallel.
-Result<DetectionResult> DetectCommunitiesSqlText(
-    const graph::Graph& g, const SqlCdOptions& options = {});
 
 }  // namespace esharp::community
 

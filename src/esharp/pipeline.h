@@ -53,7 +53,7 @@ struct OfflineOptions {
   obs::Tracer* tracer = nullptr;
   const obs::Span* trace_parent = nullptr;
   /// When set (kSqlEngine backend only), the first clustering iteration's
-  /// main plan is profiled into this EXPLAIN ANALYZE tree.
+  /// `neighbors` statement is profiled into this EXPLAIN ANALYZE tree.
   sql::ExplainStats* explain = nullptr;
   /// When set, the index stage also precomputes the per-term evidence
   /// index over this corpus (the serving fast path's snapshot artifact;

@@ -1,6 +1,8 @@
 #include "sqlengine/parser.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <optional>
 
 #include "common/strings.h"
@@ -244,13 +246,60 @@ class Parser {
     return false;
   }
 
+  // --- nesting limits ---
+  // depth_ counts the parser's own recursion: parentheses, unary operators,
+  // call arguments, subqueries and UNION ALL chains. height_ is the height
+  // of the expression or plan parsed last, which left-folded chains
+  // (a + b + c, JOIN ... JOIN) grow without recursing. Both stop at
+  // kMaxSqlNesting, so neither this parser nor the recursive walks over
+  // what it returns (Explain, Bind, Eval, execution, destruction) can run
+  // out of stack.
+  Status TooDeep() const {
+    return Status::InvalidArgument("SQL nests deeper than ", kMaxSqlNesting,
+                                   " levels at offset ", Peek().pos);
+  }
+  Status Descend() {
+    return ++depth_ > kMaxSqlNesting ? TooDeep() : Status::OK();
+  }
+  void Ascend() { --depth_; }
+  // A new node over children of heights `a` and `b`.
+  Status Grow(size_t a, size_t b = 0) {
+    height_ = 1 + std::max(a, b);
+    return height_ > kMaxSqlNesting ? TooDeep() : Status::OK();
+  }
+
+  // --- literals ---
+  // Parses all of `text` as a T; false when it does not fit or has junk.
+  template <typename T>
+  static bool ParseWhole(const std::string& text, T* out) {
+    const char* end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+  }
+
+  // Number tokens are digits with at most one '.': DOUBLE when dotted,
+  // INT64 otherwise. A value the type cannot hold is an error.
+  static Result<ExprPtr> NumberLiteral(const Token& tok) {
+    const bool dotted = tok.text.find('.') != std::string::npos;
+    double d = 0;
+    int64_t i = 0;
+    if (dotted ? !ParseWhole(tok.text, &d) : !ParseWhole(tok.text, &i)) {
+      return Status::InvalidArgument("numeric literal at offset ", tok.pos,
+                                     " is out of range for ",
+                                     dotted ? "DOUBLE" : "INT64");
+    }
+    return dotted ? LitDouble(d) : LitInt(i);
+  }
+
   // --- expressions (precedence climbing) ---
   Result<ExprPtr> ParseExpr() { return ParseOr(); }
 
   Result<ExprPtr> ParseOr() {
     ESHARP_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
     while (ConsumeKeyword("or")) {
+      const size_t left_height = height_;
       ESHARP_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
+      ESHARP_RETURN_NOT_OK(Grow(left_height, height_));
       left = Or(left, right);
     }
     return left;
@@ -259,7 +308,9 @@ class Parser {
   Result<ExprPtr> ParseAnd() {
     ESHARP_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
     while (ConsumeKeyword("and")) {
+      const size_t left_height = height_;
       ESHARP_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
+      ESHARP_RETURN_NOT_OK(Grow(left_height, height_));
       left = And(left, right);
     }
     return left;
@@ -267,7 +318,10 @@ class Parser {
 
   Result<ExprPtr> ParseNot() {
     if (ConsumeKeyword("not")) {
+      ESHARP_RETURN_NOT_OK(Descend());
       ESHARP_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
+      Ascend();
+      ESHARP_RETURN_NOT_OK(Grow(height_));
       return Not(operand);
     }
     return ParseComparison();
@@ -288,7 +342,9 @@ class Parser {
     for (const OpMap& m : kOps) {
       if (PeekSymbol(m.sym)) {
         Next();
+        const size_t left_height = height_;
         ESHARP_ASSIGN_OR_RETURN(ExprPtr right, ParseAddSub());
+        ESHARP_RETURN_NOT_OK(Grow(left_height, height_));
         return BinaryExpr(m.op, left, right);
       }
     }
@@ -299,7 +355,9 @@ class Parser {
     ESHARP_ASSIGN_OR_RETURN(ExprPtr left, ParseMulDiv());
     while (PeekSymbol("+") || PeekSymbol("-")) {
       bool add = Next().text == "+";
+      const size_t left_height = height_;
       ESHARP_ASSIGN_OR_RETURN(ExprPtr right, ParseMulDiv());
+      ESHARP_RETURN_NOT_OK(Grow(left_height, height_));
       left = add ? Add(left, right) : Sub(left, right);
     }
     return left;
@@ -309,7 +367,9 @@ class Parser {
     ESHARP_ASSIGN_OR_RETURN(ExprPtr left, ParseUnary());
     while (PeekSymbol("*") || PeekSymbol("/")) {
       bool mul = Next().text == "*";
+      const size_t left_height = height_;
       ESHARP_ASSIGN_OR_RETURN(ExprPtr right, ParseUnary());
+      ESHARP_RETURN_NOT_OK(Grow(left_height, height_));
       left = mul ? Mul(left, right) : Div(left, right);
     }
     return left;
@@ -317,7 +377,10 @@ class Parser {
 
   Result<ExprPtr> ParseUnary() {
     if (ConsumeSymbol("-")) {
+      ESHARP_RETURN_NOT_OK(Descend());
       ESHARP_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+      Ascend();
+      ESHARP_RETURN_NOT_OK(Grow(height_));
       return UnaryExpr(Expr::UnaryOp::kNeg, operand);
     }
     return ParsePrimary();
@@ -325,21 +388,19 @@ class Parser {
 
   Result<ExprPtr> ParsePrimary() {
     const Token& t = Peek();
+    height_ = 0;
     switch (t.kind) {
-      case TokenKind::kNumber: {
-        Token tok = Next();
-        if (tok.text.find('.') != std::string::npos) {
-          return LitDouble(std::stod(tok.text));
-        }
-        return LitInt(std::stoll(tok.text));
-      }
+      case TokenKind::kNumber:
+        return NumberLiteral(Next());
       case TokenKind::kString: {
         Token tok = Next();
         return LitString(tok.text);
       }
       case TokenKind::kSymbol:
         if (ConsumeSymbol("(")) {
+          ESHARP_RETURN_NOT_OK(Descend());
           ESHARP_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
+          Ascend();
           ESHARP_RETURN_NOT_OK(ExpectSymbol(")"));
           return inner;
         }
@@ -359,15 +420,20 @@ class Parser {
           ESHARP_ASSIGN_OR_RETURN(ScalarUdf fn,
                                   registry_.LookupScalar(ident.text));
           Next();  // '('
+          ESHARP_RETURN_NOT_OK(Descend());
           std::vector<ExprPtr> args;
+          size_t args_height = 0;
           if (!PeekSymbol(")")) {
             for (;;) {
               ESHARP_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpr());
               args.push_back(arg);
+              args_height = std::max(args_height, height_);
               if (!ConsumeSymbol(",")) break;
             }
           }
+          Ascend();
           ESHARP_RETURN_NOT_OK(ExpectSymbol(")"));
+          ESHARP_RETURN_NOT_OK(Grow(args_height));
           return Udf(ident.text, fn, args);
         }
         // Qualified column: alias.column
@@ -443,14 +509,18 @@ class Parser {
   // --- FROM items and joins ---
   Result<Plan> ParseFromItem() {
     if (ConsumeSymbol("(")) {
+      ESHARP_RETURN_NOT_OK(Descend());
       ESHARP_ASSIGN_OR_RETURN(Plan sub, ParseSelect());
+      Ascend();
       ESHARP_RETURN_NOT_OK(ExpectSymbol(")"));
       ConsumeKeyword("as");
       ESHARP_RETURN_NOT_OK(
           Expect("subquery alias", Peek().kind == TokenKind::kIdent));
       std::string alias = Next().text;
+      ESHARP_RETURN_NOT_OK(Grow(height_));
       return sub.As(alias);
     }
+    height_ = 0;
     ESHARP_RETURN_NOT_OK(
         Expect("table name", Peek().kind == TokenKind::kIdent));
     std::string table = Next().text;
@@ -512,6 +582,7 @@ class Parser {
 
     ESHARP_RETURN_NOT_OK(ExpectKeyword("from"));
     ESHARP_ASSIGN_OR_RETURN(Plan plan, ParseFromItem());
+    size_t plan_height = height_;
 
     // Joins.
     for (;;) {
@@ -528,6 +599,8 @@ class Parser {
         break;
       }
       ESHARP_ASSIGN_OR_RETURN(Plan right, ParseFromItem());
+      ESHARP_RETURN_NOT_OK(Grow(plan_height, height_));
+      plan_height = height_;
       ESHARP_RETURN_NOT_OK(ExpectKeyword("on"));
       std::vector<std::string> left_keys, right_keys;
       ESHARP_RETURN_NOT_OK(ParseJoinCondition(&left_keys, &right_keys));
@@ -605,15 +678,26 @@ class Parser {
     if (ConsumeKeyword("limit")) {
       ESHARP_RETURN_NOT_OK(
           Expect("limit count", Peek().kind == TokenKind::kNumber));
-      plan = plan.Take(static_cast<size_t>(std::stoull(Next().text)));
+      const Token count = Next();
+      size_t n = 0;
+      if (!ParseWhole(count.text, &n)) {
+        return Status::InvalidArgument("LIMIT count at offset ", count.pos,
+                                       " is not a 64-bit row count");
+      }
+      plan = plan.Take(n);
     }
 
     // UNION ALL chains whole selects.
     if (ConsumeKeyword("union")) {
       ESHARP_RETURN_NOT_OK(ExpectKeyword("all"));
+      ESHARP_RETURN_NOT_OK(Descend());
       ESHARP_ASSIGN_OR_RETURN(Plan rest, ParseSelect());
+      Ascend();
+      ESHARP_RETURN_NOT_OK(Grow(plan_height, height_));
+      plan_height = height_;
       plan = plan.Union(rest);
     }
+    height_ = plan_height;
     return plan;
   }
 
@@ -680,6 +764,8 @@ class Parser {
   std::vector<Token> tokens_;
   size_t index_ = 0;
   const FunctionRegistry& registry_;
+  size_t depth_ = 0;
+  size_t height_ = 0;
 };
 
 }  // namespace

@@ -52,8 +52,18 @@ class FunctionRegistry {
 /// `alias.column`; bare references resolve to an exact column name first,
 /// then to a unique `*.column` suffix (ambiguity is an error at execution).
 /// This mirrors how Fig. 4 reads: `communities c1 ... c1.comm_name`.
+///
+/// Hostile text yields a Status, never an exception or a crash: a numeric
+/// literal or LIMIT count its type cannot hold is InvalidArgument, and so
+/// is nesting deeper than kMaxSqlNesting.
 Result<Plan> ParseSql(std::string_view sql,
                       const FunctionRegistry& registry = {});
+
+/// \brief Deepest nesting ParseSql accepts, counted in parentheses, unary
+/// operators, function calls, subqueries, UNION ALL arms, and in the
+/// height of left-folded chains (`a + b + c`, `JOIN ... JOIN`). Fig. 4
+/// needs three.
+inline constexpr size_t kMaxSqlNesting = 256;
 
 /// \brief Convenience: parse and immediately execute against a catalog.
 Result<Table> ExecuteSql(std::string_view sql, const Catalog& catalog,

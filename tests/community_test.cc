@@ -3,6 +3,9 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "community/modularity.h"
 #include "community/newman.h"
@@ -314,10 +317,17 @@ TEST_P(SqlEquivalenceTest, SqlAndNativeProduceIdenticalPartitions) {
   DetectionResult sql = *DetectCommunitiesSql(g);
   EXPECT_EQ(AsPartition(native.assignment), AsPartition(sql.assignment));
   EXPECT_EQ(native.communities_per_iteration, sql.communities_per_iteration);
+  ASSERT_EQ(native.modularity_per_iteration.size(),
+            sql.modularity_per_iteration.size());
+  for (size_t i = 0; i < native.modularity_per_iteration.size(); ++i) {
+    EXPECT_NEAR(native.modularity_per_iteration[i],
+                sql.modularity_per_iteration[i], 1e-6);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlEquivalenceTest,
-                         ::testing::Values(101, 103, 107, 109, 113));
+                         ::testing::Values(101, 103, 107, 109, 113, 211, 223,
+                                           227));
 
 TEST(SqlCdTest, TwoCliquesSplitCorrectly) {
   graph::Graph g = TwoCliques();
@@ -325,6 +335,21 @@ TEST(SqlCdTest, TwoCliquesSplitCorrectly) {
   auto partition = AsPartition(r.assignment);
   std::set<std::set<graph::VertexId>> expected = {{0, 1, 2, 3}, {4, 5, 6, 7}};
   EXPECT_EQ(partition, expected);
+  EXPECT_TRUE(r.converged);
+}
+
+TEST(SqlCdTest, EdgelessGraphIsAllOrphans) {
+  graph::Graph g;
+  g.AddVertex("a");
+  g.AddVertex("b");
+  g.Finalize();
+  DetectionResult native = *DetectCommunitiesParallel(g);
+  DetectionResult r = *DetectCommunitiesSql(g);
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.iterations, 0u);
+  EXPECT_EQ(r.assignment, (std::vector<CommunityId>{0, 1}));
+  EXPECT_EQ(r.communities_per_iteration, native.communities_per_iteration);
+  EXPECT_EQ(r.modularity_per_iteration, native.modularity_per_iteration);
 }
 
 TEST(SqlCdTest, ParallelEngineMatchesSerialEngine) {
@@ -355,44 +380,34 @@ TEST(SqlCdTest, ModularityTraceIsConsistentWithNative) {
   }
 }
 
-class SqlTextEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+// Flattens an EXPLAIN ANALYZE tree into (operator, rows in, rows out).
+void FlattenExplain(const sql::ExplainStats& node,
+                    std::vector<std::tuple<std::string, uint64_t, uint64_t>>*
+                        out) {
+  out->emplace_back(node.op, node.rows_in, node.rows_out);
+  for (const auto& child : node.children) FlattenExplain(*child, out);
+}
 
-TEST_P(SqlTextEquivalenceTest, LiteralSqlMatchesNativeAndPlanBased) {
-  graph::Graph g = PlantedPartition(3, 6, 0.75, 0.06, GetParam());
-  DetectionResult native = *DetectCommunitiesParallel(g);
-  DetectionResult sql_text = *DetectCommunitiesSqlText(g);
-  EXPECT_EQ(AsPartition(native.assignment), AsPartition(sql_text.assignment));
-  EXPECT_EQ(native.communities_per_iteration,
-            sql_text.communities_per_iteration);
-  ASSERT_EQ(native.modularity_per_iteration.size(),
-            sql_text.modularity_per_iteration.size());
-  for (size_t i = 0; i < native.modularity_per_iteration.size(); ++i) {
-    EXPECT_NEAR(native.modularity_per_iteration[i],
-                sql_text.modularity_per_iteration[i], 1e-6);
+TEST(SqlCdTest, ExplainProfilesTheNeighborsStatementOnBothPaths) {
+  graph::Graph g = PlantedPartition(3, 6, 0.8, 0.05, 131);
+  std::vector<std::tuple<std::string, uint64_t, uint64_t>> profiles[2];
+  for (bool columnar : {true, false}) {
+    sql::ExplainStats explain;
+    SqlCdOptions options;
+    options.use_columnar = columnar;
+    options.explain = &explain;
+    ASSERT_TRUE(DetectCommunitiesSql(g, options).ok());
+    FlattenExplain(explain, &profiles[columnar]);
   }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SqlTextEquivalenceTest,
-                         ::testing::Values(211, 223, 227));
-
-TEST(SqlTextCdTest, TwoCliquesSplitCorrectly) {
-  graph::Graph g = TwoCliques();
-  DetectionResult r = *DetectCommunitiesSqlText(g);
-  auto partition = AsPartition(r.assignment);
-  std::set<std::set<graph::VertexId>> expected = {{0, 1, 2, 3}, {4, 5, 6, 7}};
-  EXPECT_EQ(partition, expected);
-  EXPECT_TRUE(r.converged);
-}
-
-TEST(SqlTextCdTest, ParallelEngineMatchesSerial) {
-  graph::Graph g = PlantedPartition(3, 5, 0.8, 0.05, 229);
-  DetectionResult serial = *DetectCommunitiesSqlText(g);
-  ThreadPool pool(4);
-  SqlCdOptions options;
-  options.pool = &pool;
-  options.num_partitions = 4;
-  DetectionResult parallel = *DetectCommunitiesSqlText(g, options);
-  EXPECT_EQ(AsPartition(serial.assignment), AsPartition(parallel.assignment));
+  std::set<std::string> kinds;
+  for (const auto& [op, rows_in, rows_out] : profiles[1]) {
+    kinds.insert(op.substr(0, op.find('(')));
+  }
+  for (const char* kind : {"HashJoin", "Aggregate", "Filter", "Project",
+                           "Scan"}) {
+    EXPECT_TRUE(kinds.count(kind)) << kind << " missing from the profile";
+  }
+  EXPECT_EQ(profiles[0], profiles[1]);
 }
 
 TEST(SqlVertexNameTest, PaddedNamesOrderNumerically) {

@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <functional>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "community/sql_cd.h"
 #include "sqlengine/parser.h"
 
 namespace esharp::sql {
@@ -347,6 +355,301 @@ TEST(ParserTest, Figure4NeighborsStatementParsesAndRuns) {
   ASSERT_EQ(out.num_rows(), 2u);
   EXPECT_EQ(out.row(0)[0].string_value(), "a");
   EXPECT_DOUBLE_EQ(out.row(0)[2].double_value(), 1.0);
+}
+
+// ---------------------------------------------------------- Hostile text --
+
+std::string Repeat(const std::string& s, size_t n) {
+  std::string out;
+  out.reserve(s.size() * n);
+  for (size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+TEST(ParserTest, LimitOutOfRangeIsInvalidArgument) {
+  EXPECT_TRUE(ParseSql("SELECT * FROM t LIMIT 99999999999999999999")
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(ParserTest, IntegerLiteralOutOfRangeIsInvalidArgument) {
+  EXPECT_TRUE(ParseSql("SELECT 99999999999999999999 AS x FROM t")
+                  .status()
+                  .IsInvalidArgument());
+  // The largest INT64 still parses.
+  EXPECT_TRUE(ParseSql("SELECT 9223372036854775807 AS x FROM t").ok());
+}
+
+TEST(ParserTest, DecimalLiteralOutOfRangeIsInvalidArgument) {
+  EXPECT_TRUE(ParseSql("SELECT " + std::string(400, '9') + ".5 AS x FROM t")
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(ParserTest, DeepNestingIsInvalidArgument) {
+  // The first five overflowed the stack before nesting was capped.
+  const std::string deep[] = {
+      "SELECT " + Repeat("(", 4000) + "1" + Repeat(")", 4000) + " AS x FROM t",
+      "SELECT " + Repeat("- ", 50000) + "1 AS x FROM t",
+      "SELECT * FROM t WHERE " + Repeat("NOT ", 200000) + "TRUE",
+      "SELECT * FROM " + Repeat("(SELECT * FROM ", 30000) + "t" +
+          Repeat(") s", 30000),
+      // Left-folded chains recurse only in the walks over the result.
+      "SELECT 1" + Repeat(" + 1", 100000) + " AS x FROM t",
+      "SELECT * FROM t a" + Repeat(" JOIN t b ON a.x = b.x", 10000),
+  };
+  for (const std::string& sql : deep) {
+    EXPECT_TRUE(ParseSql(sql).status().IsInvalidArgument())
+        << sql.substr(0, 40);
+  }
+}
+
+TEST(ParserTest, NestingCapIsExact) {
+  FunctionRegistry registry;
+  registry.RegisterScalar(
+      "f", [](const std::vector<Value>& args) -> Result<Value> {
+        return args[0];
+      });
+  const std::function<std::string(size_t)> shapes[] = {
+      [](size_t n) {
+        return "SELECT " + Repeat("(", n) + "1" + Repeat(")", n) +
+               " AS x FROM t";
+      },
+      [](size_t n) { return "SELECT " + Repeat("- ", n) + "1 AS x FROM t"; },
+      [](size_t n) {
+        return "SELECT * FROM t WHERE " + Repeat("NOT ", n) + "TRUE";
+      },
+      [](size_t n) {
+        return "SELECT " + Repeat("f(", n) + "1" + Repeat(")", n) +
+               " AS x FROM t";
+      },
+      [](size_t n) {
+        return "SELECT * FROM " + Repeat("(SELECT * FROM ", n) + "t" +
+               Repeat(") s", n);
+      },
+      [](size_t n) {
+        return "SELECT * FROM t" + Repeat(" UNION ALL SELECT * FROM t", n);
+      },
+      [](size_t n) { return "SELECT 1" + Repeat(" + 1", n) + " AS x FROM t"; },
+      [](size_t n) {
+        return "SELECT * FROM t a" + Repeat(" JOIN t b ON a.x = b.x", n);
+      },
+  };
+  for (const auto& shape : shapes) {
+    Result<Plan> at_cap = ParseSql(shape(kMaxSqlNesting), registry);
+    ASSERT_TRUE(at_cap.ok()) << shape(1) << ": " << at_cap.status().ToString();
+    EXPECT_FALSE(at_cap->Explain().empty());
+    EXPECT_TRUE(ParseSql(shape(kMaxSqlNesting + 1), registry)
+                    .status()
+                    .IsInvalidArgument())
+        << shape(1);
+  }
+}
+
+// ------------------------------------------------------ Mutation fuzzing --
+
+// The fuzz corpus: the statements of Fig. 4 and of the tests above.
+std::vector<std::string> FuzzSeeds() {
+  std::vector<std::string> seeds;
+  for (const community::SqlStatement& s : community::kFig4Statements) {
+    seeds.push_back(s.sql);
+  }
+  for (const char* sql : {
+           "SELECT * FROM people",
+           "select name as who, age * 2 AS dbl from people",
+           "select name who from people",
+           "SELECT name FROM people WHERE age + 5 >= 35 AND NOT (name = 'dan')",
+           "SELECT 'it''s' AS s FROM people LIMIT 1",
+           "SELECT name FROM people WHERE score > 1.25",
+           "SELECT name FROM people WHERE age <> 30",
+           "SELECT name, age FROM people ORDER BY age DESC, name ASC LIMIT 2",
+           "SELECT DISTINCT age FROM people ORDER BY age",
+           "SELECT p.name, o.item FROM people p "
+           "INNER JOIN orders o ON p.name = o.who",
+           "SELECT p.name, o.item FROM people p "
+           "LEFT OUTER JOIN orders o ON p.name = o.who",
+           "SELECT a.name AS n1, b.name AS n2 FROM people a "
+           "JOIN people b ON a.age = b.age WHERE a.name < b.name",
+           "SELECT item FROM people p JOIN orders o ON p.name = o.who",
+           "SELECT age, count(*) AS n, sum(score) AS total, avg(score) AS mean "
+           "FROM people GROUP BY age ORDER BY age",
+           "SELECT age, argmax(score, name) AS best FROM people "
+           "GROUP BY age ORDER BY age",
+           "SELECT count(*) AS n, max(age) AS oldest FROM people",
+           "SELECT p.name, sum(o.price) AS spent FROM people p "
+           "JOIN orders o ON p.name = o.who GROUP BY p.name ORDER BY p.name",
+           "SELECT age, count(*) AS n FROM people GROUP BY age "
+           "HAVING n > 1 ORDER BY age",
+           "SELECT name FROM people WHERE age = 25 "
+           "UNION ALL SELECT name FROM people WHERE age = 40",
+           "SELECT t.name FROM (SELECT name, age FROM people WHERE age = 30) t "
+           "ORDER BY t.name",
+           "SELECT p.name, s.n FROM people p JOIN "
+           "(SELECT who, count(*) AS n FROM orders GROUP BY who) s "
+           "ON p.name = s.who ORDER BY p.name",
+           "SELECT name -- this is the select list\n"
+           "FROM people -- and the source\nWHERE age = 40",
+       }) {
+    seeds.push_back(sql);
+  }
+  return seeds;
+}
+
+// People/orders plus the five tables Fig. 4 reads and writes, filled by
+// running the statements on a small graph.
+Catalog FuzzCatalog(const FunctionRegistry& registry) {
+  Catalog cat = MakeCatalog();
+  TableBuilder graph({{"query1", DataType::kString},
+                      {"query2", DataType::kString},
+                      {"distance", DataType::kDouble}});
+  TableBuilder communities({{"comm_name", DataType::kString},
+                            {"query", DataType::kString}});
+  const char* names[] = {"a", "b", "c", "d", "e"};
+  const int edges[][2] = {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {2, 3}};
+  for (const auto& [u, v] : edges) {
+    graph.AddRow({Value::String(names[u]), Value::String(names[v]),
+                  Value::Double(1.0)});
+    graph.AddRow({Value::String(names[v]), Value::String(names[u]),
+                  Value::Double(1.0)});
+  }
+  for (const char* n : names) {
+    communities.AddRow({Value::String(n), Value::String(n)});
+  }
+  cat.Register("graph", graph.Build());
+  cat.Register("communities", communities.Build());
+  for (size_t i = 0; i + 1 < std::size(community::kFig4Statements); ++i) {
+    const community::SqlStatement& s = community::kFig4Statements[i];
+    Result<Table> t = ExecuteSql(s.sql, cat, registry);
+    EXPECT_TRUE(t.ok()) << s.table << ": " << t.status().ToString();
+    if (t.ok()) cat.Register(s.table, std::move(t).MoveValueUnsafe());
+  }
+  return cat;
+}
+
+// Whitespace-separated SQL tokens: words, quoted strings, single symbols.
+std::vector<std::string> SplitTokens(const std::string& sql) {
+  std::vector<std::string> out;
+  size_t i = 0;
+  while (i < sql.size()) {
+    const unsigned char c = sql[i];
+    size_t j = i + 1;
+    if (std::isspace(c)) {
+      ++i;
+      continue;
+    }
+    if (std::isalnum(c) || c == '_' || c == '.') {
+      while (j < sql.size() && (std::isalnum(static_cast<unsigned char>(
+                                    sql[j])) ||
+                                sql[j] == '_' || sql[j] == '.')) {
+        ++j;
+      }
+    } else if (c == '\'') {
+      while (j < sql.size() && sql[j] != '\'') ++j;
+      j = std::min(sql.size(), j + 1);
+    }
+    out.push_back(sql.substr(i, j - i));
+    i = j;
+  }
+  return out;
+}
+
+std::string JoinTokens(const std::vector<std::string>& tokens) {
+  std::string out;
+  for (const std::string& t : tokens) {
+    if (!out.empty()) out += ' ';
+    out += t;
+  }
+  return out;
+}
+
+// Parses `sql`; a plan must render and must execute to a table or a Status
+// on both execution paths, the same one on each (rows compared in sorted
+// order). Returns whether it parsed.
+bool ParseAndRun(const std::string& sql, const FunctionRegistry& registry,
+                 const Catalog& catalog, size_t* executed) {
+  Result<Plan> plan = ParseSql(sql, registry);
+  if (!plan.ok()) return false;
+  EXPECT_FALSE(plan->Explain().empty()) << sql;
+  std::string outcome[2];
+  for (bool columnar : {true, false}) {
+    ExecutorOptions options;
+    options.use_columnar = columnar;
+    Result<Table> table = Executor(options).Execute(*plan, catalog);
+    if (table.ok()) {
+      ++*executed;
+      table->SortLexicographic();
+      outcome[columnar] = table->ToString(table->num_rows());
+    } else {
+      outcome[columnar] = table.status().ToString();
+    }
+  }
+  EXPECT_EQ(outcome[0], outcome[1]) << sql;
+  return true;
+}
+
+TEST(ParserFuzzTest, MutatedStatementsYieldAStatusOrARunnablePlan) {
+  const FunctionRegistry registry = community::Fig4Functions(5.0);
+  const Catalog catalog = FuzzCatalog(registry);
+  const std::vector<std::string> seeds = FuzzSeeds();
+  size_t parsed = 0, executed = 0;
+  for (const std::string& seed : seeds) {
+    ASSERT_TRUE(ParseAndRun(seed, registry, catalog, &executed)) << seed;
+  }
+  EXPECT_EQ(executed, 2 * seeds.size());
+
+  // Every truncation, and every replacement byte below at every offset.
+  const char kBytes[] = {'(', ')', '\'', ',', '.', '0', '9', '-', '*', ' ',
+                         'x', '=', '<', '#', '\0', '\xff'};
+  for (const std::string& seed : seeds) {
+    for (size_t n = 0; n < seed.size(); ++n) {
+      parsed += ParseAndRun(seed.substr(0, n), registry, catalog, &executed);
+      for (char byte : kBytes) {
+        std::string replaced = seed;
+        replaced[n] = byte;
+        parsed += ParseAndRun(replaced, registry, catalog, &executed);
+      }
+    }
+  }
+
+  // Seeded token-level edits: insertions of tokens from any seed,
+  // deletions, and duplicated spans.
+  std::vector<std::vector<std::string>> tokenized;
+  std::vector<std::string> vocabulary;
+  for (const std::string& seed : seeds) {
+    tokenized.push_back(SplitTokens(seed));
+    vocabulary.insert(vocabulary.end(), tokenized.back().begin(),
+                      tokenized.back().end());
+  }
+  uint64_t lcg = 0x9E3779B97F4A7C15ULL;
+  auto next = [&lcg] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg >> 17;
+  };
+  for (int i = 0; i < 3000; ++i) {
+    std::vector<std::string> tokens = tokenized[next() % tokenized.size()];
+    for (uint64_t edits = 1 + next() % 3; edits > 0; --edits) {
+      const size_t at = next() % (tokens.size() + 1);
+      switch (next() % 3) {
+        case 0:
+          tokens.insert(tokens.begin() + at,
+                        vocabulary[next() % vocabulary.size()]);
+          break;
+        case 1:
+          if (at < tokens.size()) tokens.erase(tokens.begin() + at);
+          break;
+        default: {
+          const size_t end = std::min(tokens.size(), at + 1 + next() % 8);
+          std::vector<std::string> span(tokens.begin() + at,
+                                        tokens.begin() + end);
+          tokens.insert(tokens.begin() + end, span.begin(), span.end());
+        }
+      }
+    }
+    parsed += ParseAndRun(JoinTokens(tokens), registry, catalog, &executed);
+  }
+  // The fuzz reached the planner and the executor, not only the lexer.
+  EXPECT_GT(parsed, 5000u);
+  EXPECT_GT(executed, 3000u);
 }
 
 }  // namespace
