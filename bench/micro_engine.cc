@@ -316,13 +316,11 @@ int main(int argc, char** argv) {
   ref_options.num_threads = world_options.threads;
   ref_options.enable_cache = false;
   ref_options.enable_single_flight = false;
-  ref_options.use_evidence_index = false;
   ref_options.parallel_detect = false;
   ref_options.tracer = &ref_tracer;
   serving::ServingEngine ref_engine(&ref_manager, ref_options);
 
   serving::ServingOptions fast_options = ref_options;
-  fast_options.use_evidence_index = true;
   fast_options.parallel_detect = true;
   fast_options.tracer = &fast_tracer;
   serving::ServingEngine fast_engine(&fast_manager, fast_options);

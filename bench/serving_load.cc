@@ -337,7 +337,6 @@ int main(int argc, char** argv) {
   serving_options.max_in_flight = 256;
   serving_options.cache.ttl_seconds = 3600;  // TTL out of the way; this
                                              // bench isolates cache effects
-  serving_options.use_evidence_index = !reference;
   serving_options.parallel_detect = !reference;
   serving::ServingEngine engine(&manager, serving_options);
   if (reference) std::printf("path: reference (no evidence index, serial)\n");

@@ -30,6 +30,7 @@
 //   curl localhost:8080/statusz
 //   curl localhost:8080/metrics
 //   curl localhost:8080/tracez
+//   curl localhost:8080/queryz
 
 #include <chrono>
 #include <cstdio>
@@ -141,7 +142,8 @@ int main(int argc, char** argv) {
     std::printf("debugz serving on http://127.0.0.1:%d — try:\n", server->port());
     std::printf("  curl localhost:%d/statusz\n", server->port());
     std::printf("  curl localhost:%d/metrics\n", server->port());
-    std::printf("  curl localhost:%d/tracez\n\n", server->port());
+    std::printf("  curl localhost:%d/tracez\n", server->port());
+    std::printf("  curl localhost:%d/queryz\n\n", server->port());
   }
 
   // ---- 3. Mixed traffic from client threads -------------------------------

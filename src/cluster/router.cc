@@ -32,8 +32,8 @@ std::vector<std::string> ShardNames(
 /// health tracker but cannot change the answer.
 struct ClusterRouter::GatherState {
   std::string query;
-  double deadline_ms = 0;  // client budget; <= 0 none
-  Timer timer;             // copies the request's queue timer time base
+  double deadline_ms = 0;        // client budget; <= 0 none
+  double submitted_seconds = 0;  // the query's record: the deadline clock
   /// The query's trace; each attempt serves under a deterministic child.
   obs::TraceContext trace;
 
@@ -58,6 +58,11 @@ struct ClusterRouter::GatherState {
         results(num_shards),
         errors(num_shards, Status::OK()),
         attempts(num_shards) {}
+
+  /// Milliseconds since the query's submission.
+  double ElapsedMs() const {
+    return (obs::NowSeconds() - submitted_seconds) * 1e3;
+  }
 };
 
 ClusterRouter::ClusterRouter(
@@ -113,11 +118,36 @@ Result<ClusterResponse> ClusterRouter::Query(serving::QueryRequest request) {
     return Status::Unavailable("router overloaded: ", options_.max_in_flight,
                                " requests in flight");
   }
-  Timer queue_timer;
+  obs::RequestRecord record("cluster_request", request.query,
+                            obs::NowSeconds());
+  std::shared_ptr<obs::QueryProfile> profile;
   Result<ClusterResponse> result =
-      Execute(request, queue_timer, EffectiveDeadline(request));
+      Execute(request, EffectiveDeadline(request), &record, &profile);
+  Finish(&record, &result, std::move(profile));
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   return result;
+}
+
+void ClusterRouter::Finish(obs::RequestRecord* record,
+                           Result<ClusterResponse>* result,
+                           std::shared_ptr<obs::QueryProfile> profile) {
+  record->Finish(result->status());
+  metrics_.Record(*record);
+  // A request rejected before routing carries no trace; of the rest, only
+  // sampled ones reach the tracer.
+  const obs::TraceContext& trace = record->trace();
+  record->EmitSpans(trace.valid() && trace.sampled ? options_.tracer
+                                                   : nullptr);
+  const double merge_ms = record->StageMs("merge_rank");
+  if (profile != nullptr) {
+    record->FillProfile(profile.get());
+    profile->merge_ms = merge_ms;
+    slow_log_.Record(std::move(profile));
+  }
+  if (result->ok()) {
+    (*result)->merge_ms = merge_ms;
+    (*result)->total_ms = record->total_ms();
+  }
 }
 
 void ClusterRouter::LaunchAttempt(const std::shared_ptr<GatherState>& state,
@@ -132,7 +162,7 @@ void ClusterRouter::LaunchAttempt(const std::shared_ptr<GatherState>& state,
       // The shard gets a fraction of what is *left* of the client budget,
       // so queue wait and earlier stages are charged to the same clock
       // and the router keeps headroom for merge + rank.
-      double remaining = state->deadline_ms - state->timer.ElapsedMillis();
+      double remaining = state->deadline_ms - state->ElapsedMs();
       if (remaining <= 0) {
         expired = true;
       } else {
@@ -149,7 +179,7 @@ void ClusterRouter::LaunchAttempt(const std::shared_ptr<GatherState>& state,
       shard_request.trace = state->trace.Child(state->attempt_counter++);
       obs::LaneAttempt rec;
       rec.hedge = is_hedge;
-      rec.start_ms = state->timer.ElapsedMillis();
+      rec.start_ms = state->ElapsedMs();
       rec.deadline_ms = shard_request.deadline_ms;
       state->attempts[index].push_back(std::move(rec));
       attempt_slot = state->attempts[index].size() - 1;
@@ -213,14 +243,13 @@ void ClusterRouter::LaunchAttempt(const std::shared_ptr<GatherState>& state,
 }
 
 Result<ClusterResponse> ClusterRouter::Execute(
-    const serving::QueryRequest& request, const Timer& queue_timer,
-    double deadline_ms) {
+    const serving::QueryRequest& request, double deadline_ms,
+    obs::RequestRecord* record, std::shared_ptr<obs::QueryProfile>* profile) {
   if (request.query.empty()) {
-    metrics_.RecordError();
+    record->set_outcome("invalid");
     return Status::InvalidArgument("empty query");
   }
   if (shards_.empty()) {
-    metrics_.RecordError();
     return Status::FailedPrecondition("router has no shards");
   }
   const size_t n = shards_.size();
@@ -243,13 +272,8 @@ Result<ClusterResponse> ClusterRouter::Execute(
              0);
     trace_ctx = obs::TraceContext::NewRoot(sampled);
   }
-  [[maybe_unused]] obs::Tracer* tracer =
-      trace_ctx.sampled ? options_.tracer : nullptr;
-
-  ESHARP_SPAN(request_span, tracer, "cluster_request", nullptr);
-  request_span.SetTrace(trace_ctx.trace_hi, trace_ctx.trace_lo);
-  ESHARP_SPAN_ANNOTATE(request_span, "trace", trace_ctx.TraceIdHex());
-  ESHARP_SPAN_ANNOTATE(request_span, "shards", static_cast<int64_t>(n));
+  record->set_trace(trace_ctx);
+  record->root().Count("shards", static_cast<int64_t>(n));
 
   ClusterResponse response;
   response.trace = trace_ctx;
@@ -265,21 +289,17 @@ Result<ClusterResponse> ClusterRouter::Execute(
       response.experts = std::move(hit->experts);
       response.from_cache = true;
       response.shards_answered = n;
-      response.total_ms = queue_timer.ElapsedMillis();
-      ESHARP_SPAN_ANNOTATE(request_span, "outcome", "cache_hit");
-      metrics_.RecordRequest(queue_timer.ElapsedSeconds(), {},
-                             /*cache_hit=*/true, /*deduplicated=*/false);
+      record->set_outcome("cache_hit");
       return response;
     }
   }
 
   // Scatter.
-  const double scatter_start_ms = queue_timer.ElapsedMillis();
-  ESHARP_SPAN(gather_span, tracer, "gather", &request_span);
+  record->Begin("gather");
   auto state = std::make_shared<GatherState>(n);
   state->query = request.query;
   state->deadline_ms = deadline_ms;
-  state->timer = queue_timer;
+  state->submitted_seconds = record->submitted_seconds();
   state->trace = trace_ctx;
   for (size_t i = 0; i < n; ++i) {
     LaunchAttempt(state, i, /*is_hedge=*/false);
@@ -302,7 +322,7 @@ Result<ClusterResponse> ClusterRouter::Execute(
     std::unique_lock<std::mutex> lock(state->mu);
     for (;;) {
       if (state->resolved == n) break;
-      double elapsed = state->timer.ElapsedMillis();
+      double elapsed = state->ElapsedMs();
       if (deadline_ms > 0 && elapsed >= deadline_ms) {
         deadline_hit = true;
         break;
@@ -364,88 +384,58 @@ Result<ClusterResponse> ClusterRouter::Execute(
     }
     // Snapshot the attempt records for the profile while stragglers may
     // still be completing theirs in place.
-    lane_attempts = state->attempts;
+    if (options_.enable_profiles) lane_attempts = state->attempts;
   }
-  gather_span.End();
-  ESHARP_SPAN_ANNOTATE(request_span, "answered",
-                       static_cast<int64_t>(answered));
-  ESHARP_SPAN_ANNOTATE(request_span, "hedges",
-                       static_cast<int64_t>(hedges_fired));
-  double gather_ms = queue_timer.ElapsedMillis();
+  record->End();
+  record->root().Count("answered", static_cast<int64_t>(answered));
+  record->root().Count("hedges", static_cast<int64_t>(hedges_fired));
   response.shards_answered = answered;
   response.hedges_fired = hedges_fired;
   response.degraded = answered < n;
 
-  // Stitch and retain this query's profile: the router's stages plus one
-  // lane per shard, with every attempt's outcome. Runs on every
-  // post-scatter exit, so a timed-out or failed query still leaves a
-  // complete, inspectable picture in /queryz — those are exactly the
-  // queries worth debugging.
-  auto record_profile = [&](const char* outcome) {
-    if (!options_.enable_profiles) return;
-    auto profile = std::make_shared<obs::QueryProfile>();
-    profile->trace = trace_ctx;
-    profile->query = request.query;
-    profile->outcome = outcome;
-    profile->total_ms = queue_timer.ElapsedMillis();
-    profile->merge_ms = response.merge_ms;
-    profile->deadline_ms = deadline_ms > 0 ? deadline_ms : 0;
-    profile->shards_total = n;
-    profile->shards_answered = answered;
-    profile->hedges_fired = hedges_fired;
-    profile->degraded = response.degraded;
-    profile->recorded_at_seconds = obs::NowSeconds();
-    profile->stages.push_back(
-        {"gather", scatter_start_ms, gather_ms - scatter_start_ms});
-    if (response.merge_ms > 0) {
-      profile->stages.push_back({"merge_rank", gather_ms, response.merge_ms});
-    }
-    profile->lanes.resize(n);
+  // Every query that scattered gets a profile — one lane per shard, every
+  // attempt with its outcome — so a timed-out or failed query still leaves
+  // a complete, inspectable picture in /queryz: those are exactly the
+  // queries worth debugging. Finish adds the record's stages.
+  if (options_.enable_profiles) {
+    auto stitched = std::make_shared<obs::QueryProfile>();
+    stitched->deadline_ms = deadline_ms > 0 ? deadline_ms : 0;
+    stitched->shards_total = n;
+    stitched->shards_answered = answered;
+    stitched->hedges_fired = hedges_fired;
+    stitched->degraded = response.degraded;
+    stitched->lanes.resize(n);
     for (size_t i = 0; i < n; ++i) {
-      profile->lanes[i].name = shards_[i]->name();
-      profile->lanes[i].annotation = lane_annotations[i];
-      profile->lanes[i].attempts = std::move(lane_attempts[i]);
+      stitched->lanes[i].name = shards_[i]->name();
+      stitched->lanes[i].annotation = std::move(lane_annotations[i]);
+      stitched->lanes[i].attempts = std::move(lane_attempts[i]);
     }
-    slow_log_.Record(std::move(profile));
-  };
+    *profile = std::move(stitched);
+  }
 
   if (answered == 0 || answered < options_.min_shards_answered) {
     if (deadline_hit || any_shard_timeout) {
-      metrics_.RecordTimeout();
-      ESHARP_SPAN_ANNOTATE(request_span, "outcome", "timeout");
-      record_profile("timeout");
       return Status::DeadlineExceeded(
           "only ", answered, " of ", n, " shards answered within ",
           deadline_ms, " ms (need ",
           std::max<size_t>(options_.min_shards_answered, 1), ")");
     }
-    metrics_.RecordError();
-    ESHARP_SPAN_ANNOTATE(request_span, "outcome", "error");
-    record_profile("error");
     if (!first_error.ok()) return first_error;
     return Status::Unavailable("no shard answered");
   }
 
   // Merge + the single cluster-level rank step (see cluster/merge.h for
   // why this reproduces the unsharded ranking bit for bit).
-  Timer merge_timer;
-  ESHARP_SPAN(rank_span, tracer, "merge_rank", &request_span);
+  record->Begin("merge_rank");
   // Keep the loaded override alive across the whole rank step: a concurrent
   // SetUnionDetector must not reclaim the detector mid-merge.
   std::shared_ptr<const expert::ExpertDetector> override_detector =
       detector_override_.load(std::memory_order_acquire);
   Result<std::vector<expert::RankedExpert>> ranked = MergeAndRank(
       override_detector != nullptr ? *override_detector : *detector_, pools);
-  rank_span.End();
-  if (!ranked.ok()) {
-    metrics_.RecordError();
-    ESHARP_SPAN_ANNOTATE(request_span, "outcome", "error");
-    record_profile("error");
-    return ranked.status();
-  }
+  record->End();
+  if (!ranked.ok()) return ranked.status();
   response.experts = ranked.MoveValueUnsafe();
-  response.merge_ms = merge_timer.ElapsedMillis();
-  response.total_ms = queue_timer.ElapsedMillis();
 
   // Complete answers only: a degraded answer is correct for the shards
   // that spoke but must not outlive the outage in the cache.
@@ -455,17 +445,7 @@ Result<ClusterResponse> ClusterRouter::Execute(
                                      response.cluster_version},
                clock_.ElapsedSeconds());
   }
-  serving::StageTimings stages;
-  stages.detect_ms = gather_ms;
-  stages.rank_ms = response.merge_ms;
-  // The trace id rides the latency histogram as an exemplar, so a p99
-  // bucket in /varz points straight at a retained /queryz profile.
-  metrics_.RecordRequest(queue_timer.ElapsedSeconds(), stages,
-                         /*cache_hit=*/false, /*deduplicated=*/false,
-                         trace_ctx.TraceIdHex());
-  ESHARP_SPAN_ANNOTATE(request_span, "outcome",
-                       response.degraded ? "degraded" : "ok");
-  record_profile(response.degraded ? "degraded" : "ok");
+  record->set_outcome(response.degraded ? "degraded" : "ok");
   return response;
 }
 

@@ -67,8 +67,9 @@ struct RouterOptions {
   size_t min_shards_answered = 1;
   /// Consecutive failures after which a shard reads kDown.
   uint64_t down_threshold = 3;
-  /// Optional scatter tracing: a "cluster_request" span with a "gather"
-  /// child, annotated with shard/hedge counts. Must outlive the router.
+  /// Optional scatter tracing: each query's record becomes a
+  /// "cluster_request" span with "gather" and "merge_rank" children,
+  /// annotated with shard/hedge counts. Must outlive the router.
   obs::Tracer* tracer = nullptr;
   /// Head sampling for router-minted trace roots: every Nth request is
   /// sampled (1 = all, 0 = none); only sampled requests record spans into
@@ -207,9 +208,17 @@ class ClusterRouter {
   struct GatherState;
 
   bool TryAdmit();
+  /// The routing pipeline, stamping `record` at each stage boundary. A
+  /// query that scattered also gets `*profile`: its lanes and shard counts.
   Result<ClusterResponse> Execute(const serving::QueryRequest& request,
-                                  const Timer& queue_timer,
-                                  double deadline_ms);
+                                  double deadline_ms,
+                                  obs::RequestRecord* record,
+                                  std::shared_ptr<obs::QueryProfile>* profile);
+  /// The one exit of every admitted query: finishes the record and feeds
+  /// the metrics, the tracer, the slow-query log and the response's
+  /// merge_ms/total_ms.
+  void Finish(obs::RequestRecord* record, Result<ClusterResponse>* result,
+              std::shared_ptr<obs::QueryProfile> profile);
   /// Launches one attempt (primary or hedge) against shard `index`.
   void LaunchAttempt(const std::shared_ptr<GatherState>& state, size_t index,
                      bool is_hedge);

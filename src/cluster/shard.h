@@ -26,23 +26,12 @@ struct ShardRequest {
   obs::TraceContext trace{};
 };
 
-/// \brief One shard's answer: its partition's merged candidate evidence.
-/// Counts are partition-local (see serving::EvidenceResponse); the router
-/// sums them across shards before ranking once.
-struct ShardEvidence {
-  std::vector<expert::CandidateEvidence> evidence;  // sorted-unique by user
-  uint64_t snapshot_version = 0;
-  size_t terms = 0;
-  double shard_ms = 0;  ///< Shard-side end-to-end latency, milliseconds.
-  /// The trace context the shard served under (echoes the request's when
-  /// valid — proof of cross-process adoption).
-  obs::TraceContext trace{};
-  /// Shard-side timing breakdown, piggybacked for the router's per-query
-  /// profile: where shard_ms actually went.
-  double queue_ms = 0;
-  double expand_ms = 0;
-  double detect_ms = 0;
-};
+/// \brief One shard's answer: its partition's merged candidate evidence
+/// (sorted-unique by user) with the shard's timing breakdown and the trace
+/// it served under. Counts are partition-local; the router sums them across
+/// shards before ranking once. The engine's own answer type, so the
+/// in-process and the HTTP transport hand it on without a copy.
+using ShardEvidence = serving::EvidenceResponse;
 
 /// \brief Transport seam between the router and one shard engine. Two
 /// implementations: InProcessShard below (shards as objects in the router's
@@ -84,20 +73,7 @@ class InProcessShard final : public ShardTransport {
     // 0 = explicitly none; never fall through to the engine default (-1).
     query.deadline_ms = request.deadline_ms > 0 ? request.deadline_ms : 0;
     query.trace = request.trace;
-    Result<serving::EvidenceResponse> result =
-        engine_->QueryEvidence(std::move(query));
-    if (!result.ok()) return result.status();
-    serving::EvidenceResponse response = result.MoveValueUnsafe();
-    ShardEvidence evidence;
-    evidence.evidence = std::move(response.evidence);
-    evidence.snapshot_version = response.snapshot_version;
-    evidence.terms = response.terms;
-    evidence.shard_ms = response.total_ms;
-    evidence.trace = response.trace;
-    evidence.queue_ms = response.queue_ms;
-    evidence.expand_ms = response.stages.expand_ms;
-    evidence.detect_ms = response.stages.detect_ms;
-    return evidence;
+    return engine_->QueryEvidence(std::move(query));
   }
 
   uint64_t VersionHint() const override {

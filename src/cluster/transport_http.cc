@@ -174,25 +174,14 @@ void MountShardEndpoint(obs::DebugServer* server,
     if (!trace_header.empty()) {
       query.trace = obs::TraceContext::FromHeaderOrRoot(trace_header);
     }
-    Result<serving::EvidenceResponse> result =
-        engine->QueryEvidence(std::move(query));
+    Result<ShardEvidence> result = engine->QueryEvidence(std::move(query));
     if (!result.ok()) {
       response.status = StatusToHttp(result.status());
       response.body = result.status().ToString();
       return response;
     }
-    serving::EvidenceResponse evidence = result.MoveValueUnsafe();
-    ShardEvidence wire;
-    wire.evidence = std::move(evidence.evidence);
-    wire.snapshot_version = evidence.snapshot_version;
-    wire.terms = evidence.terms;
-    wire.shard_ms = evidence.total_ms;
-    wire.trace = evidence.trace;
-    wire.queue_ms = evidence.queue_ms;
-    wire.expand_ms = evidence.stages.expand_ms;
-    wire.detect_ms = evidence.stages.detect_ms;
     response.content_type = "application/octet-stream";
-    response.body = EncodeShardEvidence(wire);
+    response.body = EncodeShardEvidence(*result);
     return response;
   });
   server->Handle("/shard/health", [engine](const obs::HttpRequest&) {

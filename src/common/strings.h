@@ -39,6 +39,15 @@ bool ContainsPhrase(const std::vector<std::string>& hay,
 /// \brief Levenshtein edit distance (for tests of the variant generator).
 size_t EditDistance(std::string_view a, std::string_view b);
 
+/// \brief Escapes a string for a JSON string literal: quote, backslash,
+/// \n, \t and \r get their short escapes, other bytes below 0x20 become
+/// \u00XX, and every other byte (UTF-8 included) passes through.
+std::string JsonEscape(std::string_view s);
+
+/// \brief Escapes a string for HTML text and attribute values: &, <, > and
+/// the double quote.
+std::string HtmlEscape(std::string_view s);
+
 /// \brief Printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

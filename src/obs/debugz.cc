@@ -50,21 +50,6 @@ const char* ReasonPhrase(int status) {
   }
 }
 
-std::string HtmlEscape(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
 int HexValue(char c) {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
@@ -844,19 +829,6 @@ HttpResponse TracezResponse(const std::shared_ptr<StatuszState>& state,
   body += "</table>";
   body += StrFormat("<p>%zu in flight</p>", active.size());
 
-  body += "<h2>recent samples (latency-bucketed)</h2>";
-  std::vector<SampleEntry> samples =
-      state->options.request_samples ? state->options.request_samples()
-                                     : std::vector<SampleEntry>{};
-  body += "<table><tr><th>request</th><th>outcome</th><th>total ms</th>"
-          "<th>age s</th><th>detail</th></tr>";
-  for (const SampleEntry& s : samples) {
-    body += StrFormat(
-        "<tr><td>%s</td><td>%s</td><td>%.3f</td><td>%.1f</td><td>%s</td></tr>",
-        HtmlEscape(s.name).c_str(), HtmlEscape(s.outcome).c_str(), s.total_ms,
-        s.age_seconds, HtmlEscape(s.detail).c_str());
-  }
-  body += "</table>";
   if (state->options.tracer != nullptr) {
     body += StrFormat(
         "<p><a href=\"/tracez?format=json\">raw Chrome JSON</a> "

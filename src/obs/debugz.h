@@ -220,15 +220,6 @@ struct ActiveEntry {
   double elapsed_ms = 0;
 };
 
-/// \brief Rows of the /tracez "recent samples" table, one finished request.
-struct SampleEntry {
-  std::string name;
-  std::string outcome;
-  double total_ms = 0;
-  double age_seconds = 0;  ///< Since the request finished.
-  std::string detail;      ///< Free-form ("expand 0.2ms detect 1.1ms ...").
-};
-
 /// \brief Sources behind the standard endpoints. Null members disable the
 /// corresponding endpoint (or fall back to the process-wide instance where
 /// one exists).
@@ -245,9 +236,9 @@ struct StatuszOptions {
   std::vector<std::pair<std::string, Probe>> readiness;
   /// Extra /statusz overview lines (snapshot version, qps/p99, ...).
   std::function<std::string()> overview;
-  /// /tracez live tables; null leaves the sections empty.
+  /// /tracez in-flight table; null leaves it empty. Finished requests
+  /// live in the /queryz slow-query log (obs/profile.h), not here.
   std::function<std::vector<ActiveEntry>()> active_requests;
-  std::function<std::vector<SampleEntry>()> request_samples;
   /// /graphz source: sampled metric history rendered as sparklines (HTML)
   /// or range queries (?format=json&metric=…&window=…). Null disables the
   /// endpoint. Must outlive the server.
@@ -263,8 +254,8 @@ struct StatuszOptions {
 ///   /healthz    liveness (always 200 while the server answers)
 ///   /readyz     readiness (503 + failing probe names until all pass)
 ///   /statusz    overview: build info, uptime, probes, SLO burn, links
-///   /tracez     active requests + latency-bucketed samples (HTML;
-///               ?format=json streams the tracer's Chrome JSON)
+///   /tracez     in-flight requests (HTML; ?format=json streams the
+///               tracer's Chrome JSON)
 ///   /eventz     the bounded structured event log (HTML; ?format=json;
 ///               ?level= severity floor, ?after= sequence cursor,
 ///               ?limit= newest-N cap)

@@ -36,27 +36,6 @@ std::string EscapeLabelValue(const std::string& v) {
   return out;
 }
 
-std::string JsonEscape(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 /// `{k1="v1",k2="v2"}`, empty string for no labels; extras appended inside
 /// the braces (the quantile label of histogram samples).
 std::string PromLabels(const Labels& labels, const std::string& extra = "") {

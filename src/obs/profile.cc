@@ -4,46 +4,11 @@
 
 #include "common/strings.h"
 #include "obs/debugz.h"
+#include "obs/obs.h"
 
 namespace esharp::obs {
 
 namespace {
-
-std::string JsonEscape(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-std::string HtmlEscape(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
 
 /// Emits one complete ("ph":"X") event. `ts`/`dur` are milliseconds
 /// relative to query admission; Chrome wants microseconds.
@@ -113,7 +78,7 @@ std::string SummaryJson(const QueryProfile& p) {
 std::string QueryProfile::ExportChromeJson() const {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  AppendThreadName(&out, &first, 0, "router");
+  AppendThreadName(&out, &first, 0, lanes.empty() ? "engine" : "router");
   for (size_t i = 0; i < lanes.size(); ++i) {
     std::string label = lanes[i].name;
     if (!lanes[i].annotation.empty()) {
@@ -168,6 +133,123 @@ std::string QueryProfile::ExportChromeJson() const {
   }
   out += "\n]}\n";
   return out;
+}
+
+RequestRecord::RequestRecord(const char* root, std::string_view query,
+                             double submitted_seconds)
+    : query_(query) {
+  root_.name = root;
+  root_.start_seconds = submitted_seconds;
+}
+
+RequestRecord::Stamp& RequestRecord::Append(const char* name,
+                                            double start_seconds) {
+  // A full record reuses its last slot rather than overrun the array.
+  if (num_stages_ == kMaxStages) --num_stages_;
+  Stamp& stamp = stages_[num_stages_++];
+  stamp = Stamp{};
+  stamp.name = name;
+  stamp.start_seconds = start_seconds;
+  return stamp;
+}
+
+RequestRecord::Stamp& RequestRecord::Begin(const char* name) {
+  const double now = NowSeconds();
+  if (running_) stages_[num_stages_ - 1].end_seconds = now;
+  running_ = true;
+  live_stage_.store(name, std::memory_order_relaxed);
+  return Append(name, now);
+}
+
+void RequestRecord::End() {
+  if (!running_) return;
+  stages_[num_stages_ - 1].end_seconds = NowSeconds();
+  running_ = false;
+}
+
+void RequestRecord::Add(const char* name, double start_seconds,
+                        double end_seconds) {
+  End();
+  Append(name, start_seconds).end_seconds = end_seconds;
+}
+
+void RequestRecord::Finish(const Status& status) {
+  End();
+  root_.end_seconds = NowSeconds();
+  if (root_.outcome == nullptr) {
+    root_.outcome = status.ok()                    ? "ok"
+                    : status.IsDeadlineExceeded() ? "timeout"
+                                                  : "error";
+  }
+}
+
+double RequestRecord::ElapsedMs() const {
+  return (NowSeconds() - root_.start_seconds) * 1e3;
+}
+
+double RequestRecord::StageMs(std::string_view name) const {
+  for (size_t i = 0; i < num_stages_; ++i) {
+    if (name == stages_[i].name) return stages_[i].ms();
+  }
+  return 0;
+}
+
+void RequestRecord::EmitSpans([[maybe_unused]] Tracer* tracer) const {
+#if ESHARP_OBS_ENABLED
+  if (tracer == nullptr) return;
+  Span root = tracer->StartSpanAt(root_.name, /*parent=*/nullptr,
+                                  root_.start_seconds);
+  root.SetTrace(trace_.trace_hi, trace_.trace_lo);
+  root.Annotate("trace", trace_.TraceIdHex());
+  for (size_t i = 0; i < num_stages_; ++i) {
+    const Stamp& stamp = stages_[i];
+    std::vector<std::pair<std::string, std::string>> args;
+    for (size_t c = 0; c < stamp.num_counts; ++c) {
+      args.emplace_back(
+          stamp.counts[c].first,
+          StrFormat("%lld", static_cast<long long>(stamp.counts[c].second)));
+    }
+    if (stamp.outcome != nullptr) args.emplace_back("outcome", stamp.outcome);
+    tracer->RecordSpan(stamp.name, &root, stamp.start_seconds,
+                       stamp.end_seconds, std::move(args));
+  }
+  for (size_t c = 0; c < root_.num_counts; ++c) {
+    root.Annotate(root_.counts[c].first, root_.counts[c].second);
+  }
+  if (root_.outcome != nullptr) root.Annotate("outcome", root_.outcome);
+  root.End();
+#endif
+}
+
+void RequestRecord::FillProfile(QueryProfile* profile) const {
+  profile->trace = trace_;
+  profile->query = std::string(query_);
+  profile->outcome = root_.outcome != nullptr ? root_.outcome : "";
+  profile->total_ms = total_ms();
+  profile->recorded_at_seconds = root_.end_seconds;
+  profile->stages.clear();
+  for (size_t i = 0; i < num_stages_; ++i) {
+    const Stamp& stamp = stages_[i];
+    profile->stages.push_back(
+        {stamp.name, (stamp.start_seconds - root_.start_seconds) * 1e3,
+         stamp.ms()});
+  }
+}
+
+void LiveRequests::Add(RequestRecord* record) {
+  std::lock_guard<std::mutex> lock(mu_);
+  record->id_ = next_id_++;
+  record->prev_ = tail_;
+  record->next_ = nullptr;
+  (tail_ != nullptr ? tail_->next_ : head_) = record;
+  tail_ = record;
+}
+
+void LiveRequests::Remove(RequestRecord* record) {
+  std::lock_guard<std::mutex> lock(mu_);
+  (record->prev_ != nullptr ? record->prev_->next_ : head_) = record->next_;
+  (record->next_ != nullptr ? record->next_->prev_ : tail_) = record->prev_;
+  record->prev_ = record->next_ = nullptr;
 }
 
 SlowQueryLog::SlowQueryLog(SlowQueryLogOptions options)

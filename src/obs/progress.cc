@@ -7,31 +7,6 @@
 
 namespace esharp::obs {
 
-namespace {
-
-std::string JsonEscape(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 JobProgressRegistry::Job::~Job() {
   if (!finished_) registry_->Finish(id_, "aborted");
 }

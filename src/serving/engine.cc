@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -25,8 +26,8 @@ struct LiveDetectState final : expert::CollectCancel {
   std::shared_ptr<const ServingSnapshot> snapshot;
   std::vector<std::vector<microblog::TokenId>> tokens;  // per live term
   std::vector<std::vector<expert::CandidateEvidence>> results;
-  Timer timer;             // copies the request's queue timer time base
-  double deadline_ms = 0;  // <= 0: none
+  double submitted_seconds = 0;  // the request's deadline clock origin
+  double deadline_ms = 0;        // <= 0: none
   std::atomic<bool> cancelled{false};
   std::atomic<size_t> next{0};
   std::mutex mu;
@@ -35,7 +36,8 @@ struct LiveDetectState final : expert::CollectCancel {
 
   bool Cancelled() override {
     if (cancelled.load(std::memory_order_relaxed)) return true;
-    if (deadline_ms > 0 && timer.ElapsedMillis() > deadline_ms) {
+    if (deadline_ms > 0 &&
+        (obs::NowSeconds() - submitted_seconds) * 1e3 > deadline_ms) {
       cancelled.store(true, std::memory_order_relaxed);
       return true;
     }
@@ -122,11 +124,11 @@ std::future<Result<QueryResponse>> ServingEngine::SubmitQuery(
   auto shared_promise =
       std::make_shared<std::promise<Result<QueryResponse>>>(
           std::move(promise));
-  Timer queue_timer;
+  const double submitted = obs::NowSeconds();
   double deadline_ms = EffectiveDeadline(request);
-  pool_->Submit([this, shared_promise, queue_timer, deadline_ms,
+  pool_->Submit([this, shared_promise, submitted, deadline_ms,
                  request = std::move(request)]() mutable {
-    Result<QueryResponse> result = Execute(request, queue_timer, deadline_ms);
+    Result<QueryResponse> result = Run(request, submitted, deadline_ms);
     // Release the admission slot before fulfilling the future, so a caller
     // that observed completion also observes the slot as free.
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -140,122 +142,69 @@ Result<QueryResponse> ServingEngine::Query(QueryRequest request) {
     return Status::Unavailable("overloaded: ", options_.max_in_flight,
                                " requests in flight");
   }
-  Timer queue_timer;
   Result<QueryResponse> result =
-      Execute(request, queue_timer, EffectiveDeadline(request));
+      Run(request, obs::NowSeconds(), EffectiveDeadline(request));
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   return result;
 }
 
-// ---- /tracez introspection ------------------------------------------------
+// ---- The request record: open once, finish once --------------------------
 
-/// Registers the request in the active registry for its whole lifetime and
-/// records a finished sample on the way out. Constructed once per admitted
-/// request in Execute(); every return path sets the outcome (defaulting to
-/// "error" so an early `return status` is never misfiled as success).
-class ServingEngine::RequestScope {
- public:
-  RequestScope(ServingEngine* engine, const QueryRequest& request,
-               const Timer& queue_timer)
-      : engine_(engine),
-        id_(engine->next_request_id_.fetch_add(1, std::memory_order_relaxed)),
-        queue_timer_(&queue_timer) {
-    ActiveRecord record;
-    record.query = request.query;
-    // Backdate to submission so elapsed time includes queue wait, matching
-    // the "request" trace span and total_ms.
-    record.start_seconds = obs::NowSeconds() - queue_timer.ElapsedSeconds();
-    std::lock_guard<std::mutex> lock(engine_->introspect_mu_);
-    engine_->active_.emplace(id_, std::move(record));
-  }
-
-  ~RequestScope() {
-    engine_->FinishActive(id_, outcome_, queue_timer_->ElapsedMillis(),
-                          stages_, version_);
-  }
-
-  RequestScope(const RequestScope&) = delete;
-  RequestScope& operator=(const RequestScope&) = delete;
-
-  uint64_t id() const { return id_; }
-  void set_outcome(const char* outcome) { outcome_ = outcome; }
-  void set_version(uint64_t version) { version_ = version; }
-  void set_stages(const StageTimings& stages) { stages_ = stages; }
-
- private:
-  ServingEngine* engine_;
-  uint64_t id_;
-  const Timer* queue_timer_;
-  const char* outcome_ = "error";
-  uint64_t version_ = 0;
-  StageTimings stages_{};
-};
-
-void ServingEngine::SetActiveStage(uint64_t id, const char* stage) {
-  std::lock_guard<std::mutex> lock(introspect_mu_);
-  auto it = active_.find(id);
-  if (it != active_.end()) it->second.stage = stage;
+void ServingEngine::Open(obs::RequestRecord* record,
+                         const obs::TraceContext& trace) {
+  record->set_trace(trace);
+  record->Add("admission", record->submitted_seconds(), obs::NowSeconds());
+  live_.Add(record);
 }
 
-void ServingEngine::FinishActive(uint64_t id, const char* outcome,
-                                 double total_ms, const StageTimings& stages,
-                                 uint64_t snapshot_version) {
-  RequestSample sample;
-  sample.outcome = outcome;
-  sample.total_ms = total_ms;
-  sample.stages = stages;
-  sample.snapshot_version = snapshot_version;
-  sample.finished_seconds = obs::NowSeconds();
-  size_t bucket = 0;
-  while (bucket + 1 < kSampleBuckets &&
-         total_ms >= kSampleBucketUpperMs[bucket]) {
-    ++bucket;
+void ServingEngine::Finish(obs::RequestRecord* record, const Status& status,
+                           double deadline_ms) {
+  record->Finish(status);
+  const bool cache_hit = std::string_view(record->outcome()) == "cache_hit";
+  // Spans and profiles are keyed by trace id; only an untraced cache hit
+  // can do without one.
+  if (!record->trace().valid() &&
+      (options_.tracer != nullptr || !cache_hit)) {
+    record->set_trace(obs::TraceContext::NewRoot());
   }
-  std::lock_guard<std::mutex> lock(introspect_mu_);
-  auto it = active_.find(id);
-  if (it != active_.end()) {
-    sample.query = std::move(it->second.query);
-    active_.erase(it);
+  metrics_.Record(*record);
+  record->EmitSpans(options_.tracer);
+  if (!cache_hit) {
+    auto profile = std::make_shared<obs::QueryProfile>();
+    record->FillProfile(profile.get());
+    profile->deadline_ms = std::max(0.0, deadline_ms);
+    slow_log_.Record(std::move(profile));
   }
-  std::vector<RequestSample>& ring = samples_[bucket];
-  if (ring.size() < kSamplesPerBucket) {
-    ring.push_back(std::move(sample));
-  } else {
-    ring[sample_pos_[bucket] % kSamplesPerBucket] = std::move(sample);
+  live_.Remove(record);
+}
+
+Result<QueryResponse> ServingEngine::Run(const QueryRequest& request,
+                                         double submitted_seconds,
+                                         double deadline_ms) {
+  obs::RequestRecord record("request", request.query, submitted_seconds);
+  Open(&record, request.trace);
+  Result<QueryResponse> result = Execute(request, deadline_ms, &record);
+  Finish(&record, result.status(), deadline_ms);
+  if (result.ok()) {
+    result->stages = StageTimings{record.StageMs("expand"),
+                                  record.StageMs("detect"),
+                                  record.StageMs("rank")};
+    result->total_ms = record.total_ms();
   }
-  sample_pos_[bucket] = (sample_pos_[bucket] + 1) % kSamplesPerBucket;
+  return result;
 }
 
 std::vector<ActiveRequestInfo> ServingEngine::ActiveRequests() const {
-  double now = obs::NowSeconds();
+  const double now = obs::NowSeconds();
   std::vector<ActiveRequestInfo> out;
-  std::lock_guard<std::mutex> lock(introspect_mu_);
-  out.reserve(active_.size());
-  for (const auto& [id, record] : active_) {
+  live_.ForEach([&out, now](const obs::RequestRecord& record) {
     ActiveRequestInfo info;
-    info.id = id;
-    info.query = record.query;
-    info.stage = record.stage;
-    info.elapsed_ms = (now - record.start_seconds) * 1000.0;
+    info.id = record.id();
+    info.query = std::string(record.query());
+    info.stage = record.live_stage();
+    info.elapsed_ms = (now - record.submitted_seconds()) * 1e3;
     out.push_back(std::move(info));
-  }
-  return out;
-}
-
-std::vector<RequestSample> ServingEngine::SampledRequests() const {
-  std::vector<RequestSample> out;
-  std::lock_guard<std::mutex> lock(introspect_mu_);
-  for (size_t b = 0; b < kSampleBuckets; ++b) {
-    const std::vector<RequestSample>& ring = samples_[b];
-    // Ring order is arbitrary; emit newest-first so the page leads with
-    // what just happened in each latency band.
-    std::vector<RequestSample> bucket(ring.begin(), ring.end());
-    std::sort(bucket.begin(), bucket.end(),
-              [](const RequestSample& a, const RequestSample& b) {
-                return a.finished_seconds > b.finished_seconds;
-              });
-    for (RequestSample& sample : bucket) out.push_back(std::move(sample));
-  }
+  });
   return out;
 }
 
@@ -310,35 +259,10 @@ void ServingEngine::MaybeInvalidateOnSwap(uint64_t current_version) {
 }
 
 Result<QueryResponse> ServingEngine::Execute(const QueryRequest& request,
-                                             const Timer& queue_timer,
-                                             double deadline_ms) {
-  // The "request" span opens retroactively at submission time, so the
-  // trace shows queue wait; "admission" covers exactly that wait as an
-  // already-finished child interval. The span records itself on every
-  // return path below (RAII), tagged with an "outcome" annotation.
-  obs::Span request_span;
-#if ESHARP_OBS_ENABLED
-  if (options_.tracer != nullptr) {
-    double now = obs::NowSeconds();
-    double submitted = now - queue_timer.ElapsedSeconds();
-    request_span =
-        options_.tracer->StartSpanAt("request", /*parent=*/nullptr, submitted);
-    // Join the caller's distributed trace, or mint a fresh root: every
-    // request serves under SOME 128-bit trace id, and children inherit it.
-    obs::TraceContext trace_ctx =
-        request.trace.valid() ? request.trace : obs::TraceContext::NewRoot();
-    request_span.SetTrace(trace_ctx.trace_hi, trace_ctx.trace_lo);
-    request_span.Annotate("trace", trace_ctx.TraceIdHex());
-    options_.tracer->RecordSpan("admission", &request_span, submitted, now);
-  }
-#endif
-  // /tracez registration: visible in ActiveRequests() until this function
-  // returns, then retained as a latency-bucketed sample.
-  RequestScope scope(this, request, queue_timer);
+                                             double deadline_ms,
+                                             obs::RequestRecord* record) {
   if (request.query.empty()) {
-    metrics_.RecordError();
-    ESHARP_SPAN_ANNOTATE(request_span, "outcome", "invalid");
-    scope.set_outcome("invalid");
+    record->set_outcome("invalid");
     return Status::InvalidArgument("empty query");
   }
   // Pin the serving generation before touching the cache, so validation,
@@ -348,62 +272,40 @@ Result<QueryResponse> ServingEngine::Execute(const QueryRequest& request,
   // just-replaced generation.
   std::shared_ptr<const ServingSnapshot> snapshot = snapshots_->Acquire();
   if (snapshot == nullptr) {
-    metrics_.RecordError();
-    ESHARP_SPAN_ANNOTATE(request_span, "outcome", "error");
     return Status::FailedPrecondition("no snapshot published yet");
   }
   uint64_t version = snapshot->version();
-  scope.set_version(version);
   MaybeInvalidateOnSwap(version);
 
   // Cache keys use the same normalization as the store lookup (§5).
   std::string key = ToLowerAscii(request.query);
   bool use_cache = options_.enable_cache && !request.bypass_cache;
-  SetActiveStage(scope.id(), "cache");
-  ESHARP_SPAN(cache_span, options_.tracer, "cache", &request_span);
+  obs::RequestRecord::Stamp& cache_stage = record->Begin("cache");
   if (use_cache) {
     std::optional<CachedResult> cached =
         cache_.Get(key, clock_.ElapsedSeconds(), version);
     if (cached.has_value()) {
-      ESHARP_SPAN_ANNOTATE(cache_span, "outcome", "hit");
-      cache_span.End();
+      cache_stage.outcome = "hit";
+      record->set_outcome("cache_hit");
       QueryResponse response;
       response.experts = std::move(cached->experts);
       response.snapshot_version = cached->snapshot_version;
       response.from_cache = true;
-      response.total_ms = queue_timer.ElapsedMillis();
-      metrics_.RecordRequest(queue_timer.ElapsedSeconds(), response.stages,
-                             /*cache_hit=*/true, /*deduplicated=*/false);
-      ESHARP_SPAN_ANNOTATE(request_span, "outcome", "cache_hit");
-      scope.set_outcome("cache_hit");
       return response;
     }
-    ESHARP_SPAN_ANNOTATE(cache_span, "outcome", "miss");
+    cache_stage.outcome = "miss";
   } else {
-    ESHARP_SPAN_ANNOTATE(cache_span, "outcome",
-                         request.bypass_cache ? "bypass" : "off");
+    cache_stage.outcome = request.bypass_cache ? "bypass" : "off";
   }
-  cache_span.End();
+  record->End();
 
-  if (deadline_ms > 0 && queue_timer.ElapsedMillis() > deadline_ms) {
-    metrics_.RecordTimeout();
-    ESHARP_SPAN_ANNOTATE(request_span, "outcome", "timeout");
-    scope.set_outcome("timeout");
+  if (deadline_ms > 0 && record->ElapsedMs() > deadline_ms) {
     return Status::DeadlineExceeded("deadline of ", deadline_ms,
                                     " ms elapsed in queue");
   }
 
   if (!options_.enable_single_flight || request.bypass_cache) {
-    Result<QueryResponse> result =
-        ExecuteUncached(key, request, queue_timer, deadline_ms, snapshot,
-                        &request_span, scope.id());
-    const char* outcome = result.ok() ? "ok"
-                          : result.status().IsDeadlineExceeded() ? "timeout"
-                                                                 : "error";
-    ESHARP_SPAN_ANNOTATE(request_span, "outcome", outcome);
-    scope.set_outcome(outcome);
-    if (result.ok()) scope.set_stages(result.ValueOrDie().stages);
-    return result;
+    return ExecuteUncached(key, request, deadline_ms, snapshot, record);
   }
 
   // Single-flight: the first request for a key becomes the leader and runs
@@ -424,8 +326,7 @@ Result<QueryResponse> ServingEngine::Execute(const QueryRequest& request,
 
   if (leader) {
     Result<QueryResponse> result =
-        ExecuteUncached(key, request, queue_timer, deadline_ms, snapshot,
-                        &request_span, scope.id());
+        ExecuteUncached(key, request, deadline_ms, snapshot, record);
     {
       std::lock_guard<std::mutex> lock(flights_mu_);
       flights_.erase(key);
@@ -436,136 +337,89 @@ Result<QueryResponse> ServingEngine::Execute(const QueryRequest& request,
       flight->done = true;
     }
     flight->cv.notify_all();
-    const char* outcome = result.ok() ? "ok"
-                          : result.status().IsDeadlineExceeded() ? "timeout"
-                                                                 : "error";
-    ESHARP_SPAN_ANNOTATE(request_span, "outcome", outcome);
-    scope.set_outcome(outcome);
-    if (result.ok()) scope.set_stages(result.ValueOrDie().stages);
     return result;
   }
 
   // Follower: wait for the leader. Followers share the leader's outcome
   // (including its error, mirroring the usual single-flight contract), but
-  // report their own end-to-end latency and honor their own deadline.
-  SetActiveStage(scope.id(), "flight_wait");
-  ESHARP_SPAN(wait_span, options_.tracer, "flight_wait", &request_span);
+  // report their own end-to-end latency and honor their own deadline. An
+  // inherited failure is still this request's outcome, so the timeout and
+  // error counters stay consistent across the leader/follower split.
+  record->Begin("flight_wait");
   std::unique_lock<std::mutex> lock(flight->mu);
   if (deadline_ms > 0) {
-    double remaining_ms =
-        std::max(0.0, deadline_ms - queue_timer.ElapsedMillis());
+    double remaining_ms = std::max(0.0, deadline_ms - record->ElapsedMs());
     bool done = flight->cv.wait_for(
         lock, std::chrono::duration<double, std::milli>(remaining_ms),
         [&flight] { return flight->done; });
     if (!done) {
-      metrics_.RecordTimeout();
-      ESHARP_SPAN_ANNOTATE(request_span, "outcome", "timeout");
-      scope.set_outcome("timeout");
       return Status::DeadlineExceeded("deadline of ", deadline_ms,
                                       " ms elapsed waiting for leader");
     }
   } else {
     flight->cv.wait(lock, [&flight] { return flight->done; });
   }
-  wait_span.End();
+  record->End();
   Result<QueryResponse> result = flight->result;
   lock.unlock();
-  if (!result.ok()) {
-    // An inherited leader failure is still this request's outcome; record
-    // it so the timeout/error counters stay consistent across the
-    // leader/follower split instead of undercounting deduplicated failures.
-    if (result.status().IsDeadlineExceeded()) {
-      metrics_.RecordTimeout();
-      ESHARP_SPAN_ANNOTATE(request_span, "outcome", "timeout");
-      scope.set_outcome("timeout");
-    } else {
-      metrics_.RecordError();
-      ESHARP_SPAN_ANNOTATE(request_span, "outcome", "error");
-    }
-    return result;
-  }
+  if (!result.ok()) return result;
   QueryResponse response = result.MoveValueUnsafe();
   response.deduplicated = true;
-  response.stages = StageTimings{};
-  response.total_ms = queue_timer.ElapsedMillis();
-  metrics_.RecordRequest(queue_timer.ElapsedSeconds(), response.stages,
-                         /*cache_hit=*/false, /*deduplicated=*/true);
-  ESHARP_SPAN_ANNOTATE(request_span, "outcome", "deduplicated");
-  scope.set_outcome("deduplicated");
+  record->set_outcome("deduplicated");
   return response;
 }
 
 Result<QueryResponse> ServingEngine::ExecuteUncached(
-    const std::string& key, const QueryRequest& request,
-    const Timer& queue_timer, double deadline_ms,
+    const std::string& key, const QueryRequest& request, double deadline_ms,
     const std::shared_ptr<const ServingSnapshot>& snapshot,
-    [[maybe_unused]] const obs::Span* trace_parent, uint64_t request_id) {
+    obs::RequestRecord* record) {
   if (options_.execution_hook) options_.execution_hook(key);
   const core::ESharp& esharp = snapshot->esharp();
   QueryResponse response;
   response.snapshot_version = snapshot->version();
 
   // Stage 1: expansion (§5 — the paper's < 100 ms stage).
-  Timer stage_timer;
-  SetActiveStage(request_id, "expand");
-  ESHARP_SPAN(expand_span, options_.tracer, "expand", trace_parent);
+  obs::RequestRecord::Stamp& expand = record->Begin("expand");
   core::QueryExpansion expansion = esharp.Expand(request.query);
-  ESHARP_SPAN_ANNOTATE(expand_span, "terms",
-                       static_cast<int64_t>(expansion.terms.size()));
-  expand_span.End();
-  response.stages.expand_ms = stage_timer.ElapsedMillis();
+  expand.Count("terms", static_cast<int64_t>(expansion.terms.size()));
 
   // Stage 2: candidate collection (shared with the cluster tier's
   // QueryEvidence path; see DetectMerged).
-  stage_timer.Reset();
-  SetActiveStage(request_id, "detect");
-  ESHARP_SPAN(detect_span, options_.tracer, "detect", trace_parent);
-  Result<std::vector<expert::CandidateEvidence>> detected = DetectMerged(
-      expansion.terms, queue_timer, deadline_ms, snapshot, &detect_span);
+  Result<std::vector<expert::CandidateEvidence>> detected =
+      DetectMerged(expansion.terms, deadline_ms, snapshot, record);
   if (!detected.ok()) return detected.status();
-  std::vector<expert::CandidateEvidence> merged = detected.MoveValueUnsafe();
-  detect_span.End();
-  response.stages.detect_ms = stage_timer.ElapsedMillis();
 
   // Stage 3: ranking (z-scored features over the union pool).
-  stage_timer.Reset();
-  SetActiveStage(request_id, "rank");
-  ESHARP_SPAN(rank_span, options_.tracer, "rank", trace_parent);
+  obs::RequestRecord::Stamp& rank = record->Begin("rank");
   Result<std::vector<expert::RankedExpert>> ranked =
-      esharp.detector().RankCandidates(merged);
+      esharp.detector().RankCandidates(detected.ValueOrDie());
   if (!ranked.ok()) {
-    metrics_.RecordError();
-    ESHARP_SPAN_ANNOTATE(rank_span, "outcome", "error");
+    rank.outcome = "error";
     return ranked.status();
   }
   response.experts = ranked.MoveValueUnsafe();
-  ESHARP_SPAN_ANNOTATE(rank_span, "experts",
-                       static_cast<int64_t>(response.experts.size()));
-  rank_span.End();
-  response.stages.rank_ms = stage_timer.ElapsedMillis();
-  response.total_ms = queue_timer.ElapsedMillis();
+  rank.Count("experts", static_cast<int64_t>(response.experts.size()));
+  record->End();
 
   if (options_.enable_cache && !request.bypass_cache) {
     cache_.Put(key, CachedResult{response.experts, response.snapshot_version},
                clock_.ElapsedSeconds());
   }
-  metrics_.RecordRequest(queue_timer.ElapsedSeconds(), response.stages,
-                         /*cache_hit=*/false, /*deduplicated=*/false);
   return response;
 }
 
 Result<std::vector<expert::CandidateEvidence>> ServingEngine::DetectMerged(
-    const std::vector<std::string>& terms, const Timer& queue_timer,
-    double deadline_ms, const std::shared_ptr<const ServingSnapshot>& snapshot,
-    obs::Span* detect_span) {
+    const std::vector<std::string>& terms, double deadline_ms,
+    const std::shared_ptr<const ServingSnapshot>& snapshot,
+    obs::RequestRecord* record) {
   // In-vocabulary terms resolve to their snapshot-time precomputed pools (a
   // hash lookup); the rest collect live — in parallel on the worker pool
   // when enabled — with the deadline enforced cooperatively *inside* each
   // term's collection, so one term over a head token's postings cannot blow
-  // the budget unchecked.
-  (void)detect_span;  // only touched through the (disable-able) macros
-  const expert::TermEvidenceIndex* evidence =
-      options_.use_evidence_index ? snapshot->evidence() : nullptr;
+  // the budget unchecked. A snapshot published without an index collects
+  // every term live.
+  obs::RequestRecord::Stamp& detect = record->Begin("detect");
+  const expert::TermEvidenceIndex* evidence = snapshot->evidence();
   const size_t num_terms = terms.size();
   std::vector<const std::vector<expert::CandidateEvidence>*> pools(num_terms,
                                                                    nullptr);
@@ -588,7 +442,7 @@ Result<std::vector<expert::CandidateEvidence>> ServingEngine::DetectMerged(
     // request stack or the engine.
     live = std::make_shared<LiveDetectState>();
     live->snapshot = snapshot;
-    live->timer = queue_timer;
+    live->submitted_seconds = record->submitted_seconds();
     live->deadline_ms = deadline_ms;
     live->tokens.reserve(live_terms.size());
     const microblog::TweetCorpus& corpus =
@@ -610,8 +464,7 @@ Result<std::vector<expert::CandidateEvidence>> ServingEngine::DetectMerged(
     live->RunWorker();
     live->Wait();
     if (live->cancelled.load(std::memory_order_relaxed)) {
-      metrics_.RecordTimeout();
-      ESHARP_SPAN_ANNOTATE((*detect_span), "outcome", "timeout");
+      detect.outcome = "timeout";
       return Status::DeadlineExceeded("deadline of ", deadline_ms,
                                       " ms elapsed during detection");
     }
@@ -622,12 +475,10 @@ Result<std::vector<expert::CandidateEvidence>> ServingEngine::DetectMerged(
 
   std::vector<expert::CandidateEvidence> merged =
       expert::MergeEvidenceViews(pools);
-  ESHARP_SPAN_ANNOTATE((*detect_span), "terms_precomputed",
-                       static_cast<int64_t>(num_terms - live_terms.size()));
-  ESHARP_SPAN_ANNOTATE((*detect_span), "terms_live",
-                       static_cast<int64_t>(live_terms.size()));
-  ESHARP_SPAN_ANNOTATE((*detect_span), "candidates",
-                       static_cast<int64_t>(merged.size()));
+  detect.Count("terms_precomputed",
+               static_cast<int64_t>(num_terms - live_terms.size()));
+  detect.Count("terms_live", static_cast<int64_t>(live_terms.size()));
+  detect.Count("candidates", static_cast<int64_t>(merged.size()));
   return merged;
 }
 
@@ -636,98 +487,60 @@ Result<EvidenceResponse> ServingEngine::QueryEvidence(QueryRequest request) {
     return Status::Unavailable("overloaded: ", options_.max_in_flight,
                                " requests in flight");
   }
-  Timer queue_timer;
+  // Adopt the router's trace context when the request carries one; a
+  // direct caller (tests, single-node serving) gets a fresh root. Echoed
+  // in the response so the router can assert cross-process adoption.
+  obs::RequestRecord record("shard_request", request.query,
+                            obs::NowSeconds());
+  Open(&record, request.trace.valid() ? request.trace
+                                      : obs::TraceContext::NewRoot());
+  const double deadline_ms = EffectiveDeadline(request);
   Result<EvidenceResponse> result =
-      ExecuteEvidence(request, queue_timer, EffectiveDeadline(request));
+      ExecuteEvidence(request, deadline_ms, &record);
+  Finish(&record, result.status(), deadline_ms);
+  if (result.ok()) {
+    result->shard_ms = record.total_ms();
+    result->queue_ms = record.StageMs("admission");
+    result->expand_ms = record.StageMs("expand");
+    result->detect_ms = record.StageMs("detect");
+  }
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   return result;
 }
 
 Result<EvidenceResponse> ServingEngine::ExecuteEvidence(
-    const QueryRequest& request, const Timer& queue_timer,
-    double deadline_ms) {
+    const QueryRequest& request, double deadline_ms,
+    obs::RequestRecord* record) {
   // A leaner Execute(): no result cache and no single-flight — the
   // per-term pools in the snapshot's TermEvidenceIndex already are this
   // path's cache, and deduplication belongs at the router, which sees the
   // whole query stream. Shows up in /tracez like any other request.
-  // Adopt the router's trace context when the request carries one; a
-  // direct caller (tests, single-node serving) gets a fresh root. Recorded
-  // in the response so the router can assert cross-process adoption.
-  obs::TraceContext trace_ctx =
-      request.trace.valid() ? request.trace : obs::TraceContext::NewRoot();
-  double queue_wait_ms = queue_timer.ElapsedMillis();
-  obs::Span request_span;
-#if ESHARP_OBS_ENABLED
-  if (options_.tracer != nullptr) {
-    double now = obs::NowSeconds();
-    double submitted = now - queue_timer.ElapsedSeconds();
-    request_span = options_.tracer->StartSpanAt(
-        "shard_request", /*parent=*/nullptr, submitted);
-    request_span.SetTrace(trace_ctx.trace_hi, trace_ctx.trace_lo);
-    request_span.Annotate("trace", trace_ctx.TraceIdHex());
-    options_.tracer->RecordSpan("admission", &request_span, submitted, now);
-  }
-#endif
-  RequestScope scope(this, request, queue_timer);
   if (request.query.empty()) {
-    metrics_.RecordError();
-    ESHARP_SPAN_ANNOTATE(request_span, "outcome", "invalid");
-    scope.set_outcome("invalid");
+    record->set_outcome("invalid");
     return Status::InvalidArgument("empty query");
   }
   std::shared_ptr<const ServingSnapshot> snapshot = snapshots_->Acquire();
   if (snapshot == nullptr) {
-    metrics_.RecordError();
-    ESHARP_SPAN_ANNOTATE(request_span, "outcome", "error");
     return Status::FailedPrecondition("no snapshot published yet");
   }
-  scope.set_version(snapshot->version());
-
-  if (deadline_ms > 0 && queue_timer.ElapsedMillis() > deadline_ms) {
-    metrics_.RecordTimeout();
-    ESHARP_SPAN_ANNOTATE(request_span, "outcome", "timeout");
-    scope.set_outcome("timeout");
+  if (deadline_ms > 0 && record->ElapsedMs() > deadline_ms) {
     return Status::DeadlineExceeded("deadline of ", deadline_ms,
                                     " ms elapsed in queue");
   }
 
   EvidenceResponse response;
   response.snapshot_version = snapshot->version();
-  response.trace = trace_ctx;
-  response.queue_ms = queue_wait_ms;
+  response.trace = record->trace();
 
-  Timer stage_timer;
-  SetActiveStage(scope.id(), "expand");
-  ESHARP_SPAN(expand_span, options_.tracer, "expand", &request_span);
+  record->Begin("expand");
   core::QueryExpansion expansion = snapshot->esharp().Expand(request.query);
-  expand_span.End();
-  StageTimings stages;
-  stages.expand_ms = stage_timer.ElapsedMillis();
   response.terms = expansion.terms.size();
 
-  stage_timer.Reset();
-  SetActiveStage(scope.id(), "detect");
-  ESHARP_SPAN(detect_span, options_.tracer, "detect", &request_span);
-  Result<std::vector<expert::CandidateEvidence>> detected = DetectMerged(
-      expansion.terms, queue_timer, deadline_ms, snapshot, &detect_span);
-  if (!detected.ok()) {
-    const char* outcome =
-        detected.status().IsDeadlineExceeded() ? "timeout" : "error";
-    ESHARP_SPAN_ANNOTATE(request_span, "outcome", outcome);
-    scope.set_outcome(outcome);
-    return detected.status();
-  }
+  Result<std::vector<expert::CandidateEvidence>> detected =
+      DetectMerged(expansion.terms, deadline_ms, snapshot, record);
+  if (!detected.ok()) return detected.status();
   response.evidence = detected.MoveValueUnsafe();
-  detect_span.End();
-  stages.detect_ms = stage_timer.ElapsedMillis();
-  response.stages = stages;
-  response.total_ms = queue_timer.ElapsedMillis();
-
-  metrics_.RecordRequest(queue_timer.ElapsedSeconds(), stages,
-                         /*cache_hit=*/false, /*deduplicated=*/false);
-  ESHARP_SPAN_ANNOTATE(request_span, "outcome", "ok");
-  scope.set_outcome("ok");
-  scope.set_stages(stages);
+  record->End();
   return response;
 }
 

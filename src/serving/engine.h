@@ -1,12 +1,10 @@
 #ifndef ESHARP_SERVING_ENGINE_H_
 #define ESHARP_SERVING_ENGINE_H_
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -17,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/obs.h"
+#include "obs/profile.h"
 #include "obs/trace_context.h"
 #include "serving/cache.h"
 #include "serving/metrics.h"
@@ -49,12 +48,6 @@ struct ServingOptions {
   /// Collapse concurrent identical queries into one detector execution
   /// (the followers wait for the leader's result).
   bool enable_single_flight = true;
-  /// Serve in-vocabulary expansion terms from the snapshot's precomputed
-  /// term-evidence index (terms outside the vocabulary — ad-hoc queries,
-  /// phrase-fallback synthesized terms — always collect live). Off = the
-  /// reference serial detector path; results are bit-identical either way
-  /// (the `online` test suite enforces it).
-  bool use_evidence_index = true;
   /// Fan live-term collection out across the worker pool. The submitting
   /// request always collects terms itself too (help-first), so a saturated
   /// pool degrades to the serial path instead of deadlocking; queued
@@ -65,8 +58,8 @@ struct ServingOptions {
   /// leader in place and prove single-flight behavior; benches can inject
   /// artificial stage latency or faults. Must be thread-safe.
   std::function<void(const std::string& key)> execution_hook;
-  /// Optional request tracing. Each served request becomes a "request" span
-  /// (opened retroactively at submission time, so queue wait is visible)
+  /// Optional request tracing. Each served request's record becomes a
+  /// "request" span (starting at submission, so queue wait is visible)
   /// with an "admission" child covering the queue, a "cache" child
   /// annotated with the probe outcome, and — when the detector actually
   /// runs — "expand" / "detect" / "rank" children. Single-flight followers
@@ -120,25 +113,13 @@ struct ActiveRequestInfo {
   double elapsed_ms = 0;
 };
 
-/// \brief Retained sample of a recently finished request (/tracez). The
-/// engine keeps a few samples per latency bucket so the page always shows
-/// both the fast mass and the slow tail, not just whatever finished last.
-struct RequestSample {
-  std::string query;
-  std::string outcome;  ///< "ok", "cache_hit", "deduplicated", "timeout",
-                        ///< "error", "invalid".
-  double total_ms = 0;
-  StageTimings stages;
-  uint64_t snapshot_version = 0;
-  double finished_seconds = 0;  ///< obs::NowSeconds() time base.
-};
-
 /// \brief The shard-side answer of the cluster tier: one query's merged
 /// candidate evidence against this engine's corpus partition, *before*
 /// ranking. Ranking is not shard-local — the z-scores of §3 are computed
 /// over the union candidate pool with union-corpus denominators — so a
 /// sharded deployment ships raw evidence to the router and ranks exactly
-/// once there (see src/cluster).
+/// once there (see src/cluster). The same struct is the cluster tier's
+/// cluster::ShardEvidence and the payload of its binary wire frame.
 struct EvidenceResponse {
   /// Union of the expansion terms' candidate pools over this engine's
   /// corpus; sorted by user with unique users (the MergeEvidence
@@ -151,17 +132,18 @@ struct EvidenceResponse {
   /// it is for introspection).
   size_t terms = 0;
   /// End-to-end latency on this shard, including queue wait, milliseconds.
-  double total_ms = 0;
-  /// Admission-queue wait alone, milliseconds (piggybacked to the router
-  /// so cross-shard profiles attribute shard latency to queue vs work).
-  double queue_ms = 0;
-  /// Expand/detect breakdown of this shard's work (rank_ms stays 0 — the
-  /// shard path never ranks).
-  StageTimings stages;
+  double shard_ms = 0;
   /// The trace context the shard actually served under: the request's when
   /// it was valid, otherwise the fresh root the shard minted. Lets the
   /// router (and tests) confirm cross-process adoption.
   obs::TraceContext trace{};
+  /// Where shard_ms went, from the shard's request record (piggybacked to
+  /// the router so cross-shard profiles attribute shard latency to queue
+  /// vs work): the admission-queue wait, expansion and detection. The
+  /// shard path never ranks.
+  double queue_ms = 0;
+  double expand_ms = 0;
+  double detect_ms = 0;
 };
 
 /// \brief One served answer, with provenance.
@@ -173,9 +155,11 @@ struct QueryResponse {
   bool from_cache = false;
   /// True when this request waited on an identical in-flight one.
   bool deduplicated = false;
-  /// Per-stage breakdown (zero for cache hits and deduplicated waits).
+  /// Per-stage breakdown from the request's record (zero for cache hits
+  /// and deduplicated waits).
   StageTimings stages;
-  /// End-to-end latency, including queue wait, in milliseconds.
+  /// End-to-end latency from the record, including queue wait, in
+  /// milliseconds.
   double total_ms = 0;
 };
 
@@ -194,7 +178,12 @@ struct QueryResponse {
 ///          -> single-flight: followers wait for an identical leader
 ///          -> expand / collect / rank against the pinned snapshot, with
 ///             deadline checks between stages
-///          -> populate cache, record metrics
+///          -> populate cache
+///
+/// Each admitted request carries one obs::RequestRecord, stamped at every
+/// stage boundary and finished once; the finish feeds the metrics, the
+/// tracer, the slow-query log (/queryz) and the response breakdown, and
+/// the record is visible in ActiveRequests() (/tracez) until then.
 ///
 /// All public methods are thread-safe. The engine never blocks a swap:
 /// SnapshotManager::Publish is wait-free with respect to readers, and
@@ -264,9 +253,9 @@ class ServingEngine {
   /// /tracez. Ordered by request id (admission order).
   std::vector<ActiveRequestInfo> ActiveRequests() const;
 
-  /// Recently finished requests, a few per latency bucket, newest first
-  /// within each bucket.
-  std::vector<RequestSample> SampledRequests() const;
+  /// The slow-query log behind /queryz: every finished request but cache
+  /// hits, as a profile of its record.
+  const obs::SlowQueryLog& slow_queries() const { return slow_log_; }
 
  private:
   /// Shared state of one single-flight group: the leader publishes its
@@ -281,54 +270,51 @@ class ServingEngine {
   /// Admission: returns false (and records the shed) when over capacity.
   bool TryAdmit();
 
-  /// Full pipeline for one admitted request. `queue_timer` started at
-  /// submission; deadline_ms <= 0 means no deadline.
+  /// One admitted Query/SubmitQuery request, submitted at
+  /// `submitted_seconds` (obs::NowSeconds() time base): opens its record,
+  /// runs Execute and finishes the record. deadline_ms <= 0 means none.
+  Result<QueryResponse> Run(const QueryRequest& request,
+                            double submitted_seconds, double deadline_ms);
+
+  /// The query pipeline, stamping `record` at each stage boundary.
   Result<QueryResponse> Execute(const QueryRequest& request,
-                                const Timer& queue_timer, double deadline_ms);
+                                double deadline_ms, obs::RequestRecord* record);
 
-  /// The detector work proper, against one pinned snapshot. `trace_parent`
-  /// is the enclosing "request" span (inert when tracing is off);
-  /// `request_id` keys the active-registry stage updates.
+  /// The detector work proper, against one pinned snapshot.
   Result<QueryResponse> ExecuteUncached(
-      const std::string& key, const QueryRequest& request,
-      const Timer& queue_timer, double deadline_ms,
+      const std::string& key, const QueryRequest& request, double deadline_ms,
       const std::shared_ptr<const ServingSnapshot>& snapshot,
-      const obs::Span* trace_parent, uint64_t request_id);
+      obs::RequestRecord* record);
 
-  /// The detect stage shared by ExecuteUncached and QueryEvidence: resolve
+  /// The detect stage shared by ExecuteUncached and ExecuteEvidence: resolve
   /// each expansion term to its precomputed pool or collect it live (in
   /// parallel on the pool, deadline enforced cooperatively inside the
-  /// collection loops), then k-way-merge the pools. Records the timeout
-  /// metric and returns DeadlineExceeded when the deadline fires
-  /// mid-collection. `detect_span` receives the terms/candidates
-  /// annotations (inert when tracing is off).
+  /// collection loops), then k-way-merge the pools. Begins the record's
+  /// "detect" stamp and annotates it with the terms/candidates counts, or
+  /// with a "timeout" outcome when the deadline fires mid-collection (and
+  /// returns DeadlineExceeded).
   Result<std::vector<expert::CandidateEvidence>> DetectMerged(
-      const std::vector<std::string>& terms, const Timer& queue_timer,
-      double deadline_ms, const std::shared_ptr<const ServingSnapshot>& snapshot,
-      obs::Span* detect_span);
+      const std::vector<std::string>& terms, double deadline_ms,
+      const std::shared_ptr<const ServingSnapshot>& snapshot,
+      obs::RequestRecord* record);
 
-  /// Pipeline of one admitted QueryEvidence request.
+  /// The QueryEvidence pipeline, stamping `record`.
   Result<EvidenceResponse> ExecuteEvidence(const QueryRequest& request,
-                                           const Timer& queue_timer,
-                                           double deadline_ms);
+                                           double deadline_ms,
+                                           obs::RequestRecord* record);
+
+  /// Opens the record of an admitted request: its queue wait becomes the
+  /// "admission" stage, and it joins the /tracez registry until Finish.
+  void Open(obs::RequestRecord* record, const obs::TraceContext& trace);
+
+  /// The one exit of every admitted request: finishes the record and feeds
+  /// the metrics, the tracer and (all but cache hits) the slow-query log,
+  /// then drops the record from the /tracez registry.
+  void Finish(obs::RequestRecord* record, const Status& status,
+              double deadline_ms);
 
   /// Drops stale cache entries when the snapshot generation moved.
   void MaybeInvalidateOnSwap(uint64_t current_version);
-
-  /// RAII registration of one request in the active-request registry;
-  /// records a finished sample on destruction. Defined in engine.cc.
-  class RequestScope;
-
-  /// One active-registry entry (guarded by introspect_mu_).
-  struct ActiveRecord {
-    std::string query;
-    const char* stage = "admitted";
-    double start_seconds = 0;
-  };
-
-  void SetActiveStage(uint64_t id, const char* stage);
-  void FinishActive(uint64_t id, const char* outcome, double total_ms,
-                    const StageTimings& stages, uint64_t snapshot_version);
 
   double EffectiveDeadline(const QueryRequest& request) const {
     return request.deadline_ms >= 0 ? request.deadline_ms
@@ -348,18 +334,8 @@ class ServingEngine {
   std::mutex flights_mu_;
   std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
 
-  // ---- /tracez introspection state ----------------------------------------
-  /// Latency-bucket boundaries of the finished-request samples, ms.
-  static constexpr double kSampleBucketUpperMs[] = {1.0, 10.0, 100.0, 1e300};
-  static constexpr size_t kSampleBuckets =
-      sizeof(kSampleBucketUpperMs) / sizeof(kSampleBucketUpperMs[0]);
-  static constexpr size_t kSamplesPerBucket = 8;
-
-  std::atomic<uint64_t> next_request_id_{1};
-  mutable std::mutex introspect_mu_;
-  std::map<uint64_t, ActiveRecord> active_;  // ordered = admission order
-  std::array<std::vector<RequestSample>, kSampleBuckets> samples_;
-  std::array<size_t, kSampleBuckets> sample_pos_{};
+  obs::LiveRequests live_;      // /tracez in-flight table
+  obs::SlowQueryLog slow_log_;  // /queryz
 };
 
 }  // namespace esharp::serving

@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "obs/trace.h"
+#include "obs/profile.h"
 
 namespace esharp::serving {
 
@@ -122,25 +122,8 @@ void MountServingEndpoints(obs::DebugServer* server, ServingEngine* engine,
     }
     return entries;
   };
-  statusz.request_samples = [engine]() {
-    double now = obs::NowSeconds();
-    std::vector<obs::SampleEntry> entries;
-    for (RequestSample& sample : engine->SampledRequests()) {
-      obs::SampleEntry entry;
-      entry.name = std::move(sample.query);
-      entry.outcome = std::move(sample.outcome);
-      entry.total_ms = sample.total_ms;
-      entry.age_seconds = now - sample.finished_seconds;
-      entry.detail = StrFormat(
-          "expand %.2fms detect %.2fms rank %.2fms (snapshot v%llu)",
-          sample.stages.expand_ms, sample.stages.detect_ms,
-          sample.stages.rank_ms,
-          static_cast<unsigned long long>(sample.snapshot_version));
-      entries.push_back(std::move(entry));
-    }
-    return entries;
-  };
   obs::MountStatusz(server, std::move(statusz));
+  obs::MountQueryz(server, &engine->slow_queries());
 }
 
 }  // namespace esharp::serving

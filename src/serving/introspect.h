@@ -4,8 +4,9 @@
 /// \file Glue between the serving engine and the obs/debugz endpoint
 /// family. src/obs stays serving-agnostic (it exposes callback seams);
 /// this header is where those seams are filled in with engine signals:
-/// readiness from HealthView, /tracez tables from the active-request
-/// registry, and the default SLO objectives a query service should watch.
+/// readiness from HealthView, the /tracez in-flight table from the live
+/// request records, /queryz from the engine's slow-query log, and the
+/// default SLO objectives a query service should watch.
 
 #include <string>
 #include <vector>
@@ -56,11 +57,12 @@ struct ServingIntrospectionOptions {
 };
 
 /// \brief Mounts the full statusz family on `server`, wired to `engine`:
-/// readiness from EngineReadiness (plus the watchdog when given), /tracez
-/// live tables from the engine's active-request registry and finished
-/// samples, and a /statusz overview block (snapshot generation and age,
-/// qps, latency percentiles, cache hit rate, admission fill). The engine
-/// (and watchdog/tracer, when set) must outlive the server.
+/// readiness from EngineReadiness (plus the watchdog when given), the
+/// /tracez in-flight table from the engine's live request records, /queryz
+/// over the engine's slow-query log, and a /statusz overview block
+/// (snapshot generation and age, qps, latency percentiles, cache hit rate,
+/// admission fill). The engine (and watchdog/tracer, when set) must
+/// outlive the server.
 void MountServingEndpoints(obs::DebugServer* server, ServingEngine* engine,
                            ServingIntrospectionOptions options = {});
 

@@ -61,18 +61,33 @@ void ServingMetrics::SetClockForTest(std::function<double()> clock) {
   ewma_events_ = 0;
 }
 
-void ServingMetrics::RecordRequest(double total_seconds,
-                                   const StageTimings& stages, bool cache_hit,
-                                   bool deduplicated,
-                                   std::string_view exemplar_label) {
+void ServingMetrics::Record(const obs::RequestRecord& record) {
+  const std::string_view outcome = record.outcome();
+  if (outcome == "timeout") {
+    timeouts_->Increment();
+    return;
+  }
+  if (outcome == "error" || outcome == "invalid") {
+    errors_->Increment();
+    return;
+  }
+  const bool cache_hit = outcome == "cache_hit";
+  const bool deduplicated = outcome == "deduplicated";
   completed_->Increment();
   if (cache_hit) cache_hits_->Increment();
   if (deduplicated) deduplicated_->Increment();
-  total_->Observe(total_seconds, exemplar_label);
+  std::string exemplar;
+  if (!cache_hit && record.trace().valid()) {
+    exemplar = record.trace().TraceIdHex();
+  }
+  total_->Observe(record.total_ms() / 1e3, exemplar);
   if (!cache_hit && !deduplicated) {
-    expand_->Observe(stages.expand_ms / 1e3);
-    detect_->Observe(stages.detect_ms / 1e3);
-    rank_->Observe(stages.rank_ms / 1e3);
+    // One name of each pair is absent from any one record.
+    expand_->Observe(record.StageMs("expand") / 1e3);
+    detect_->Observe((record.StageMs("detect") + record.StageMs("gather")) /
+                     1e3);
+    rank_->Observe((record.StageMs("rank") + record.StageMs("merge_rank")) /
+                   1e3);
   }
   std::lock_guard<std::mutex> lock(mu_);
   double now = Now();

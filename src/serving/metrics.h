@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "obs/metrics.h"
+#include "obs/profile.h"
 
 namespace esharp::serving {
 
@@ -62,23 +63,19 @@ class ServingMetrics {
  public:
   ServingMetrics();
 
-  /// Records one completed request. `stages` applies only when the request
-  /// actually executed (cache hits carry zero stage time). A non-empty
-  /// `exemplar_label` (a trace id) rides the total-latency histogram as an
-  /// exemplar, linking the bucket this request landed in to its retained
-  /// trace/profile.
-  void RecordRequest(double total_seconds, const StageTimings& stages,
-                     bool cache_hit, bool deduplicated,
-                     std::string_view exemplar_label = {});
+  /// Records one finished request from its record. A "timeout" outcome
+  /// counts a timeout, "error" and "invalid" count an error; every other
+  /// outcome completed. A completed request's latency carries its trace id
+  /// as an exemplar unless it was a cache hit, linking the histogram
+  /// bucket to the request's /queryz profile. Requests that executed (not
+  /// cache hits, not deduplicated) also feed the stage histograms: expand,
+  /// detect and rank — the router's gather and merge_rank count as detect
+  /// and rank.
+  void Record(const obs::RequestRecord& record);
 
-  /// Records a request rejected by admission control.
+  /// Records a request rejected by admission control (it never gets a
+  /// record).
   void RecordShed() { shed_->Increment(); }
-
-  /// Records a request abandoned because its deadline elapsed.
-  void RecordTimeout() { timeouts_->Increment(); }
-
-  /// Records a request that failed inside the detector.
-  void RecordError() { errors_->Increment(); }
 
   /// Snapshot of every counter and distribution.
   MetricsReport Report() const;

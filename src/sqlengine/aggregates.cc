@@ -36,7 +36,7 @@ void AggAccumulator::Add(const Value& arg, const Value& output) {
       if (arg.is_null()) break;
       ++count_;
       if (arg.type() == DataType::kInt64 && sum_is_int_) {
-        isum_ += arg.int_value();
+        overflow_ |= __builtin_add_overflow(isum_, arg.int_value(), &isum_);
       } else {
         if (sum_is_int_) {
           sum_ = static_cast<double>(isum_);
@@ -88,8 +88,9 @@ void AggAccumulator::Merge(const AggAccumulator& other) {
     case AggKind::kSum:
     case AggKind::kAvg:
       count_ += other.count_;
+      overflow_ |= other.overflow_;
       if (sum_is_int_ && other.sum_is_int_) {
-        isum_ += other.isum_;
+        overflow_ |= __builtin_add_overflow(isum_, other.isum_, &isum_);
       } else {
         if (sum_is_int_) {
           sum_ = static_cast<double>(isum_);
@@ -117,9 +118,11 @@ Result<Value> AggAccumulator::Finish() const {
       return Value::Int(count_);
     case AggKind::kSum:
       if (count_ == 0) return Value::Null();
+      if (overflow_) return Status::InvalidArgument("INT64 overflow in sum");
       return sum_is_int_ ? Value::Int(isum_) : Value::Double(sum_);
     case AggKind::kAvg: {
       if (count_ == 0) return Value::Null();
+      if (overflow_) return Status::InvalidArgument("INT64 overflow in sum");
       double total = sum_is_int_ ? static_cast<double>(isum_) : sum_;
       return Value::Double(total / static_cast<double>(count_));
     }

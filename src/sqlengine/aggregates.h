@@ -71,6 +71,7 @@ class AggAccumulator {
   double sum_ = 0;
   bool sum_is_int_ = true;
   int64_t isum_ = 0;
+  bool overflow_ = false;  // the INT64 sum overflowed; Finish fails
   bool has_value_ = false;
   Value best_arg_;     // MIN/MAX: extremum; ARGMAX/ARGMIN: best ordering key
   Value best_output_;  // ARGMAX/ARGMIN: output at the extremum

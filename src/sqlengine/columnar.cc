@@ -306,7 +306,9 @@ Result<ColumnTable> ColumnarHashAggregate(const ColumnTable& t,
                 GroupAggState& s = st[gid[i]];
                 ++s.count;
                 if (s.sum_is_int) {
-                  s.isum += argcol.ints[i];
+                  if (__builtin_add_overflow(s.isum, argcol.ints[i], &s.isum)) {
+                    return Status::InvalidArgument("INT64 overflow in sum");
+                  }
                 } else {
                   s.sum += static_cast<double>(argcol.ints[i]);
                 }

@@ -6,6 +6,15 @@ namespace esharp::sql {
 
 namespace {
 
+/// The error of the INT64 `+`, `-` and `*` kernels on signed overflow, the
+/// same on the row and the columnar path.
+Status Int64Overflow(Expr::BinaryOp op) {
+  const char* symbol = op == Expr::BinaryOp::kAdd   ? "+"
+                       : op == Expr::BinaryOp::kSub ? "-"
+                                                    : "*";
+  return Status::InvalidArgument("INT64 overflow in ", symbol);
+}
+
 class ColumnExpr final : public Expr {
  public:
   explicit ColumnExpr(std::string name)
@@ -205,13 +214,16 @@ class BinaryExprNode final : public Expr {
     // Arithmetic: exact on int64 pairs (except division), double otherwise.
     if (lv.type() == DataType::kInt64 && rv.type() == DataType::kInt64 &&
         op_ != BinaryOp::kDiv) {
-      int64_t a = lv.int_value(), b = rv.int_value();
+      int64_t a = lv.int_value(), b = rv.int_value(), out = 0;
+      bool overflow = false;
       switch (op_) {
-        case BinaryOp::kAdd: return Value::Int(a + b);
-        case BinaryOp::kSub: return Value::Int(a - b);
-        case BinaryOp::kMul: return Value::Int(a * b);
+        case BinaryOp::kAdd: overflow = __builtin_add_overflow(a, b, &out); break;
+        case BinaryOp::kSub: overflow = __builtin_sub_overflow(a, b, &out); break;
+        case BinaryOp::kMul: overflow = __builtin_mul_overflow(a, b, &out); break;
         default: break;
       }
+      if (overflow) return Int64Overflow(op_);
+      return Value::Int(out);
     }
     ESHARP_ASSIGN_OR_RETURN(double a, lv.AsDouble());
     ESHARP_ASSIGN_OR_RETURN(double b, rv.AsDouble());
@@ -342,19 +354,29 @@ class BinaryExprNode final : public Expr {
       out.ints.resize(n);
       const int64_t* a = l.ints.data();
       const int64_t* b = r.ints.data();
+      int64_t* o = out.ints.data();
+      // Branch-free: any overflowing row fails the whole column.
+      bool overflow = false;
       switch (op_) {
         case BinaryOp::kAdd:
-          for (size_t i = 0; i < n; ++i) out.ints[i] = a[i] + b[i];
+          for (size_t i = 0; i < n; ++i) {
+            overflow |= __builtin_add_overflow(a[i], b[i], &o[i]);
+          }
           break;
         case BinaryOp::kSub:
-          for (size_t i = 0; i < n; ++i) out.ints[i] = a[i] - b[i];
+          for (size_t i = 0; i < n; ++i) {
+            overflow |= __builtin_sub_overflow(a[i], b[i], &o[i]);
+          }
           break;
         case BinaryOp::kMul:
-          for (size_t i = 0; i < n; ++i) out.ints[i] = a[i] * b[i];
+          for (size_t i = 0; i < n; ++i) {
+            overflow |= __builtin_mul_overflow(a[i], b[i], &o[i]);
+          }
           break;
         default:
           return Status::Internal("unhandled binary op");
       }
+      if (overflow) return Int64Overflow(op_);
       return out;
     }
     const auto cell_as_double = [](const ColumnVec& c, size_t i) -> double {
@@ -415,7 +437,13 @@ class UnaryExprNode final : public Expr {
         }
         return Value::Bool(!v.bool_value());
       case UnaryOp::kNeg: {
-        if (v.type() == DataType::kInt64) return Value::Int(-v.int_value());
+        if (v.type() == DataType::kInt64) {
+          int64_t out = 0;
+          if (__builtin_sub_overflow(int64_t{0}, v.int_value(), &out)) {
+            return Status::InvalidArgument("INT64 overflow in unary -");
+          }
+          return Value::Int(out);
+        }
         ESHARP_ASSIGN_OR_RETURN(double d, v.AsDouble());
         return Value::Double(-d);
       }
@@ -441,7 +469,11 @@ class UnaryExprNode final : public Expr {
       ColumnVec out;
       out.type = DataType::kInt64;
       out.ints.resize(n);
-      for (size_t i = 0; i < n; ++i) out.ints[i] = -v.ints[i];
+      bool overflow = false;
+      for (size_t i = 0; i < n; ++i) {
+        overflow |= __builtin_sub_overflow(int64_t{0}, v.ints[i], &out.ints[i]);
+      }
+      if (overflow) return Status::InvalidArgument("INT64 overflow in unary -");
       return out;
     }
     if (n == 0) {

@@ -306,6 +306,20 @@ TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");
 }
 
+TEST(StringsTest, JsonAndHtmlEscape) {
+  EXPECT_EQ(JsonEscape("say \"hi\" \\ bye"), "say \\\"hi\\\" \\\\ bye");
+  EXPECT_EQ(JsonEscape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
+  EXPECT_EQ(JsonEscape(std::string("\x01\x1f", 2) + std::string(1, '\0')),
+            "\\u0001\\u001f\\u0000");
+  // Bytes at and above 0x80 (UTF-8 sequences) pass through unchanged.
+  EXPECT_EQ(JsonEscape("caf\xc3\xa9 \x80\xff"), "caf\xc3\xa9 \x80\xff");
+  EXPECT_EQ(JsonEscape(" ~"), " ~");
+
+  EXPECT_EQ(HtmlEscape("<a href=\"x\">&</a>"),
+            "&lt;a href=&quot;x&quot;&gt;&amp;&lt;/a&gt;");
+  EXPECT_EQ(HtmlEscape("it's \xc3\xa9"), "it's \xc3\xa9");
+}
+
 // ----------------------------------------------------------------- Stats --
 
 TEST(StatsTest, WelfordMatchesClosedForm) {

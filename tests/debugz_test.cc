@@ -523,18 +523,13 @@ TEST_F(StatuszTest, TracezRendersTablesAndChromeJson) {
     active[0].elapsed_ms = 12.5;
     return active;
   };
-  options.request_samples = [] {
-    std::vector<SampleEntry> samples(1);
-    samples[0].name = "nba";
-    samples[0].outcome = "cache_hit";
-    samples[0].total_ms = 0.2;
-    return samples;
-  };
   Mount(std::move(options));
+  // The in-flight table; finished requests live in /queryz.
   HttpResponseData html = Get("/tracez");
   EXPECT_NE(html.body.find("barack obama"), std::string::npos);
   EXPECT_NE(html.body.find("detect"), std::string::npos);
-  EXPECT_NE(html.body.find("cache_hit"), std::string::npos);
+  EXPECT_NE(html.body.find("12.500"), std::string::npos);
+  EXPECT_NE(html.body.find("1 in flight"), std::string::npos);
   HttpResponseData json = Get("/tracez?format=json");
   EXPECT_EQ(json.content_type, "application/json");
   EXPECT_NE(json.body.find("\"traceEvents\":["), std::string::npos);

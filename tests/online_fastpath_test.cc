@@ -143,14 +143,12 @@ serving::ServingOptions ReferenceOptions() {
   o.num_threads = 3;
   o.enable_cache = false;
   o.enable_single_flight = false;
-  o.use_evidence_index = false;
   o.parallel_detect = false;
   return o;
 }
 
 serving::ServingOptions FastOptions() {
   serving::ServingOptions o = ReferenceOptions();
-  o.use_evidence_index = true;
   o.parallel_detect = true;
   return o;
 }

@@ -10,6 +10,7 @@
 #include "microblog/generator.h"
 #include "obs/event_log.h"
 #include "obs/obs.h"
+#include "obs/profile.h"
 #include "obs/slo.h"
 #include "querylog/generator.h"
 #include "serving/cache.h"
@@ -17,6 +18,7 @@
 #include "serving/introspect.h"
 #include "serving/metrics.h"
 #include "serving/snapshot.h"
+#include "span_shapes.h"
 
 namespace esharp::serving {
 namespace {
@@ -781,9 +783,9 @@ TEST_F(ServingTest, WatchdogDegradesWhenShedRateExceedsObjective) {
   EXPECT_EQ(health.completed, 0u);
 }
 
-// The active-request registry and finished samples behind /tracez: a
-// pinned request shows up with its stage, and finishing moves it into the
-// latency-bucketed sample ring with its outcome.
+// The live records behind /tracez: a pinned request shows up with its
+// stage, and finishing moves it into the slow-query log (/queryz) with its
+// outcome.
 TEST_F(ServingTest, ActiveRegistryTracksStageAndSamplesOutcome) {
   auto manager = NewManager();
   std::atomic<int> entered{0};
@@ -815,23 +817,70 @@ TEST_F(ServingTest, ActiveRegistryTracksStageAndSamplesOutcome) {
   ASSERT_TRUE(future.get().ok());
   EXPECT_TRUE(engine.ActiveRequests().empty());
 
-  std::vector<RequestSample> samples = engine.SampledRequests();
+  std::vector<std::shared_ptr<const obs::QueryProfile>> samples =
+      engine.slow_queries().Recent();
   ASSERT_FALSE(samples.empty());
   bool found_ok = false;
-  for (const RequestSample& s : samples) {
-    if (s.query == *answered_query_ && s.outcome == "ok") found_ok = true;
+  for (const auto& s : samples) {
+    if (s->query == *answered_query_ && s->outcome == "ok") found_ok = true;
   }
   EXPECT_TRUE(found_ok);
 
   // A shed never reaches the registry but error outcomes are sampled too:
-  // an invalid (empty) query lands in the ring as "invalid".
+  // an invalid (empty) query lands in the log as "invalid".
   ASSERT_TRUE(engine.Query({""}).status().IsInvalidArgument());
-  samples = engine.SampledRequests();
+  samples = engine.slow_queries().Recent();
   bool found_invalid = false;
-  for (const RequestSample& s : samples) {
-    if (s.outcome == "invalid") found_invalid = true;
+  for (const auto& s : samples) {
+    if (s->outcome == "invalid") found_invalid = true;
   }
   EXPECT_TRUE(found_invalid);
+}
+
+// /queryz on an engine, like the router's: MountServingEndpoints serves the
+// engine's slow-query log — the HTML table lists a profiled query,
+// ?format=json summarizes, ?trace=<id> downloads its Chrome trace with the
+// record's stages, and an unknown id is a 404. Cache hits stay out.
+TEST_F(ServingTest, QueryzServesTheEngineSlowQueryLog) {
+  auto manager = NewManager();
+  ServingEngine engine(manager.get());
+  QueryRequest request{*answered_query_};
+  request.trace = obs::TraceContext::NewRoot();
+  ASSERT_TRUE(engine.Query(request).ok());
+  ASSERT_TRUE(engine.Query({*answered_query_})->from_cache);
+  EXPECT_EQ(engine.slow_queries().recorded(), 1u);
+
+  obs::DebugServer server;
+  MountServingEndpoints(&server, &engine);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string id = request.trace.TraceIdHex();
+
+  auto html = obs::HttpGet("127.0.0.1", server.port(), "/queryz");
+  ASSERT_TRUE(html.ok()) << html.status().ToString();
+  ASSERT_EQ(html->status, 200);
+  EXPECT_NE(html->body.find(id), std::string::npos);
+  EXPECT_NE(html->body.find(*answered_query_), std::string::npos);
+
+  auto json = obs::HttpGet("127.0.0.1", server.port(), "/queryz?format=json");
+  ASSERT_TRUE(json.ok());
+  EXPECT_NE(json->body.find("\"recorded\":1"), std::string::npos);
+  EXPECT_NE(json->body.find(id), std::string::npos);
+
+  auto chrome =
+      obs::HttpGet("127.0.0.1", server.port(), "/queryz?trace=" + id);
+  ASSERT_TRUE(chrome.ok());
+  ASSERT_EQ(chrome->status, 200);
+  EXPECT_NE(chrome->body.find("\"traceEvents\""), std::string::npos);
+  for (const char* stage : {"admission", "cache", "expand", "detect", "rank"}) {
+    EXPECT_NE(chrome->body.find("\"name\":\"" + std::string(stage) + "\""),
+              std::string::npos)
+        << stage;
+  }
+
+  auto miss = obs::HttpGet("127.0.0.1", server.port(),
+                           "/queryz?trace=ffffffffffffffffffffffffffffffff");
+  ASSERT_TRUE(miss.ok());
+  EXPECT_EQ(miss->status, 404);
 }
 
 // ---------------------------------------------------------- Observability --
@@ -908,19 +957,134 @@ TEST_F(ServingTest, ShedRequestsLeaveATraceEvent) {
   EXPECT_EQ(events[0].name, "shed");
   EXPECT_DOUBLE_EQ(events[0].dur_us, 0.0);
 }
+
+// Golden span shapes of every engine request kind: names, parents, sorted
+// annotation keys (outcome values spelled out) and recording order. Trace
+// consumers depend on all of it — micro_engine pairs each detect span's
+// "candidates" with the next rank span's "experts" — so the list is
+// literal, and every child must lie inside its root.
+TEST_F(ServingTest, SpanShapesArePinnedPerRequestKind) {
+  using testing::EventsOfTrace;
+  using testing::ExpectChildrenInsideRoots;
+  using testing::SpanShapes;
+  using Shapes = std::vector<std::string>;
+  auto manager = NewManager();
+  obs::Tracer tracer;
+  std::atomic<bool> pin_leader{false};
+  std::atomic<int> leaders_entered{0};
+  std::promise<void> release;
+  std::shared_future<void> release_future = release.get_future().share();
+  ServingOptions options;
+  options.num_threads = 2;
+  options.tracer = &tracer;
+  options.execution_hook = [&](const std::string&) {
+    if (!pin_leader.load()) return;
+    leaders_entered.fetch_add(1);
+    release_future.wait();
+  };
+  ServingEngine engine(manager.get(), options);
+  // Serves `request` alone on a clean tracer and returns its span shapes.
+  auto shapes_of = [&](QueryRequest request, bool evidence = false) {
+    tracer.Reset();
+    if (evidence) {
+      (void)engine.QueryEvidence(request);
+    } else {
+      (void)engine.Query(request);
+    }
+    std::vector<obs::TraceEvent> events = tracer.Events();
+    ExpectChildrenInsideRoots(events);
+    return SpanShapes(events);
+  };
+  const Shapes detector_stages = {
+      "expand<request{terms}",
+      "detect<request{candidates,terms_live,terms_precomputed}",
+      "rank<request{experts}"};
+  auto concat = [](Shapes a, const Shapes& b, const Shapes& c) {
+    a.insert(a.end(), b.begin(), b.end());
+    a.insert(a.end(), c.begin(), c.end());
+    return a;
+  };
+
+  EXPECT_EQ(shapes_of({*answered_query_}),
+            concat({"admission<request{}", "cache<request{outcome=miss}"},
+                   detector_stages, {"request{outcome=ok,trace}"}));
+  EXPECT_EQ(shapes_of({*answered_query_}),
+            (Shapes{"admission<request{}", "cache<request{outcome=hit}",
+                    "request{outcome=cache_hit,trace}"}));
+  EXPECT_EQ(shapes_of({*answered_query_, /*deadline_ms=*/-1,
+                       /*bypass_cache=*/true}),
+            concat({"admission<request{}", "cache<request{outcome=bypass}"},
+                   detector_stages, {"request{outcome=ok,trace}"}));
+  EXPECT_EQ(shapes_of({"deadline probe", /*deadline_ms=*/1e-6}),
+            (Shapes{"admission<request{}", "cache<request{outcome=miss}",
+                    "request{outcome=timeout,trace}"}));
+  EXPECT_EQ(shapes_of({""}), (Shapes{"admission<request{}",
+                                     "request{outcome=invalid,trace}"}));
+  EXPECT_EQ(shapes_of({*answered_query_}, /*evidence=*/true),
+            (Shapes{"admission<shard_request{}", "expand<shard_request{}",
+                    "detect<shard_request{candidates,terms_live,"
+                    "terms_precomputed}",
+                    "shard_request{outcome=ok,trace}"}));
+
+  // Single-flight: a leader pinned inside its execution, and a follower
+  // that joins its flight. Each serves under its own trace id.
+  engine.InvalidateCache();
+  tracer.Reset();
+  pin_leader.store(true);
+  QueryRequest leader{*answered_query_};
+  leader.trace = obs::TraceContext::NewRoot();
+  QueryRequest follower = leader;
+  follower.trace = obs::TraceContext::NewRoot();
+  auto leader_future = engine.SubmitQuery(leader);
+  while (leaders_entered.load() == 0) std::this_thread::yield();
+  auto follower_future = engine.SubmitQuery(follower);
+  for (bool waiting = false; !waiting; std::this_thread::yield()) {
+    for (const ActiveRequestInfo& info : engine.ActiveRequests()) {
+      if (info.stage == "flight_wait") waiting = true;
+    }
+  }
+  release.set_value();
+  ASSERT_TRUE(leader_future.get().ok());
+  Result<QueryResponse> followed = follower_future.get();
+  ASSERT_TRUE(followed.ok());
+  EXPECT_TRUE(followed->deduplicated);
+  std::vector<obs::TraceEvent> events = tracer.Events();
+  ExpectChildrenInsideRoots(events);
+  EXPECT_EQ(SpanShapes(EventsOfTrace(events, leader.trace)),
+            concat({"admission<request{}", "cache<request{outcome=miss}"},
+                   detector_stages, {"request{outcome=ok,trace}"}));
+  EXPECT_EQ(SpanShapes(EventsOfTrace(events, follower.trace)),
+            (Shapes{"admission<request{}", "cache<request{outcome=miss}",
+                    "flight_wait<request{}",
+                    "request{outcome=deduplicated,trace}"}));
+
+  // Shed: one zero-length root, no record of its own.
+  ServingOptions shed_options;
+  shed_options.max_in_flight = 0;
+  shed_options.tracer = &tracer;
+  ServingEngine shedding(manager.get(), shed_options);
+  tracer.Reset();
+  EXPECT_TRUE(shedding.Query({*answered_query_}).status().IsUnavailable());
+  EXPECT_EQ(SpanShapes(tracer.Events()), (Shapes{"shed{outcome=shed}"}));
+}
 #endif  // ESHARP_OBS_ENABLED
+
+// Feeds `metrics` one finished 10 ms request, as the engine's Finish does.
+void RecordOkRequest(ServingMetrics* metrics) {
+  obs::RequestRecord record("request", "q", obs::NowSeconds() - 0.01);
+  record.Finish(Status::OK());
+  metrics->Record(record);
+}
 
 TEST(ServingMetricsTest, WindowedQpsRecoversAfterIdleUnlikeLifetimeQps) {
   ServingMetrics metrics;
   double now = 0;
   metrics.SetClockForTest([&now] { return now; });
-  StageTimings stages;
 
   // Phase 1: 10 qps for 10 seconds.
   for (int i = 0; i < 100; ++i) {
     now = i * 0.1;
-    metrics.RecordRequest(0.01, stages, /*cache_hit=*/false,
-                          /*deduplicated=*/false);
+    RecordOkRequest(&metrics);
   }
   MetricsReport warm = metrics.Report();
   EXPECT_NEAR(warm.window_qps, 10.0, 2.5);
@@ -936,8 +1100,7 @@ TEST(ServingMetricsTest, WindowedQpsRecoversAfterIdleUnlikeLifetimeQps) {
   // rate tracks the recent burst instead.
   for (int i = 0; i < 100; ++i) {
     now = 1000 + i * 0.01;
-    metrics.RecordRequest(0.01, stages, /*cache_hit=*/false,
-                          /*deduplicated=*/false);
+    RecordOkRequest(&metrics);
   }
   MetricsReport burst = metrics.Report();
   EXPECT_LT(burst.qps, 1.0);  // 200 requests over ~1001 s
@@ -950,13 +1113,12 @@ TEST(ServingMetricsTest, WindowedQpsEarlyLifeIsNotUnderestimated) {
   ServingMetrics metrics;
   double now = 0;
   metrics.SetClockForTest([&now] { return now; });
-  StageTimings stages;
   // 20 qps for one second — much shorter than the window's time constant.
   // The warm-up fill correction must keep the estimate near the true rate
   // instead of diluting it across the whole (mostly unobserved) window.
   for (int i = 0; i < 20; ++i) {
     now = i * 0.05;
-    metrics.RecordRequest(0.01, stages, false, false);
+    RecordOkRequest(&metrics);
   }
   MetricsReport r = metrics.Report();
   EXPECT_NEAR(r.window_qps, 20.0, 5.0);

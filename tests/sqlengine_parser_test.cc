@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "community/sql_cd.h"
 #include "sqlengine/parser.h"
 
@@ -384,6 +386,66 @@ TEST(ParserTest, DecimalLiteralOutOfRangeIsInvalidArgument) {
   EXPECT_TRUE(ParseSql("SELECT " + std::string(400, '9') + ".5 AS x FROM t")
                   .status()
                   .IsInvalidArgument());
+}
+
+// Signed INT64 overflow is undefined behaviour in the kernels; hostile SQL
+// must get InvalidArgument instead of a silently wrapped answer, the same
+// one on the row and the columnar path, with and without a pool (without
+// one the executor runs the row kernels whatever use_columnar says).
+TEST(ParserTest, Int64OverflowIsInvalidArgumentOnEveryPath) {
+  Catalog catalog;
+  TableBuilder b({{"x", DataType::kInt64}});
+  b.AddRow({Value::Int(INT64_MAX)});
+  b.AddRow({Value::Int(INT64_MAX)});
+  catalog.Register("t", b.Build());
+  ThreadPool pool(2);
+  std::vector<ExecutorOptions> paths;
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (bool columnar : {true, false}) {
+      ExecutorOptions options;
+      options.pool = p;
+      options.use_columnar = columnar;
+      paths.push_back(options);
+    }
+  }
+  for (const char* sql : {
+           "SELECT 9223372036854775807 + 1 AS y FROM t",
+           "SELECT x * 2 AS y FROM t",
+           "SELECT 0 - x - 2 AS y FROM t",
+           "SELECT -(-9223372036854775807 - 1) AS y FROM t",
+           "SELECT sum(x) AS s FROM t",
+           "SELECT avg(x) AS a FROM t",
+       }) {
+    std::string first;
+    for (const ExecutorOptions& options : paths) {
+      Result<Table> result = ExecuteSql(sql, catalog, {}, options);
+      EXPECT_TRUE(result.status().IsInvalidArgument())
+          << sql << " (columnar " << options.use_columnar << ", pool "
+          << (options.pool != nullptr) << ") -> "
+          << (result.ok() ? result->ToString(2) : result.status().ToString());
+      if (first.empty()) first = result.status().ToString();
+      EXPECT_EQ(result.status().ToString(), first) << sql;
+    }
+  }
+  // In-range arithmetic and sums are unchanged, up to the INT64 bounds.
+  for (const ExecutorOptions& options : paths) {
+    Result<Table> edge = ExecuteSql(
+        "SELECT x - 1 AS a, 0 - x - 1 AS b, -(0 - x) AS c, x * 1 AS d FROM t",
+        catalog, {}, options);
+    ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+    ASSERT_EQ(edge->num_rows(), 2u);
+    EXPECT_EQ(edge->row(0)[0].int_value(), INT64_MAX - 1);
+    EXPECT_EQ(edge->row(0)[1].int_value(), INT64_MIN);
+    EXPECT_EQ(edge->row(0)[2].int_value(), INT64_MAX);
+    EXPECT_EQ(edge->row(0)[3].int_value(), INT64_MAX);
+    Result<Table> sums = ExecuteSql(
+        "SELECT sum(x - 9223372036854775806) AS s, "
+        "avg(x - 9223372036854775806) AS a FROM t",
+        catalog, {}, options);
+    ASSERT_TRUE(sums.ok()) << sums.status().ToString();
+    EXPECT_EQ(sums->row(0)[0].int_value(), 2);
+    EXPECT_DOUBLE_EQ(sums->row(0)[1].double_value(), 1.0);
+  }
 }
 
 TEST(ParserTest, DeepNestingIsInvalidArgument) {

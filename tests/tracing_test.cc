@@ -37,6 +37,7 @@
 #include "obs/trace_context.h"
 #include "querylog/generator.h"
 #include "serving/engine.h"
+#include "span_shapes.h"
 
 namespace esharp {
 namespace {
@@ -663,6 +664,48 @@ TEST(TracingHttpTest, ShardEndpointHealsMalformedAndDuplicateTraceParams) {
   EXPECT_TRUE(echoed->trace.SameTrace(first));
   EXPECT_FALSE(echoed->trace.SameTrace(second));
 }
+
+// --------------------------------------------------- golden span shapes ----
+
+#if ESHARP_OBS_ENABLED
+// The router's spans per request kind, pinned like the engine's in
+// serving_test.cc: names, parents, sorted annotation keys (outcome values
+// spelled out) and recording order, every child inside its root.
+TEST(TracingGoldenTest, RouterSpanShapesArePinnedPerRequestKind) {
+  using Shapes = std::vector<std::string>;
+  World world = MakeWorld(3801);
+  obs::Tracer tracer;
+  cluster::RouterOptions ro;
+  ro.enable_hedging = false;
+  ro.tracer = &tracer;
+  FaultyCluster fc = MakeFaultyCluster(world, 2, ro);
+  // Serves `request` alone on a clean tracer and returns its span shapes.
+  auto shapes_of = [&](const serving::QueryRequest& request) {
+    tracer.Reset();
+    (void)fc.router->Query(request);
+    std::vector<obs::TraceEvent> events = tracer.Events();
+    testing::ExpectChildrenInsideRoots(events);
+    return testing::SpanShapes(events);
+  };
+  serving::QueryRequest request;
+  request.query = FirstTopicQuery(world);
+
+  EXPECT_EQ(shapes_of(request),
+            (Shapes{"gather<cluster_request{}",
+                    "merge_rank<cluster_request{}",
+                    "cluster_request{answered,hedges,outcome=ok,shards,"
+                    "trace}"}));
+  EXPECT_EQ(shapes_of(request),
+            (Shapes{"cluster_request{outcome=cache_hit,shards,trace}"}));
+  fc.faults[1]->set_fail(true);
+  request.bypass_cache = true;
+  EXPECT_EQ(shapes_of(request),
+            (Shapes{"gather<cluster_request{}",
+                    "merge_rank<cluster_request{}",
+                    "cluster_request{answered,hedges,outcome=degraded,"
+                    "shards,trace}"}));
+}
+#endif  // ESHARP_OBS_ENABLED
 
 // ------------------------------------------- profile stitching on faults --
 
