@@ -17,9 +17,9 @@
 // Usage: serving_load [closed_threads] [queries_per_thread] [open_qps]
 //                     [--json=PATH] [--reference] [--shards=N]
 //
-// --reference serves every request through the pre-PR-5 path (no
-// term-evidence index, serial per-term collection), for A/B runs against
-// the default fast path: diff the two JSON files with bench_diff.
+// --reference serves every request without the term-evidence index (every
+// expansion term collected live), for A/B runs against the default fast
+// path: diff the two JSON files with bench_diff.
 //
 // --shards=N routes the closed-loop workload through a ClusterRouter over
 // N in-process shard engines instead of one engine — an A/B of the
@@ -337,9 +337,8 @@ int main(int argc, char** argv) {
   serving_options.max_in_flight = 256;
   serving_options.cache.ttl_seconds = 3600;  // TTL out of the way; this
                                              // bench isolates cache effects
-  serving_options.parallel_detect = !reference;
   serving::ServingEngine engine(&manager, serving_options);
-  if (reference) std::printf("path: reference (no evidence index, serial)\n");
+  if (reference) std::printf("path: reference (no evidence index)\n");
 
   std::printf("workload: %zu distinct queries, zipf s=1.05\n",
               queries.size());

@@ -6,11 +6,12 @@
 #    or undefined behaviour (a null pointer handed to memcpy, a signed
 #    overflow) fails the test that reached it instead of scrolling past in
 #    the log.
-#  - ThreadSanitizer (-DESHARP_SANITIZE=thread) over the `serving` label:
-#    the engine, router, ingest and debug-endpoint suites whose threads
-#    share request records, caches and snapshots. ctest injects tsan.supp,
-#    and a TSan report exits the test non-zero. Only those suites' binaries
-#    are built in this tree.
+#  - ThreadSanitizer (-DESHARP_SANITIZE=thread) over the `serving` and `sql`
+#    labels: the engine, router, ingest and debug-endpoint suites whose
+#    threads share request records, caches and snapshots, and the SQL
+#    engine suites whose partition workers share pre-bound expressions and
+#    one join index. ctest injects tsan.supp, and a TSan report exits the
+#    test non-zero. Only those suites' binaries are built in this tree.
 #
 # Usage: scripts/check_sanitizers.sh [asan_build_dir] [tsan_build_dir]
 #        (defaults: build-asan, build-tsan)
@@ -34,14 +35,15 @@ export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 echo "== configure (-DESHARP_SANITIZE=thread) -> $TSAN_DIR"
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DESHARP_SANITIZE=thread
 # ctest names each test after its binary target.
-SERVING_TESTS="$(cd "$TSAN_DIR" && ctest -L serving -N |
+TSAN_LABELS='serving|sql'
+TSAN_TESTS="$(cd "$TSAN_DIR" && ctest -L "$TSAN_LABELS" -N |
   sed -n 's/^ *Test *#[0-9]*: *//p')"
 
-echo "== build (serving-labelled tests)"
+echo "== build ($TSAN_LABELS-labelled tests)"
 # shellcheck disable=SC2086  # one target per word
-cmake --build "$TSAN_DIR" -j "$(nproc)" --target $SERVING_TESTS
+cmake --build "$TSAN_DIR" -j "$(nproc)" --target $TSAN_TESTS
 
-echo "== ctest -L serving (TSan)"
-(cd "$TSAN_DIR" && ctest -L serving --output-on-failure -j "$(nproc)")
+echo "== ctest -L '$TSAN_LABELS' (TSan)"
+(cd "$TSAN_DIR" && ctest -L "$TSAN_LABELS" --output-on-failure -j "$(nproc)")
 
 echo "check_sanitizers: ASan + UBSan and TSan builds are clean"

@@ -11,10 +11,9 @@ namespace esharp::community {
 
 /// \brief Options of the per-component decomposition.
 struct ComponentCdOptions {
-  /// Run each component through the SQL engine (DetectCommunitiesSql,
-  /// honoring `sql_use_columnar`) instead of the native parallel heuristic.
+  /// Run each component through the SQL engine (DetectCommunitiesSql)
+  /// instead of the native parallel heuristic.
   bool use_sql = false;
-  bool sql_use_columnar = true;
   size_t max_iterations = 30;
   /// Forwarded to the per-component runs (the components themselves are
   /// processed serially in ascending min-vertex order, for determinism).

@@ -139,10 +139,8 @@ Result<DetectionResult> DetectCommunitiesSql(const graph::Graph& g,
     // copy-free columnar handoff instead of a row→column conversion.
     sqlns::Table graph_table = BuildGraphTable(g);
     sqlns::Table communities_table = BuildInitialCommunities(g);
-    if (options.use_columnar) {
-      (void)graph_table.EnsureColumnar();
-      (void)communities_table.EnsureColumnar();
-    }
+    ESHARP_RETURN_NOT_OK(graph_table.EnsureColumnar().status());
+    ESHARP_RETURN_NOT_OK(communities_table.EnsureColumnar().status());
     catalog.Register("graph", std::move(graph_table));
     catalog.Register("communities", std::move(communities_table));
   }
@@ -153,7 +151,6 @@ Result<DetectionResult> DetectCommunitiesSql(const graph::Graph& g,
   exec_options.join_strategy = options.join_strategy;
   exec_options.meter = options.meter;
   exec_options.stage = "Clustering";
-  exec_options.use_columnar = options.use_columnar;
   const sqlns::Executor executor(exec_options);
 
   // Counts and modularity come from the decoded assignment, with the same

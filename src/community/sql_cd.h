@@ -90,10 +90,9 @@ struct SqlCdOptions {
   ThreadPool* pool = nullptr;
   size_t num_partitions = 8;
   sql::JoinStrategy join_strategy = sql::JoinStrategy::kReplicated;
-  /// Run the engine's vectorized columnar kernels (typed column batches,
-  /// selection vectors, copy-free partitioning) on the clustering hot path.
-  /// Off = reference row kernels; results and EXPLAIN row counts are
-  /// identical either way.
+  /// Inert: nothing reads it, since the engine has one executor.
+  /// perfbench/src/rebuild.cc still assigns it from
+  /// OfflineOptions::sql_use_columnar; both fields go with that line.
   bool use_columnar = true;
   ResourceMeter* meter = nullptr;
   /// Optional tracing: each rename iteration becomes an "iteration" span

@@ -96,7 +96,6 @@ Result<OfflineArtifacts> RunOfflinePipeline(const querylog::QueryLog& log,
       cd.max_iterations = options.max_iterations;
       cd.pool = options.pool;
       cd.num_partitions = options.num_partitions;
-      cd.use_columnar = options.sql_use_columnar;
       cd.meter = options.meter;
       cd.tracer = options.tracer;
       cd.trace_parent = &cluster_span;

@@ -35,9 +35,9 @@ struct OfflineOptions {
   /// Parallelism: pool used by both stages when set.
   ThreadPool* pool = nullptr;
   size_t num_partitions = 8;
-  /// kSqlEngine backend only: run clustering on the engine's vectorized
-  /// columnar kernels (default) instead of the reference row kernels.
-  /// Results are identical; see DESIGN.md "Columnar execution".
+  /// Inert: nothing reads it, since the SQL engine has one executor.
+  /// perfbench/src/rebuild.cc still copies it into
+  /// SqlCdOptions::use_columnar; both fields go with that line.
   bool sql_use_columnar = true;
   /// Optional Table 9 accounting.
   ResourceMeter* meter = nullptr;

@@ -36,7 +36,6 @@ struct IngestOptions {
   size_t max_iterations = 30;
   ThreadPool* pool = nullptr;
   size_t num_partitions = 8;
-  bool sql_use_columnar = true;
   /// Options of the published serving generations.
   core::ESharpOptions serving;
   /// Maintain the similarity graph incrementally across publishes (the

@@ -224,7 +224,6 @@ Result<RebuildArtifacts> RebuildFromScratch(const IngestPipeline& pipeline) {
       cd.max_iterations = options.max_iterations;
       cd.pool = options.pool;
       cd.num_partitions = options.num_partitions;
-      cd.use_columnar = options.sql_use_columnar;
       ESHARP_ASSIGN_OR_RETURN(detection,
                               DetectCommunitiesSql(*out.graph, cd));
     } else {

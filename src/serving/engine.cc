@@ -452,10 +452,9 @@ Result<std::vector<expert::CandidateEvidence>> ServingEngine::DetectMerged(
       live->tokens.push_back(corpus.TokenizeNormalized(terms[i]));
     }
     live->results.resize(live_terms.size());
-    size_t helpers =
-        options_.parallel_detect && live_terms.size() > 1
-            ? std::min(live_terms.size() - 1, pool_->num_threads())
-            : 0;
+    // Fan live-term collection out across the worker pool.
+    const size_t helpers =
+        std::min(live_terms.size() - 1, pool_->num_threads());
     for (size_t h = 0; h < helpers; ++h) {
       pool_->Submit([live] { live->RunWorker(); });
     }

@@ -48,11 +48,6 @@ struct ServingOptions {
   /// Collapse concurrent identical queries into one detector execution
   /// (the followers wait for the leader's result).
   bool enable_single_flight = true;
-  /// Fan live-term collection out across the worker pool. The submitting
-  /// request always collects terms itself too (help-first), so a saturated
-  /// pool degrades to the serial path instead of deadlocking; queued
-  /// helpers that arrive late find no work left and return.
-  bool parallel_detect = true;
   /// Instrumentation seam: invoked with the cache key at the start of every
   /// uncached execution, on the executing thread. Tests use it to pin a
   /// leader in place and prove single-flight behavior; benches can inject

@@ -22,7 +22,9 @@ enum class AggKind {
   kMin,
   kMax,
   kAvg,
-  kArgMax,   // value of `output` expr at the row maximizing `order` expr
+  kArgMax,   // value of `output` expr at the row maximizing `order` expr;
+             // ties go to the smaller output value (deterministic under any
+             // partitioning)
   kArgMin,
 };
 
@@ -46,36 +48,6 @@ AggSpec MaxOf(ExprPtr arg, std::string name);
 AggSpec AvgOf(ExprPtr arg, std::string name);
 AggSpec ArgMaxOf(ExprPtr order, ExprPtr output, std::string name);
 AggSpec ArgMinOf(ExprPtr order, ExprPtr output, std::string name);
-
-/// \brief Incremental accumulator for one aggregate over one group.
-///
-/// Accumulators are mergeable, which is what makes the GROUP BY operator
-/// parallelizable with a local-aggregate + shuffle + final-merge plan — the
-/// standard map-reduce aggregation the paper relies on (§4.2.3).
-class AggAccumulator {
- public:
-  explicit AggAccumulator(AggKind kind) : kind_(kind) {}
-
-  /// Feeds one row's evaluated argument (and, for ARGMAX/ARGMIN, output).
-  void Add(const Value& arg, const Value& output);
-
-  /// Merges a partial accumulator computed on another partition.
-  void Merge(const AggAccumulator& other);
-
-  /// Final value of the aggregate.
-  Result<Value> Finish() const;
-
- private:
-  AggKind kind_;
-  int64_t count_ = 0;
-  double sum_ = 0;
-  bool sum_is_int_ = true;
-  int64_t isum_ = 0;
-  bool overflow_ = false;  // the INT64 sum overflowed; Finish fails
-  bool has_value_ = false;
-  Value best_arg_;     // MIN/MAX: extremum; ARGMAX/ARGMIN: best ordering key
-  Value best_output_;  // ARGMAX/ARGMIN: output at the extremum
-};
 
 }  // namespace esharp::sql
 

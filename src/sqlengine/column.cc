@@ -1,7 +1,6 @@
 #include "sqlengine/column.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/simd.h"
 #include "sqlengine/table.h"
@@ -32,8 +31,8 @@ Value ColumnVec::ValueAt(size_t i) const {
 }
 
 uint64_t ColumnVec::HashAt(size_t i) const {
-  // Must stay bit-identical to Value::Hash() so row and columnar execution
-  // agree on partition routing.
+  // Must stay bit-identical to Value::Hash(): partition routing is defined
+  // over Value hashes (column.h, HashKeyColumns).
   if (nulls.IsNull(i) || type == DataType::kNull) return 0x9ae16a3b2f90404fULL;
   switch (type) {
     case DataType::kBool:
@@ -48,6 +47,16 @@ uint64_t ColumnVec::HashAt(size_t i) const {
       break;
   }
   return 0;
+}
+
+void ColumnVec::PushZeroSlot() {
+  switch (type) {
+    case DataType::kBool: bools.push_back(0); break;
+    case DataType::kInt64: ints.push_back(0); break;
+    case DataType::kDouble: doubles.push_back(0.0); break;
+    case DataType::kString: str_ids.push_back(0); break;
+    case DataType::kNull: break;
+  }
 }
 
 void ColumnVec::Reserve(size_t n) {
@@ -123,10 +132,8 @@ Result<ColumnTable> ColumnTable::FromTable(const Table& t) {
       if (type == DataType::kNull) {
         type = cell;
       } else if (type != cell) {
-        return Status::NotImplemented(
-            "columnar: column '", t.schema().column(c).name,
-            "' mixes ", DataTypeToString(type), " and ",
-            DataTypeToString(cell));
+        return MixedTypeError("column '" + t.schema().column(c).name + "'",
+                              type, cell);
       }
     }
     ColumnVec& col = out.cols_[c];
@@ -180,13 +187,6 @@ std::vector<Row> ColumnTable::MaterializeRows() const {
   return rows;
 }
 
-Row ColumnTable::MaterializeRow(size_t i) const {
-  Row row;
-  row.reserve(cols_.size());
-  for (const ColumnVec& col : cols_) row.push_back(col.ValueAt(i));
-  return row;
-}
-
 uint64_t ColumnTable::SizeBytes() const {
   uint64_t total = 0;
   for (const ColumnVec& col : cols_) {
@@ -225,42 +225,38 @@ namespace {
 constexpr uint32_t kNullRow = UINT32_MAX;
 }
 
+ColumnVec GatherColumn(const ColumnVec& src, const std::vector<uint32_t>& idx) {
+  ColumnVec dst;
+  dst.type = src.type;
+  dst.dict = src.dict;
+  const size_t n = idx.size();
+  dst.null_length = n;
+  dst.Reserve(n);
+  const bool src_nulls = src.nulls.AnyNull();
+  for (size_t r = 0; r < n; ++r) {
+    const uint32_t s = idx[r];
+    const bool is_null = s == kNullRow || (src_nulls && src.nulls.IsNull(s));
+    switch (dst.type) {
+      case DataType::kBool: dst.bools.push_back(is_null ? 0 : src.bools[s]); break;
+      case DataType::kInt64: dst.ints.push_back(is_null ? 0 : src.ints[s]); break;
+      case DataType::kDouble:
+        dst.doubles.push_back(is_null ? 0.0 : src.doubles[s]);
+        break;
+      case DataType::kString:
+        dst.str_ids.push_back(is_null ? 0 : src.str_ids[s]);
+        break;
+      case DataType::kNull: break;
+    }
+    if (is_null && dst.type != DataType::kNull) dst.nulls.SetNull(r, n);
+  }
+  return dst;
+}
+
 ColumnTable ColumnTable::Gather(const std::vector<uint32_t>& idx) const {
   ColumnTable out(schema_);
-  out.cols_.resize(cols_.size());
   out.num_rows_ = idx.size();
-  const size_t n = idx.size();
-  for (size_t c = 0; c < cols_.size(); ++c) {
-    const ColumnVec& src = cols_[c];
-    ColumnVec& dst = out.cols_[c];
-    dst.type = src.type;
-    dst.dict = src.dict;
-    dst.null_length = n;
-    dst.Reserve(n);
-    const bool src_nulls = src.nulls.AnyNull();
-    for (size_t r = 0; r < n; ++r) {
-      const uint32_t s = idx[r];
-      const bool is_null =
-          s == kNullRow || (src_nulls && src.nulls.IsNull(s));
-      switch (dst.type) {
-        case DataType::kBool:
-          dst.bools.push_back(is_null ? 0 : src.bools[s]);
-          break;
-        case DataType::kInt64:
-          dst.ints.push_back(is_null ? 0 : src.ints[s]);
-          break;
-        case DataType::kDouble:
-          dst.doubles.push_back(is_null ? 0.0 : src.doubles[s]);
-          break;
-        case DataType::kString:
-          dst.str_ids.push_back(is_null ? 0 : src.str_ids[s]);
-          break;
-        case DataType::kNull:
-          break;
-      }
-      if (is_null && dst.type != DataType::kNull) dst.nulls.SetNull(r, n);
-    }
-  }
+  out.cols_.reserve(cols_.size());
+  for (const ColumnVec& src : cols_) out.cols_.push_back(GatherColumn(src, idx));
   return out;
 }
 
@@ -306,7 +302,7 @@ ColumnTable ColumnTable::Slice(size_t begin, size_t count) const {
 void HashKeyColumns(const ColumnTable& t, const std::vector<size_t>& key_idx,
                     std::vector<uint64_t>* hashes) {
   const size_t n = t.num_rows();
-  hashes->assign(n, 0x87c37b91114253d5ULL);  // HashRowKeys seed
+  hashes->assign(n, 0x87c37b91114253d5ULL);  // routing seed (column.h)
   uint64_t* h = hashes->data();
   // Numeric key columns stage canonical f64 bits and fold them in with the
   // batched SIMD Mix64+combine kernel (bit-identical to the scalar chain,
@@ -345,20 +341,10 @@ void HashKeyColumns(const ColumnTable& t, const std::vector<size_t>& key_idx,
   }
 }
 
-namespace {
-
-// Appends an index-aligned zero payload slot for a null cell.
-void PushZeroSlot(ColumnVec* col) {
-  switch (col->type) {
-    case DataType::kBool: col->bools.push_back(0); break;
-    case DataType::kInt64: col->ints.push_back(0); break;
-    case DataType::kDouble: col->doubles.push_back(0.0); break;
-    case DataType::kString: col->str_ids.push_back(0); break;
-    case DataType::kNull: break;
-  }
+Status MixedTypeError(std::string_view what, DataType a, DataType b) {
+  return Status::InvalidArgument(what, " mixes ", DataTypeToString(a),
+                                 " and ", DataTypeToString(b));
 }
-
-}  // namespace
 
 Status ColumnBuilder::Append(const Value& v) {
   const size_t i = rows_++;
@@ -366,7 +352,7 @@ Status ColumnBuilder::Append(const Value& v) {
     if (col_.type == DataType::kNull) {
       ++col_.null_length;
     } else {
-      PushZeroSlot(&col_);
+      col_.PushZeroSlot();
       col_.nulls.SetNull(i, expected_rows_);
     }
     return Status::OK();
@@ -384,13 +370,11 @@ Status ColumnBuilder::Append(const Value& v) {
       col_.dict = dict_;
     }
     for (size_t r = 0; r < prior; ++r) {
-      PushZeroSlot(&col_);
+      col_.PushZeroSlot();
       col_.nulls.SetNull(r, expected_rows_);
     }
   } else if (col_.type != vt) {
-    return Status::NotImplemented("columnar: value stream mixes ",
-                                  DataTypeToString(col_.type), " and ",
-                                  DataTypeToString(vt));
+    return MixedTypeError(what_, col_.type, vt);
   }
   switch (vt) {
     case DataType::kBool: col_.bools.push_back(v.bool_value() ? 1 : 0); break;
@@ -409,30 +393,13 @@ ColumnVec ColumnBuilder::Finish() {
   return std::move(col_);
 }
 
-bool ColumnTablesEqualAsMultisets(const ColumnTable& a, const ColumnTable& b) {
-  if (a.num_rows() != b.num_rows()) return false;
-  if (a.num_columns() != b.num_columns()) return false;
-  const size_t n = a.num_rows();
-  const size_t width = a.num_columns();
-  auto sorted_perm = [width](const ColumnTable& t) {
-    std::vector<uint32_t> perm(t.num_rows());
-    std::iota(perm.begin(), perm.end(), 0);
-    std::sort(perm.begin(), perm.end(), [&](uint32_t x, uint32_t y) {
-      for (size_t c = 0; c < width; ++c) {
-        int cmp = CompareCells(t.col(c), x, t.col(c), y);
-        if (cmp != 0) return cmp < 0;
-      }
-      return false;
-    });
-    return perm;
-  };
-  std::vector<uint32_t> pa = sorted_perm(a), pb = sorted_perm(b);
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t c = 0; c < width; ++c) {
-      if (CompareCells(a.col(c), pa[r], b.col(c), pb[r]) != 0) return false;
-    }
-  }
-  return true;
+std::vector<uint32_t> SelectedRows(const std::vector<uint8_t>& flags) {
+  // +7: the SIMD compress-store emulation clobbers up to 7 slots past the
+  // returned count.
+  const size_t n = flags.size();
+  std::vector<uint32_t> idx(n + 7);
+  idx.resize(n == 0 ? 0 : simd::CompactSelection(flags.data(), n, idx.data()));
+  return idx;
 }
 
 }  // namespace esharp::sql

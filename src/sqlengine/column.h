@@ -136,18 +136,27 @@ struct ColumnVec {
 
   /// Reserves payload capacity for `n` rows of this column's type.
   void Reserve(size_t n);
+
+  /// Appends the zero payload slot a NULL cell keeps so the payload vector
+  /// stays index-aligned (the caller sets the null bit).
+  void PushZeroSlot();
 };
 
+/// \brief The cells of `src` at rows `idx`, in order; an index of
+/// UINT32_MAX emits NULL (left-outer join padding). The dictionary is
+/// shared, not copied.
+ColumnVec GatherColumn(const ColumnVec& src, const std::vector<uint32_t>& idx);
+
 /// \brief Builds one typed ColumnVec from a stream of row-store Values — the
-/// bridge used by expression fallback paths and UDF results. The first
-/// non-null value fixes the column type; a later non-null value of a
-/// different type yields kNotImplemented (no single-typed representation),
-/// which callers treat as "use the row kernels".
+/// bridge used by UDF results and aggregate outputs. The first non-null
+/// value fixes the column type; a later non-null value of a different type
+/// is InvalidArgument naming `what` (a column has one type).
 class ColumnBuilder {
  public:
-  explicit ColumnBuilder(size_t expected_rows = 0) {
-    expected_rows_ = expected_rows;
-  }
+  /// `what` names the column or function in the mixed-type error, e.g.
+  /// "UDF least".
+  explicit ColumnBuilder(std::string what, size_t expected_rows = 0)
+      : what_(std::move(what)), expected_rows_(expected_rows) {}
 
   Status Append(const Value& v);
 
@@ -155,11 +164,16 @@ class ColumnBuilder {
   ColumnVec Finish();
 
  private:
+  std::string what_;
   ColumnVec col_;
   std::shared_ptr<StringDict> dict_;  // mutable while building
   size_t rows_ = 0;
   size_t expected_rows_ = 0;
 };
+
+/// \brief The error for a column whose non-null cells mix two types:
+/// InvalidArgument "<what> mixes <a> and <b>".
+Status MixedTypeError(std::string_view what, DataType a, DataType b);
 
 /// \brief Three-way comparison of two cells with exactly Value::Compare
 /// semantics (NULL < BOOL < numeric family < STRING; int/double compare
@@ -170,12 +184,12 @@ int CompareCells(const ColumnVec& a, size_t i, const ColumnVec& b, size_t j);
 /// \brief Column-store relation: a Schema plus one typed ColumnVec per
 /// schema column, all of equal length.
 ///
-/// This is the execution format of the vectorized kernels in columnar.h.
-/// Tables convert losslessly to/from the row store (Table::EnsureColumnar /
-/// ToTable) with one caveat: a row-store column whose non-null cells mix
-/// types (legal in the dynamically-typed row store, never produced by the
-/// clustering pipeline) has no columnar equivalent — FromTable returns
-/// kNotImplemented and the caller falls back to the row kernels.
+/// This is the execution format of every operator (columnar.h). Tables
+/// convert losslessly to/from the row store (Table::EnsureColumnar /
+/// MaterializeRows) with one rule: a row-store column whose non-null cells
+/// mix types (legal to build in the dynamically-typed row store, never
+/// produced by the clustering pipeline) has no columnar form, and
+/// FromTable returns InvalidArgument naming the column.
 class ColumnTable {
  public:
   ColumnTable() = default;
@@ -195,17 +209,15 @@ class ColumnTable {
     cols_.push_back(std::move(c));
   }
 
-  /// Lossless conversion from the row store; kNotImplemented for mixed-type
+  /// Lossless conversion from the row store; InvalidArgument for mixed-type
   /// columns (see class comment).
   static Result<ColumnTable> FromTable(const Table& t);
 
   /// Materializes the row-store representation.
   std::vector<Row> MaterializeRows() const;
-  Row MaterializeRow(size_t i) const;
 
   /// Approximate logical footprint using the row-store per-cell accounting
-  /// (Value::SizeBytes), so ResourceMeter IO totals stay comparable across
-  /// the two execution paths.
+  /// (Value::SizeBytes), so ResourceMeter IO totals match Table::SizeBytes.
   uint64_t SizeBytes() const;
 
   /// New table with the rows selected by `idx`, in order. An index of
@@ -222,22 +234,15 @@ class ColumnTable {
   size_t num_rows_ = 0;
 };
 
-/// \brief Per-row combined hash of the selected columns, identical to
-/// HashRowKeys over the materialized rows — row and columnar execution
-/// therefore route every row to the same hash partition.
+/// \brief Per-row combined hash of the selected columns: starting from a
+/// fixed seed, HashCombine(h, Value::Hash()) of each key cell in order.
+/// Hash partitioning routes row i to hashes[i] % num_partitions.
 void HashKeyColumns(const ColumnTable& t, const std::vector<size_t>& key_idx,
                     std::vector<uint64_t>* hashes);
 
-/// \brief Exact multiset equality of two relations (same rows up to order),
-/// comparing columns directly — the columnar replacement for
-/// sort-rows-and-compare convergence checks.
-bool ColumnTablesEqualAsMultisets(const ColumnTable& a, const ColumnTable& b);
-
-/// \brief True iff `s` is the "no columnar equivalent, use the row kernels"
-/// signal (as opposed to a genuine execution error that must propagate).
-inline bool IsColumnarUnsupported(const Status& s) {
-  return s.IsNotImplemented();
-}
+/// \brief Indexes of the non-zero bytes of `flags`, ascending: the
+/// selection vector a BOOL column turns into (SIMD compaction).
+std::vector<uint32_t> SelectedRows(const std::vector<uint8_t>& flags);
 
 }  // namespace esharp::sql
 

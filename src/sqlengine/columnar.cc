@@ -12,45 +12,6 @@ namespace {
 
 constexpr uint32_t kNullRow = UINT32_MAX;
 
-// Appends an index-aligned zero payload slot for a null cell.
-void PushZeroSlot(ColumnVec* col) {
-  switch (col->type) {
-    case DataType::kBool: col->bools.push_back(0); break;
-    case DataType::kInt64: col->ints.push_back(0); break;
-    case DataType::kDouble: col->doubles.push_back(0.0); break;
-    case DataType::kString: col->str_ids.push_back(0); break;
-    case DataType::kNull: break;
-  }
-}
-
-// Gathers one column by row index (kNullRow emits NULL), sharing the dict.
-ColumnVec GatherColumn(const ColumnVec& src, const std::vector<uint32_t>& idx) {
-  ColumnVec dst;
-  dst.type = src.type;
-  dst.dict = src.dict;
-  const size_t n = idx.size();
-  dst.null_length = n;
-  dst.Reserve(n);
-  const bool src_nulls = src.nulls.AnyNull();
-  for (size_t r = 0; r < n; ++r) {
-    const uint32_t s = idx[r];
-    const bool is_null = s == kNullRow || (src_nulls && src.nulls.IsNull(s));
-    switch (dst.type) {
-      case DataType::kBool: dst.bools.push_back(is_null ? 0 : src.bools[s]); break;
-      case DataType::kInt64: dst.ints.push_back(is_null ? 0 : src.ints[s]); break;
-      case DataType::kDouble:
-        dst.doubles.push_back(is_null ? 0.0 : src.doubles[s]);
-        break;
-      case DataType::kString:
-        dst.str_ids.push_back(is_null ? 0 : src.str_ids[s]);
-        break;
-      case DataType::kNull: break;
-    }
-    if (is_null && dst.type != DataType::kNull) dst.nulls.SetNull(r, n);
-  }
-  return dst;
-}
-
 size_t NextPow2(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
@@ -58,6 +19,17 @@ size_t NextPow2(size_t n) {
 }
 
 }  // namespace
+
+Result<std::vector<size_t>> ResolveKeyIndexes(
+    const Schema& schema, const std::vector<std::string>& keys) {
+  std::vector<size_t> out;
+  out.reserve(keys.size());
+  for (const std::string& k : keys) {
+    ESHARP_ASSIGN_OR_RETURN(size_t idx, schema.Resolve(k));
+    out.push_back(idx);
+  }
+  return out;
+}
 
 Result<ColumnTable> ColumnarFilter(const ColumnTable& t, const ExprPtr& pred) {
   ESHARP_RETURN_NOT_OK(pred->Bind(t.schema()));
@@ -69,13 +41,8 @@ Result<ColumnTable> ColumnarFilter(const ColumnTable& t, const ExprPtr& pred) {
   }
   // Selection-vector compaction: the BOOL column is already a byte-per-row
   // flag array, so the movemask-based SIMD kernel turns it into packed row
-  // indices without the per-row branch. +7: the kernel's compress-store
-  // emulation clobbers up to 7 slots past the returned count.
-  std::vector<uint32_t> idx(n + 7);
-  const size_t k = n == 0 ? 0 : simd::CompactSelection(sel.bools.data(), n,
-                                                       idx.data());
-  idx.resize(k);
-  return t.Gather(idx);
+  // indices without the per-row branch.
+  return t.Gather(SelectedRows(sel.bools));
 }
 
 Result<ColumnTable> ColumnarProject(const ColumnTable& t,
@@ -86,7 +53,7 @@ Result<ColumnTable> ColumnarProject(const ColumnTable& t,
   Schema schema;
   ColumnTable out;
   if (t.num_rows() == 0) {
-    // The row kernel infers kNull types on empty input; match its schema.
+    // Nothing to evaluate: every output column is typed kNull.
     for (const ProjectedColumn& c : cols) {
       schema.AddColumn({c.name, DataType::kNull});
       out.AddColumn(ColumnVec{});
@@ -115,7 +82,9 @@ Result<ColumnarJoinIndex> ColumnarJoinIndex::Build(
   const size_t buckets = NextPow2(std::max<size_t>(1, n * 2));
   index.heads.assign(buckets, kEmpty);
   index.next.assign(n, kEmpty);
-  for (size_t i = 0; i < n; ++i) {
+  // Chains are built back to front so a probe walks its matches in
+  // build-side row order.
+  for (size_t i = n; i-- > 0;) {
     const size_t b = index.hashes[i] & (buckets - 1);
     index.next[i] = index.heads[b];
     index.heads[b] = static_cast<uint32_t>(i);
@@ -191,9 +160,8 @@ Result<ColumnTable> ColumnarHashJoin(const ColumnTable& left,
 
 namespace {
 
-// Per-group accumulator state mirroring AggAccumulator's fields; typed
-// column loops below reproduce its Add() semantics exactly (including the
-// int-until-double SUM promotion and ARGMAX/ARGMIN tie-breaks).
+// Per-group accumulator state. SUM stays INT64 while every input is; the
+// first non-INT64 input moves it to double.
 struct GroupAggState {
   int64_t count = 0;
   double sum = 0;
@@ -260,8 +228,8 @@ Result<ColumnTable> ColumnarHashAggregate(const ColumnTable& t,
   }
   const size_t num_groups = rep.size();
 
-  // Output schema: key columns typed from the input schema (by exact name,
-  // like the row kernel), aggregate columns refined from their values.
+  // Output schema: key columns typed from the input schema (by exact name),
+  // aggregate columns refined from their values.
   Schema out_schema;
   for (size_t i = 0; i < group_keys.size(); ++i) {
     ESHARP_ASSIGN_OR_RETURN(size_t idx, t.schema().IndexOf(group_keys[i]));
@@ -289,7 +257,7 @@ Result<ColumnTable> ColumnarHashAggregate(const ColumnTable& t,
       switch (a.kind) {
         case AggKind::kCount:
           if (!have_arg) {
-            // COUNT(*): every row counts (the row kernel feeds Bool(true)).
+            // COUNT(*): every row counts.
             for (size_t i = 0; i < n; ++i) ++st[gid[i]].count;
           } else {
             for (size_t i = 0; i < n; ++i) {
@@ -341,8 +309,8 @@ Result<ColumnTable> ColumnarHashAggregate(const ColumnTable& t,
               }
               break;
             case DataType::kString:
-              // Matches AggAccumulator: the count advances, the failed
-              // coercion contributes nothing, and the sum goes double.
+              // A STRING cannot be added: the count advances, the cell
+              // contributes nothing, and the sum goes double.
               for (size_t i = 0; i < n; ++i) {
                 if (CellIsNull(argcol, i)) continue;
                 GroupAggState& s = st[gid[i]];
@@ -398,7 +366,7 @@ Result<ColumnTable> ColumnarHashAggregate(const ColumnTable& t,
       }
     }
 
-    ColumnBuilder builder(num_groups);
+    ColumnBuilder builder("aggregate '" + a.name + "'", num_groups);
     for (size_t g = 0; g < num_groups; ++g) {
       const GroupAggState& s = st[g];
       Value v;
@@ -448,7 +416,7 @@ Result<std::vector<ColumnTable>> ColumnarHashPartition(
   std::vector<uint64_t> hashes;
   HashKeyColumns(t, kidx, &hashes);
   // Selection vectors per partition, then one gather each: rows route to
-  // h % p exactly like the row-store HashPartition.
+  // h % p.
   std::vector<std::vector<uint32_t>> sel(num_partitions);
   const size_t n = t.num_rows();
   for (size_t i = 0; i < n; ++i) {
@@ -465,7 +433,8 @@ Result<std::vector<ColumnTable>> ColumnarHashPartition(
 std::vector<ColumnTable> ColumnarRoundRobinPartition(const ColumnTable& t,
                                                      size_t num_partitions) {
   num_partitions = std::max<size_t>(1, num_partitions);
-  // Same contiguous chunking as the row-store RoundRobinPartition.
+  // Contiguous chunks keep input order within a chunk, so concatenating the
+  // per-chunk results in partition order is deterministic.
   const size_t n = t.num_rows();
   const size_t per = (n + num_partitions - 1) / num_partitions;
   std::vector<ColumnTable> parts;
@@ -482,7 +451,7 @@ Result<ColumnTable> ColumnarConcat(const std::vector<ColumnTable>& parts) {
     return Status::InvalidArgument("no partitions to concat");
   }
   // Empty partitions carry kNull inferred types; a non-empty partition's
-  // schema is canonical (mirrors the row-store wrappers).
+  // schema is canonical.
   size_t canonical = 0;
   size_t total = 0;
   for (size_t i = 0; i < parts.size(); ++i) {
@@ -499,7 +468,7 @@ Result<ColumnTable> ColumnarConcat(const std::vector<ColumnTable>& parts) {
   ColumnTable out(parts[canonical].schema());
   for (size_t c = 0; c < width; ++c) {
     // Resolve the output type: first non-kNull column type among non-empty
-    // parts; two distinct concrete types have no columnar concatenation.
+    // parts; two distinct concrete types make a mixed-type column.
     DataType type = DataType::kNull;
     for (const ColumnTable& p : parts) {
       if (p.num_rows() == 0) continue;
@@ -508,9 +477,9 @@ Result<ColumnTable> ColumnarConcat(const std::vector<ColumnTable>& parts) {
       if (type == DataType::kNull) {
         type = pt;
       } else if (type != pt) {
-        return Status::NotImplemented(
-            "columnar: concat mixes ", DataTypeToString(type), " and ",
-            DataTypeToString(pt), " in column ", c);
+        return MixedTypeError(
+            "column '" + parts[canonical].schema().column(c).name + "'", type,
+            pt);
       }
     }
 
@@ -551,7 +520,7 @@ Result<ColumnTable> ColumnarConcat(const std::vector<ColumnTable>& parts) {
       if (src.type == DataType::kNull && type != DataType::kNull) {
         // All-null contribution into a typed column.
         for (size_t r = 0; r < pn; ++r) {
-          PushZeroSlot(&dst);
+          dst.PushZeroSlot();
           dst.nulls.SetNull(offset + r, total);
         }
         offset += pn;
@@ -597,6 +566,70 @@ Result<ColumnTable> ColumnarConcat(const std::vector<ColumnTable>& parts) {
     out.AddColumn(std::move(dst));
   }
   out.set_num_rows(total);
+  return out;
+}
+
+ColumnTable ColumnarDistinct(const ColumnTable& t) {
+  const size_t n = t.num_rows();
+  std::vector<size_t> all(t.num_columns());
+  for (size_t c = 0; c < all.size(); ++c) all[c] = c;
+  std::vector<uint64_t> hashes;
+  HashKeyColumns(t, all, &hashes);
+  // First occurrences, in input order; equal rows share a hash bucket.
+  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
+  buckets.reserve(n * 2);
+  std::vector<uint32_t> keep;
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<uint32_t>& cand = buckets[hashes[i]];
+    bool seen = false;
+    for (uint32_t j : cand) {
+      seen = true;
+      for (size_t c : all) {
+        if (CompareCells(t.col(c), i, t.col(c), j) != 0) {
+          seen = false;
+          break;
+        }
+      }
+      if (seen) break;
+    }
+    if (!seen) {
+      cand.push_back(static_cast<uint32_t>(i));
+      keep.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  return t.Gather(keep);
+}
+
+Result<ColumnTable> ColumnarSort(const ColumnTable& t,
+                                 const std::vector<std::string>& keys,
+                                 const std::vector<bool>& ascending) {
+  ESHARP_ASSIGN_OR_RETURN(std::vector<size_t> kidx,
+                          ResolveKeyIndexes(t.schema(), keys));
+  std::vector<uint32_t> order(t.num_rows());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<uint32_t>(i);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    for (size_t k = 0; k < kidx.size(); ++k) {
+      const ColumnVec& col = t.col(kidx[k]);
+      const int c = CompareCells(col, a, col, b);
+      if (c != 0) return k >= ascending.size() || ascending[k] ? c < 0 : c > 0;
+    }
+    return false;
+  });
+  return t.Gather(order);
+}
+
+ColumnTable ColumnarLimit(const ColumnTable& t, size_t n) {
+  return t.Slice(0, n);
+}
+
+Result<ColumnTable> ColumnarUnionAll(const ColumnTable& a,
+                                     const ColumnTable& b) {
+  if (a.num_columns() != b.num_columns()) {
+    return Status::InvalidArgument("UNION ALL arity mismatch: ",
+                                   a.num_columns(), " vs ", b.num_columns());
+  }
+  ESHARP_ASSIGN_OR_RETURN(ColumnTable out, ColumnarConcat({a, b}));
+  out.mutable_schema() = a.schema();
   return out;
 }
 

@@ -10,13 +10,14 @@ namespace esharp::sql {
 
 /// \brief Per-operator execution profile: one node per plan operator,
 /// mirroring the plan tree shape. Filled in by
-/// `Executor::Execute(plan, catalog, &stats)`; serial kernels account via
-/// the executor, parallel kernels (parallel.cc) account exact row counts
-/// and partition batches themselves through `ExecContext::stats`.
+/// `Executor::Execute(plan, catalog, &stats)`; single-batch operators
+/// account via the executor, the partitioned operators (parallel.cc) account
+/// exact row counts and partition batches themselves through
+/// `ExecContext::stats`.
 ///
 /// Row counts are exact (measured on materialized inputs/outputs on the
 /// coordinating thread), `batches` is the number of partitions the
-/// operator actually processed (1 for serial execution), and `wall_ms` is
+/// operator actually processed (1 without a pool), and `wall_ms` is
 /// inclusive wall time (operator plus its inputs), like the "actual time"
 /// of a Postgres EXPLAIN ANALYZE.
 ///

@@ -6,8 +6,7 @@ namespace esharp::sql {
 
 namespace {
 
-/// The error of the INT64 `+`, `-` and `*` kernels on signed overflow, the
-/// same on the row and the columnar path.
+/// The error of the INT64 `+`, `-` and `*` kernels on signed overflow.
 Status Int64Overflow(Expr::BinaryOp op) {
   const char* symbol = op == Expr::BinaryOp::kAdd   ? "+"
                        : op == Expr::BinaryOp::kSub ? "-"
@@ -15,29 +14,25 @@ Status Int64Overflow(Expr::BinaryOp op) {
   return Status::InvalidArgument("INT64 overflow in ", symbol);
 }
 
+/// A column reference: by exact name, or with `flexible` by SQL name
+/// resolution (Schema::Resolve).
 class ColumnExpr final : public Expr {
  public:
-  explicit ColumnExpr(std::string name)
-      : Expr(Kind::kColumn), name_(std::move(name)) {}
+  ColumnExpr(std::string name, bool flexible)
+      : Expr(Kind::kColumn), name_(std::move(name)), flexible_(flexible) {}
 
   Status Bind(const Schema& schema) const override {
     // Idempotent for a given schema, so pre-bound expressions can be shared
-    // by parallel partition workers without rebinding races.
+    // by parallel partition workers without rebinding races. The binding
+    // changes only once resolution succeeds, so a failed bind cannot leave
+    // a stale index behind for the next call.
     uint64_t fp = Fnv1a64(schema.ToString());
     if (bound_ && fp == schema_fp_) return Status::OK();
-    ESHARP_ASSIGN_OR_RETURN(index_, schema.IndexOf(name_));
+    ESHARP_ASSIGN_OR_RETURN(
+        index_, flexible_ ? schema.Resolve(name_) : schema.IndexOf(name_));
     schema_fp_ = fp;
     bound_ = true;
     return Status::OK();
-  }
-
-  Result<Value> Eval(const Row& row) const override {
-    if (!bound_) return Status::FailedPrecondition("column '", name_, "' not bound");
-    if (index_ >= row.size()) {
-      return Status::Internal("bound index ", index_, " out of row arity ",
-                              row.size());
-    }
-    return row[index_];
   }
 
   Result<ColumnVec> EvalColumn(const ColumnTable& table) const override {
@@ -55,73 +50,7 @@ class ColumnExpr final : public Expr {
 
  private:
   std::string name_;
-  mutable size_t index_ = 0;
-  mutable uint64_t schema_fp_ = 0;
-  mutable bool bound_ = false;
-};
-
-class FlexibleColumnExpr final : public Expr {
- public:
-  explicit FlexibleColumnExpr(std::string name)
-      : Expr(Kind::kColumn), name_(std::move(name)) {}
-
-  Status Bind(const Schema& schema) const override {
-    uint64_t fp = Fnv1a64(schema.ToString());
-    if (bound_ && fp == schema_fp_) return Status::OK();
-    schema_fp_ = fp;
-    // Exact match wins.
-    if (schema.Contains(name_)) {
-      ESHARP_ASSIGN_OR_RETURN(index_, schema.IndexOf(name_));
-      bound_ = true;
-      return Status::OK();
-    }
-    // Otherwise a unique ".name" suffix (bare reference to aliased column).
-    std::string suffix = "." + name_;
-    size_t found = SIZE_MAX;
-    for (size_t i = 0; i < schema.num_columns(); ++i) {
-      const std::string& col = schema.column(i).name;
-      if (col.size() > suffix.size() &&
-          col.compare(col.size() - suffix.size(), suffix.size(), suffix) ==
-              0) {
-        if (found != SIZE_MAX) {
-          return Status::InvalidArgument("ambiguous column reference '",
-                                         name_, "' in schema [",
-                                         schema.ToString(), "]");
-        }
-        found = i;
-      }
-    }
-    if (found == SIZE_MAX) {
-      return Status::NotFound("no column matching '", name_, "' in schema [",
-                              schema.ToString(), "]");
-    }
-    index_ = found;
-    bound_ = true;
-    return Status::OK();
-  }
-
-  Result<Value> Eval(const Row& row) const override {
-    if (!bound_) {
-      return Status::FailedPrecondition("column '", name_, "' not bound");
-    }
-    return row[index_];
-  }
-
-  Result<ColumnVec> EvalColumn(const ColumnTable& table) const override {
-    if (!bound_) {
-      return Status::FailedPrecondition("column '", name_, "' not bound");
-    }
-    if (index_ >= table.num_columns()) {
-      return Status::Internal("bound index ", index_, " out of row arity ",
-                              table.num_columns());
-    }
-    return table.col(index_);
-  }
-
-  std::string ToString() const override { return name_; }
-
- private:
-  std::string name_;
+  bool flexible_;
   mutable size_t index_ = 0;
   mutable uint64_t schema_fp_ = 0;
   mutable bool bound_ = false;
@@ -132,7 +61,6 @@ class LiteralExpr final : public Expr {
   explicit LiteralExpr(Value v) : Expr(Kind::kLiteral), value_(std::move(v)) {}
 
   Status Bind(const Schema&) const override { return Status::OK(); }
-  Result<Value> Eval(const Row&) const override { return value_; }
 
   Result<ColumnVec> EvalColumn(const ColumnTable& table) const override {
     // Broadcast the constant across the batch.
@@ -180,95 +108,13 @@ class BinaryExprNode final : public Expr {
     return right_->Bind(schema);
   }
 
-  Result<Value> Eval(const Row& row) const override {
-    // Short-circuit boolean connectives.
-    if (op_ == BinaryOp::kAnd || op_ == BinaryOp::kOr) {
-      ESHARP_ASSIGN_OR_RETURN(Value lv, left_->Eval(row));
-      if (lv.type() != DataType::kBool) {
-        return Status::InvalidArgument("AND/OR operand is not BOOL: ",
-                                       lv.ToString());
-      }
-      if (op_ == BinaryOp::kAnd && !lv.bool_value()) return Value::Bool(false);
-      if (op_ == BinaryOp::kOr && lv.bool_value()) return Value::Bool(true);
-      ESHARP_ASSIGN_OR_RETURN(Value rv, right_->Eval(row));
-      if (rv.type() != DataType::kBool) {
-        return Status::InvalidArgument("AND/OR operand is not BOOL: ",
-                                       rv.ToString());
-      }
-      return rv;
-    }
-
-    ESHARP_ASSIGN_OR_RETURN(Value lv, left_->Eval(row));
-    ESHARP_ASSIGN_OR_RETURN(Value rv, right_->Eval(row));
-
-    switch (op_) {
-      case BinaryOp::kEq: return Value::Bool(lv.Compare(rv) == 0);
-      case BinaryOp::kNe: return Value::Bool(lv.Compare(rv) != 0);
-      case BinaryOp::kLt: return Value::Bool(lv.Compare(rv) < 0);
-      case BinaryOp::kLe: return Value::Bool(lv.Compare(rv) <= 0);
-      case BinaryOp::kGt: return Value::Bool(lv.Compare(rv) > 0);
-      case BinaryOp::kGe: return Value::Bool(lv.Compare(rv) >= 0);
-      default: break;
-    }
-
-    // Arithmetic: exact on int64 pairs (except division), double otherwise.
-    if (lv.type() == DataType::kInt64 && rv.type() == DataType::kInt64 &&
-        op_ != BinaryOp::kDiv) {
-      int64_t a = lv.int_value(), b = rv.int_value(), out = 0;
-      bool overflow = false;
-      switch (op_) {
-        case BinaryOp::kAdd: overflow = __builtin_add_overflow(a, b, &out); break;
-        case BinaryOp::kSub: overflow = __builtin_sub_overflow(a, b, &out); break;
-        case BinaryOp::kMul: overflow = __builtin_mul_overflow(a, b, &out); break;
-        default: break;
-      }
-      if (overflow) return Int64Overflow(op_);
-      return Value::Int(out);
-    }
-    ESHARP_ASSIGN_OR_RETURN(double a, lv.AsDouble());
-    ESHARP_ASSIGN_OR_RETURN(double b, rv.AsDouble());
-    switch (op_) {
-      case BinaryOp::kAdd: return Value::Double(a + b);
-      case BinaryOp::kSub: return Value::Double(a - b);
-      case BinaryOp::kMul: return Value::Double(a * b);
-      case BinaryOp::kDiv:
-        if (b == 0.0) return Status::InvalidArgument("division by zero");
-        return Value::Double(a / b);
-      default:
-        return Status::Internal("unhandled binary op");
-    }
-  }
-
   Result<ColumnVec> EvalColumn(const ColumnTable& table) const override {
     ESHARP_ASSIGN_OR_RETURN(ColumnVec l, left_->EvalColumn(table));
+    if (op_ == BinaryOp::kAnd || op_ == BinaryOp::kOr) {
+      return EvalConnective(table, std::move(l));
+    }
     ESHARP_ASSIGN_OR_RETURN(ColumnVec r, right_->EvalColumn(table));
     const size_t n = table.num_rows();
-
-    if (op_ == BinaryOp::kAnd || op_ == BinaryOp::kOr) {
-      // Both operand columns are evaluated in full (no short-circuit; see
-      // the header note) and must be all-BOOL, matching the row path's
-      // per-value type check.
-      for (const ColumnVec* side : {&l, &r}) {
-        if (n == 0) break;
-        if (side->type != DataType::kBool || side->nulls.AnyNull()) {
-          size_t bad = 0;
-          if (side->type == DataType::kBool) {
-            while (bad < n && !side->nulls.IsNull(bad)) ++bad;
-          }
-          return Status::InvalidArgument("AND/OR operand is not BOOL: ",
-                                         side->ValueAt(bad).ToString());
-        }
-      }
-      ColumnVec out;
-      out.type = DataType::kBool;
-      out.bools.resize(n);
-      if (op_ == BinaryOp::kAnd) {
-        for (size_t i = 0; i < n; ++i) out.bools[i] = l.bools[i] & r.bools[i];
-      } else {
-        for (size_t i = 0; i < n; ++i) out.bools[i] = l.bools[i] | r.bools[i];
-      }
-      return out;
-    }
 
     switch (op_) {
       case BinaryOp::kEq:
@@ -323,8 +169,7 @@ class BinaryExprNode final : public Expr {
         break;
     }
 
-    // Arithmetic. Coercion failures mirror the row path's evaluation order:
-    // the left operand's error is what row 0 would have produced.
+    // Arithmetic. Coercion failures check the left operand first.
     if (n == 0) {
       ColumnVec out;
       out.type = (l.type == DataType::kInt64 && r.type == DataType::kInt64 &&
@@ -407,6 +252,48 @@ class BinaryExprNode final : public Expr {
     return out;
   }
 
+  // AND/OR. The left operand decides its false (AND) or true (OR) rows; the
+  // right operand runs only over the undecided rest, gathered into a
+  // sub-table with the filter's selection, and its answers are scattered
+  // back. Errors and the BOOL check therefore come only from rows the
+  // connective needs, as with per-row short-circuiting.
+  Result<ColumnVec> EvalConnective(const ColumnTable& table,
+                                   ColumnVec l) const {
+    const size_t n = table.num_rows();
+    if (n == 0) {
+      ColumnVec out;
+      out.type = DataType::kBool;
+      return out;
+    }
+    ESHARP_RETURN_NOT_OK(CheckBoolOperand(l, n));
+    const bool undecided = op_ == BinaryOp::kAnd;
+    std::vector<uint8_t> flags(n);
+    for (size_t i = 0; i < n; ++i) flags[i] = (l.bools[i] != 0) == undecided;
+    const std::vector<uint32_t> rows = SelectedRows(flags);
+    if (rows.empty()) return l;
+    ColumnVec r;
+    if (rows.size() == n) {
+      ESHARP_ASSIGN_OR_RETURN(r, right_->EvalColumn(table));
+    } else {
+      ESHARP_ASSIGN_OR_RETURN(r, right_->EvalColumn(table.Gather(rows)));
+    }
+    ESHARP_RETURN_NOT_OK(CheckBoolOperand(r, rows.size()));
+    for (size_t k = 0; k < rows.size(); ++k) l.bools[rows[k]] = r.bools[k];
+    return l;
+  }
+
+  static Status CheckBoolOperand(const ColumnVec& side, size_t n) {
+    if (side.type == DataType::kBool && !side.nulls.AnyNull()) {
+      return Status::OK();
+    }
+    size_t bad = 0;
+    if (side.type == DataType::kBool) {
+      while (bad < n && !side.nulls.IsNull(bad)) ++bad;
+    }
+    return Status::InvalidArgument("AND/OR operand is not BOOL: ",
+                                   side.ValueAt(bad).ToString());
+  }
+
   std::string ToString() const override {
     static const char* names[] = {"+", "-", "*", "/", "=", "!=", "<", "<=",
                                   ">", ">=", "AND", "OR"};
@@ -426,29 +313,6 @@ class UnaryExprNode final : public Expr {
 
   Status Bind(const Schema& schema) const override {
     return operand_->Bind(schema);
-  }
-
-  Result<Value> Eval(const Row& row) const override {
-    ESHARP_ASSIGN_OR_RETURN(Value v, operand_->Eval(row));
-    switch (op_) {
-      case UnaryOp::kNot:
-        if (v.type() != DataType::kBool) {
-          return Status::InvalidArgument("NOT operand is not BOOL");
-        }
-        return Value::Bool(!v.bool_value());
-      case UnaryOp::kNeg: {
-        if (v.type() == DataType::kInt64) {
-          int64_t out = 0;
-          if (__builtin_sub_overflow(int64_t{0}, v.int_value(), &out)) {
-            return Status::InvalidArgument("INT64 overflow in unary -");
-          }
-          return Value::Int(out);
-        }
-        ESHARP_ASSIGN_OR_RETURN(double d, v.AsDouble());
-        return Value::Double(-d);
-      }
-    }
-    return Status::Internal("unhandled unary op");
   }
 
   Result<ColumnVec> EvalColumn(const ColumnTable& table) const override {
@@ -519,16 +383,6 @@ class UdfExpr final : public Expr {
     return Status::OK();
   }
 
-  Result<Value> Eval(const Row& row) const override {
-    std::vector<Value> vals;
-    vals.reserve(args_.size());
-    for (const ExprPtr& a : args_) {
-      ESHARP_ASSIGN_OR_RETURN(Value v, a->Eval(row));
-      vals.push_back(std::move(v));
-    }
-    return fn_(vals);
-  }
-
   Result<ColumnVec> EvalColumn(const ColumnTable& table) const override {
     // Arguments evaluate column-at-a-time; the scalar function itself runs
     // per row (UDFs are opaque).
@@ -539,7 +393,7 @@ class UdfExpr final : public Expr {
       arg_cols.push_back(std::move(c));
     }
     const size_t n = table.num_rows();
-    ColumnBuilder builder(n);
+    ColumnBuilder builder("UDF " + name_, n);
     std::vector<Value> vals(args_.size());
     for (size_t i = 0; i < n; ++i) {
       for (size_t k = 0; k < arg_cols.size(); ++k) {
@@ -568,22 +422,11 @@ class UdfExpr final : public Expr {
 
 }  // namespace
 
-Result<ColumnVec> Expr::EvalColumn(const ColumnTable& table) const {
-  // Reference fallback: evaluate row-at-a-time and rebuild a typed column.
-  const size_t n = table.num_rows();
-  ColumnBuilder builder(n);
-  for (size_t i = 0; i < n; ++i) {
-    ESHARP_ASSIGN_OR_RETURN(Value v, Eval(table.MaterializeRow(i)));
-    ESHARP_RETURN_NOT_OK(builder.Append(v));
-  }
-  return builder.Finish();
-}
-
 ExprPtr Col(std::string name) {
-  return std::make_shared<ColumnExpr>(std::move(name));
+  return std::make_shared<ColumnExpr>(std::move(name), false);
 }
 ExprPtr ColFlexible(std::string name) {
-  return std::make_shared<FlexibleColumnExpr>(std::move(name));
+  return std::make_shared<ColumnExpr>(std::move(name), true);
 }
 ExprPtr Lit(Value v) { return std::make_shared<LiteralExpr>(std::move(v)); }
 ExprPtr LitInt(int64_t v) { return Lit(Value::Int(v)); }

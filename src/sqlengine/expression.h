@@ -16,7 +16,7 @@ namespace esharp::sql {
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
-/// \brief Scalar expression tree evaluated against one row.
+/// \brief Scalar expression tree evaluated column-at-a-time.
 ///
 /// Supports column references, literals, arithmetic, comparisons, boolean
 /// connectives and scalar UDFs. UDFs are the hook through which community
@@ -45,23 +45,15 @@ class Expr {
   Kind kind() const { return kind_; }
 
   /// Resolves all column references against `schema`; must be called before
-  /// Eval. Binding is idempotent and cheap.
+  /// EvalColumn. Binding is idempotent and cheap; a failed bind leaves the
+  /// previous binding untouched.
   virtual Status Bind(const Schema& schema) const = 0;
 
-  /// Evaluates against a row of the schema passed to Bind().
-  virtual Result<Value> Eval(const Row& row) const = 0;
-
-  /// Evaluates column-at-a-time against a table whose schema was passed to
-  /// Bind(), producing one value per row. The base implementation walks rows
-  /// through Eval() (correct for any expression); the concrete nodes
-  /// override it with vectorized loops. Returns kNotImplemented when the
-  /// result stream has no single-typed column representation, in which case
-  /// callers fall back to the row kernels. Note that AND/OR do not
-  /// short-circuit column-at-a-time: both operand columns are evaluated and
-  /// type-checked in full, so a predicate relying on short-circuiting to
-  /// hide a typing error on skipped rows errors here instead (well-typed
-  /// queries — everything the pipeline generates — are unaffected).
-  virtual Result<ColumnVec> EvalColumn(const ColumnTable& table) const;
+  /// Evaluates against a table whose schema was passed to Bind(), producing
+  /// one value per row. AND/OR evaluate their right operand only over the
+  /// rows the left one leaves undecided (true rows for AND, false rows for
+  /// OR), so a guard such as `x > 0 AND 10 / x > 1` never divides by zero.
+  virtual Result<ColumnVec> EvalColumn(const ColumnTable& table) const = 0;
 
   /// Debug rendering ("(a + 1) > b").
   virtual std::string ToString() const = 0;

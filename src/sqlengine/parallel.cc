@@ -1,33 +1,57 @@
 #include "sqlengine/parallel.h"
 
-#include <atomic>
-#include <mutex>
+#include <algorithm>
+#include <functional>
 
-#include "sqlengine/columnar.h"
 #include "sqlengine/explain.h"
 
 namespace esharp::sql {
 
 namespace {
 
-// Runs fn(i) for every partition on the context's pool (or inline when no
-// pool is configured), collecting the first error.
+size_t Partitions(const ExecContext& ctx) {
+  return std::max<size_t>(1, ctx.num_partitions);
+}
+
+// Runs fn(i) for every partition on the context's pool (inline without one)
+// and returns the lowest-numbered failing partition's error, so the outcome
+// never depends on which worker finishes first.
 Status RunPartitioned(const ExecContext& ctx, size_t n,
                       const std::function<Status(size_t)>& fn) {
   if (ctx.pool == nullptr || n <= 1) {
     for (size_t i = 0; i < n; ++i) ESHARP_RETURN_NOT_OK(fn(i));
     return Status::OK();
   }
-  std::mutex mu;
-  Status first_error;
-  ctx.pool->ParallelFor(n, [&](size_t i) {
-    Status st = fn(i);
-    if (!st.ok()) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (first_error.ok()) first_error = st;
-    }
-  });
-  return first_error;
+  std::vector<Status> status(n);
+  ctx.pool->ParallelFor(n, [&](size_t i) { status[i] = fn(i); });
+  for (const Status& s : status) ESHARP_RETURN_NOT_OK(s);
+  return Status::OK();
+}
+
+using PartitionKernel = std::function<Result<ColumnTable>(size_t)>;
+
+// Runs kernel(i) for each of `p` partitions and concatenates the results in
+// partition order; a single partition's result is returned as is.
+Result<ColumnTable> RunAndConcat(const ExecContext& ctx, size_t p,
+                                 const PartitionKernel& kernel) {
+  std::vector<ColumnTable> results(p);
+  ESHARP_RETURN_NOT_OK(RunPartitioned(ctx, p, [&](size_t i) -> Status {
+    ESHARP_ASSIGN_OR_RETURN(results[i], kernel(i));
+    return Status::OK();
+  }));
+  if (p == 1) return std::move(results[0]);
+  return ColumnarConcat(results);
+}
+
+// Applies a per-row kernel to contiguous chunks of `t`; at one partition it
+// reads `t` itself instead of a copy.
+Result<ColumnTable> MapChunks(
+    const ExecContext& ctx, const ColumnTable& t,
+    const std::function<Result<ColumnTable>(const ColumnTable&)>& kernel) {
+  const size_t p = Partitions(ctx);
+  if (p == 1) return kernel(t);
+  const std::vector<ColumnTable> chunks = ColumnarRoundRobinPartition(t, p);
+  return RunAndConcat(ctx, p, [&](size_t i) { return kernel(chunks[i]); });
 }
 
 // Exact operator accounting, always on the coordinating thread after the
@@ -35,7 +59,7 @@ Status RunPartitioned(const ExecContext& ctx, size_t n,
 // EXPLAIN ANALYZE profile (rows in/out plus how many partition batches ran)
 // into the plan node's ExplainStats.
 void MeterRows(const ExecContext& ctx, uint64_t in, uint64_t out,
-               size_t batches = 1) {
+               size_t batches) {
   if (ctx.meter != nullptr) ctx.meter->AddRows(ctx.stage, in, out);
   if (ctx.stats != nullptr) {
     ctx.stats->rows_in += in;
@@ -44,62 +68,19 @@ void MeterRows(const ExecContext& ctx, uint64_t in, uint64_t out,
   }
 }
 
-// Wraps a finished columnar result without materializing rows.
+// Wraps a finished result without materializing rows.
 Table WrapColumnar(ColumnTable out) {
   return Table::FromColumnar(
       std::make_shared<const ColumnTable>(std::move(out)));
 }
 
-// ---------------------------------------------------------------------------
-// Columnar drivers. Each mirrors its row-store wrapper below: identical
-// partition routing (bit-identical key hashes), identical batch counts and
-// rows in/out for EXPLAIN ANALYZE, and the same error surface. They return
-// kNotImplemented when the input has no columnar form (mixed-type columns),
-// in which case the public wrapper falls back to the row kernels.
-// ---------------------------------------------------------------------------
+}  // namespace
 
-Result<Table> ColumnarParallelFilter(const ExecContext& ctx, const Table& t,
-                                     const ExprPtr& pred) {
-  ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
-                          t.EnsureColumnar());
-  // Pre-bind on the coordinator; workers' Bind calls become no-ops.
-  ESHARP_RETURN_NOT_OK(pred->Bind(t.schema()));
-  const size_t p = std::max<size_t>(1, ctx.num_partitions);
-  std::vector<ColumnTable> parts = ColumnarRoundRobinPartition(*ct, p);
-  std::vector<ColumnTable> results(p);
-  ESHARP_RETURN_NOT_OK(RunPartitioned(ctx, p, [&](size_t i) -> Status {
-    ESHARP_ASSIGN_OR_RETURN(results[i], ColumnarFilter(parts[i], pred));
-    return Status::OK();
-  }));
-  ESHARP_ASSIGN_OR_RETURN(ColumnTable out, ColumnarConcat(results));
-  MeterRows(ctx, t.num_rows(), out.num_rows(), p);
-  return WrapColumnar(std::move(out));
-}
-
-Result<Table> ColumnarParallelProject(const ExecContext& ctx, const Table& t,
-                                      const std::vector<ProjectedColumn>& cols) {
-  ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
-                          t.EnsureColumnar());
-  for (const ProjectedColumn& c : cols) {
-    ESHARP_RETURN_NOT_OK(c.expr->Bind(t.schema()));
-  }
-  const size_t p = std::max<size_t>(1, ctx.num_partitions);
-  std::vector<ColumnTable> parts = ColumnarRoundRobinPartition(*ct, p);
-  std::vector<ColumnTable> results(p);
-  ESHARP_RETURN_NOT_OK(RunPartitioned(ctx, p, [&](size_t i) -> Status {
-    ESHARP_ASSIGN_OR_RETURN(results[i], ColumnarProject(parts[i], cols));
-    return Status::OK();
-  }));
-  ESHARP_ASSIGN_OR_RETURN(ColumnTable out, ColumnarConcat(results));
-  MeterRows(ctx, t.num_rows(), out.num_rows(), p);
-  return WrapColumnar(std::move(out));
-}
-
-Result<Table> ColumnarParallelHashJoin(const ExecContext& ctx,
-                                       const Table& left, const Table& right,
-                                       const std::vector<std::string>& left_keys,
-                                       const std::vector<std::string>& right_keys,
-                                       JoinType type, JoinStrategy strategy) {
+Result<Table> ParallelHashJoin(const ExecContext& ctx, const Table& left,
+                               const Table& right,
+                               const std::vector<std::string>& left_keys,
+                               const std::vector<std::string>& right_keys,
+                               JoinType type, JoinStrategy strategy) {
   if (left_keys.size() != right_keys.size()) {
     return Status::InvalidArgument("join key arity mismatch: ",
                                    left_keys.size(), " vs ",
@@ -109,263 +90,85 @@ Result<Table> ColumnarParallelHashJoin(const ExecContext& ctx,
                           left.EnsureColumnar());
   ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> rct,
                           right.EnsureColumnar());
-  const size_t p = std::max<size_t>(1, ctx.num_partitions);
-  std::vector<ColumnTable> results(p);
-  if (strategy == JoinStrategy::kReplicated) {
-    // Key win over the row path: the build side is hashed and indexed ONCE
-    // on the coordinator; every worker probes the shared read-only index
-    // instead of rebuilding its own hash table.
+  const size_t p = Partitions(ctx);
+  ColumnTable out;
+  if (strategy == JoinStrategy::kReplicated || p == 1) {
+    // The build side is hashed and indexed once on the coordinator; every
+    // worker probes the shared read-only index.
     ESHARP_ASSIGN_OR_RETURN(ColumnarJoinIndex index,
                             ColumnarJoinIndex::Build(*rct, right_keys));
-    std::vector<ColumnTable> lparts = ColumnarRoundRobinPartition(*lct, p);
-    ESHARP_RETURN_NOT_OK(RunPartitioned(ctx, p, [&](size_t i) -> Status {
-      ESHARP_ASSIGN_OR_RETURN(
-          results[i],
-          ColumnarHashJoinProbe(lparts[i], left_keys, *rct, index, type));
-      return Status::OK();
-    }));
+    ESHARP_ASSIGN_OR_RETURN(
+        out, MapChunks(ctx, *lct, [&](const ColumnTable& chunk) {
+          return ColumnarHashJoinProbe(chunk, left_keys, *rct, index, type);
+        }));
   } else {
-    ESHARP_ASSIGN_OR_RETURN(std::vector<ColumnTable> lparts,
-                            ColumnarHashPartition(*lct, left_keys, p));
+    // Right first, as the replicated path resolves the build keys first.
     ESHARP_ASSIGN_OR_RETURN(std::vector<ColumnTable> rparts,
                             ColumnarHashPartition(*rct, right_keys, p));
-    ESHARP_RETURN_NOT_OK(RunPartitioned(ctx, p, [&](size_t i) -> Status {
-      ESHARP_ASSIGN_OR_RETURN(
-          results[i],
-          ColumnarHashJoin(lparts[i], rparts[i], left_keys, right_keys, type));
-      return Status::OK();
-    }));
+    ESHARP_ASSIGN_OR_RETURN(std::vector<ColumnTable> lparts,
+                            ColumnarHashPartition(*lct, left_keys, p));
+    ESHARP_ASSIGN_OR_RETURN(out, RunAndConcat(ctx, p, [&](size_t i) {
+                              return ColumnarHashJoin(lparts[i], rparts[i],
+                                                      left_keys, right_keys,
+                                                      type);
+                            }));
   }
-  ESHARP_ASSIGN_OR_RETURN(ColumnTable out, ColumnarConcat(results));
   MeterRows(ctx, left.num_rows() + right.num_rows(), out.num_rows(), p);
   return WrapColumnar(std::move(out));
-}
-
-Result<Table> ColumnarParallelHashAggregate(
-    const ExecContext& ctx, const Table& t,
-    const std::vector<std::string>& group_keys,
-    const std::vector<AggSpec>& aggs) {
-  ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
-                          t.EnsureColumnar());
-  if (group_keys.empty()) {
-    // Single global batch, like the row wrapper.
-    ESHARP_ASSIGN_OR_RETURN(ColumnTable out,
-                            ColumnarHashAggregate(*ct, group_keys, aggs));
-    MeterRows(ctx, t.num_rows(), out.num_rows());
-    return WrapColumnar(std::move(out));
-  }
-  for (const AggSpec& a : aggs) {
-    if (a.arg) ESHARP_RETURN_NOT_OK(a.arg->Bind(t.schema()));
-    if (a.output) ESHARP_RETURN_NOT_OK(a.output->Bind(t.schema()));
-  }
-  const size_t p = std::max<size_t>(1, ctx.num_partitions);
-  ESHARP_ASSIGN_OR_RETURN(std::vector<ColumnTable> parts,
-                          ColumnarHashPartition(*ct, group_keys, p));
-  std::vector<ColumnTable> results(p);
-  ESHARP_RETURN_NOT_OK(RunPartitioned(ctx, p, [&](size_t i) -> Status {
-    ESHARP_ASSIGN_OR_RETURN(results[i],
-                            ColumnarHashAggregate(parts[i], group_keys, aggs));
-    return Status::OK();
-  }));
-  ESHARP_ASSIGN_OR_RETURN(ColumnTable out, ColumnarConcat(results));
-  MeterRows(ctx, t.num_rows(), out.num_rows(), p);
-  return WrapColumnar(std::move(out));
-}
-
-}  // namespace
-
-Result<std::vector<Table>> HashPartition(const Table& t,
-                                         const std::vector<std::string>& keys,
-                                         size_t num_partitions) {
-  if (num_partitions == 0) {
-    return Status::InvalidArgument("num_partitions must be > 0");
-  }
-  ESHARP_ASSIGN_OR_RETURN(std::vector<size_t> kidx,
-                          ResolveKeyIndexes(t.schema(), keys));
-  std::vector<Table> parts;
-  parts.reserve(num_partitions);
-  for (size_t i = 0; i < num_partitions; ++i) parts.emplace_back(t.schema());
-  for (const Row& row : t.rows()) {
-    uint64_t h = HashRowKeys(row, kidx);
-    parts[h % num_partitions].AppendRowUnchecked(row);
-  }
-  return parts;
-}
-
-std::vector<Table> RoundRobinPartition(const Table& t, size_t num_partitions) {
-  num_partitions = std::max<size_t>(1, num_partitions);
-  std::vector<Table> parts;
-  parts.reserve(num_partitions);
-  for (size_t i = 0; i < num_partitions; ++i) parts.emplace_back(t.schema());
-  // Contiguous ranges rather than strict round-robin: preserves input order
-  // within a chunk, which keeps ConcatTables deterministic.
-  size_t per = (t.num_rows() + num_partitions - 1) / num_partitions;
-  for (size_t i = 0; i < t.num_rows(); ++i) {
-    parts[per == 0 ? 0 : i / per].AppendRowUnchecked(t.row(i));
-  }
-  return parts;
-}
-
-Result<Table> ConcatTables(const std::vector<Table>& parts) {
-  if (parts.empty()) return Status::InvalidArgument("no partitions to concat");
-  Table out(parts[0].schema());
-  size_t total = 0;
-  for (const Table& p : parts) total += p.num_rows();
-  out.Reserve(total);
-  for (const Table& p : parts) {
-    if (p.num_columns() != out.num_columns()) {
-      return Status::Internal("partition schema mismatch in concat");
-    }
-    for (const Row& r : p.rows()) out.AppendRowUnchecked(r);
-  }
-  return out;
-}
-
-Result<Table> ParallelHashJoin(const ExecContext& ctx, const Table& left,
-                               const Table& right,
-                               const std::vector<std::string>& left_keys,
-                               const std::vector<std::string>& right_keys,
-                               JoinType type, JoinStrategy strategy) {
-  if (ctx.use_columnar) {
-    Result<Table> columnar = ColumnarParallelHashJoin(
-        ctx, left, right, left_keys, right_keys, type, strategy);
-    if (columnar.ok() || !IsColumnarUnsupported(columnar.status())) {
-      return columnar;
-    }
-  }
-  const size_t p = std::max<size_t>(1, ctx.num_partitions);
-  std::vector<Table> left_parts, right_parts;
-  if (strategy == JoinStrategy::kReplicated) {
-    // Probe side split arbitrarily; build side replicated to every worker.
-    // Touch the build side's rows on the coordinator first: lazy columnar
-    // tables materialize on first access, which must not race across the
-    // workers that share `right`.
-    (void)right.rows();
-    left_parts = RoundRobinPartition(left, p);
-  } else {
-    ESHARP_ASSIGN_OR_RETURN(left_parts, HashPartition(left, left_keys, p));
-    ESHARP_ASSIGN_OR_RETURN(right_parts, HashPartition(right, right_keys, p));
-  }
-
-  std::vector<Table> results(p);
-  ESHARP_RETURN_NOT_OK(RunPartitioned(ctx, p, [&](size_t i) -> Status {
-    const Table& build =
-        strategy == JoinStrategy::kReplicated ? right : right_parts[i];
-    ESHARP_ASSIGN_OR_RETURN(
-        results[i], HashJoin(left_parts[i], build, left_keys, right_keys, type));
-    return Status::OK();
-  }));
-  ESHARP_ASSIGN_OR_RETURN(Table out, ConcatTables(results));
-  MeterRows(ctx, left.num_rows() + right.num_rows(), out.num_rows(), p);
-  return out;
 }
 
 Result<Table> ParallelHashAggregate(const ExecContext& ctx, const Table& t,
                                     const std::vector<std::string>& group_keys,
                                     const std::vector<AggSpec>& aggs) {
-  if (ctx.use_columnar) {
-    Result<Table> columnar =
-        ColumnarParallelHashAggregate(ctx, t, group_keys, aggs);
-    if (columnar.ok() || !IsColumnarUnsupported(columnar.status())) {
-      return columnar;
-    }
-  }
-  const size_t p = std::max<size_t>(1, ctx.num_partitions);
-  if (group_keys.empty()) {
-    // Two-phase: local partial aggregation over arbitrary chunks, then a
-    // final single-row aggregate over the partials. For simplicity we merge
-    // by recomputing over concatenated partials only for mergeable shapes;
-    // the global case in this codebase is only used with COUNT/SUM/MIN/MAX,
-    // which re-aggregate correctly when SUM is applied to partial SUMs etc.
-    // To stay fully general we simply run the kernel single-threaded here.
-    ESHARP_ASSIGN_OR_RETURN(Table out, HashAggregate(t, group_keys, aggs));
-    MeterRows(ctx, t.num_rows(), out.num_rows());  // single batch
-    return out;
-  }
+  ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
+                          t.EnsureColumnar());
+  // Pre-bind on the coordinator; workers' Bind calls become no-ops.
   for (const AggSpec& a : aggs) {
     if (a.arg) ESHARP_RETURN_NOT_OK(a.arg->Bind(t.schema()));
     if (a.output) ESHARP_RETURN_NOT_OK(a.output->Bind(t.schema()));
   }
-  ESHARP_ASSIGN_OR_RETURN(std::vector<Table> parts,
-                          HashPartition(t, group_keys, p));
-  std::vector<Table> results(p);
-  ESHARP_RETURN_NOT_OK(RunPartitioned(ctx, p, [&](size_t i) -> Status {
-    ESHARP_ASSIGN_OR_RETURN(results[i],
-                            HashAggregate(parts[i], group_keys, aggs));
-    return Status::OK();
-  }));
-  // Empty partitions may have kNull aggregate column types; pick a non-empty
-  // partition's schema as canonical.
-  size_t canonical = 0;
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (results[i].num_rows() > 0) {
-      canonical = i;
-      break;
-    }
-  }
-  Table out(results[canonical].schema());
-  for (const Table& part : results) {
-    for (const Row& r : part.rows()) out.AppendRowUnchecked(r);
+  const size_t p = group_keys.empty() ? 1 : Partitions(ctx);
+  ColumnTable out;
+  if (p == 1) {
+    ESHARP_ASSIGN_OR_RETURN(out, ColumnarHashAggregate(*ct, group_keys, aggs));
+  } else {
+    ESHARP_ASSIGN_OR_RETURN(std::vector<ColumnTable> parts,
+                            ColumnarHashPartition(*ct, group_keys, p));
+    ESHARP_ASSIGN_OR_RETURN(out, RunAndConcat(ctx, p, [&](size_t i) {
+                              return ColumnarHashAggregate(parts[i],
+                                                           group_keys, aggs);
+                            }));
   }
   MeterRows(ctx, t.num_rows(), out.num_rows(), p);
-  return out;
+  return WrapColumnar(std::move(out));
 }
 
 Result<Table> ParallelFilter(const ExecContext& ctx, const Table& t,
                              const ExprPtr& pred) {
-  if (ctx.use_columnar) {
-    Result<Table> columnar = ColumnarParallelFilter(ctx, t, pred);
-    if (columnar.ok() || !IsColumnarUnsupported(columnar.status())) {
-      return columnar;
-    }
-  }
-  // Pre-bind against the shared schema so workers' Bind calls are no-ops
-  // (expression binding caches are not thread-safe to populate).
+  ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
+                          t.EnsureColumnar());
   ESHARP_RETURN_NOT_OK(pred->Bind(t.schema()));
-  const size_t p = std::max<size_t>(1, ctx.num_partitions);
-  std::vector<Table> parts = RoundRobinPartition(t, p);
-  std::vector<Table> results(p);
-  ESHARP_RETURN_NOT_OK(RunPartitioned(ctx, p, [&](size_t i) -> Status {
-    ESHARP_ASSIGN_OR_RETURN(results[i], Filter(parts[i], pred));
-    return Status::OK();
-  }));
-  ESHARP_ASSIGN_OR_RETURN(Table out, ConcatTables(results));
-  MeterRows(ctx, t.num_rows(), out.num_rows(), p);
-  return out;
+  ESHARP_ASSIGN_OR_RETURN(
+      ColumnTable out, MapChunks(ctx, *ct, [&](const ColumnTable& chunk) {
+        return ColumnarFilter(chunk, pred);
+      }));
+  MeterRows(ctx, t.num_rows(), out.num_rows(), Partitions(ctx));
+  return WrapColumnar(std::move(out));
 }
 
 Result<Table> ParallelProject(const ExecContext& ctx, const Table& t,
                               const std::vector<ProjectedColumn>& cols) {
-  if (ctx.use_columnar) {
-    Result<Table> columnar = ColumnarParallelProject(ctx, t, cols);
-    if (columnar.ok() || !IsColumnarUnsupported(columnar.status())) {
-      return columnar;
-    }
-  }
+  ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
+                          t.EnsureColumnar());
   for (const ProjectedColumn& c : cols) {
     ESHARP_RETURN_NOT_OK(c.expr->Bind(t.schema()));
   }
-  const size_t p = std::max<size_t>(1, ctx.num_partitions);
-  std::vector<Table> parts = RoundRobinPartition(t, p);
-  std::vector<Table> results(p);
-  ESHARP_RETURN_NOT_OK(RunPartitioned(ctx, p, [&](size_t i) -> Status {
-    ESHARP_ASSIGN_OR_RETURN(results[i], Project(parts[i], cols));
-    return Status::OK();
-  }));
-  // Empty chunks infer kNull types; use a non-empty chunk's schema.
-  size_t canonical = 0;
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (results[i].num_rows() > 0) {
-      canonical = i;
-      break;
-    }
-  }
-  Table out(results[canonical].schema());
-  for (const Table& part : results) {
-    for (const Row& r : part.rows()) out.AppendRowUnchecked(r);
-  }
-  MeterRows(ctx, t.num_rows(), out.num_rows(), p);
-  return out;
+  ESHARP_ASSIGN_OR_RETURN(
+      ColumnTable out, MapChunks(ctx, *ct, [&](const ColumnTable& chunk) {
+        return ColumnarProject(chunk, cols);
+      }));
+  MeterRows(ctx, t.num_rows(), out.num_rows(), Partitions(ctx));
+  return WrapColumnar(std::move(out));
 }
 
 }  // namespace esharp::sql

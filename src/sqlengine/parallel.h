@@ -6,7 +6,8 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "sqlengine/operators.h"
+#include "sqlengine/columnar.h"
+#include "sqlengine/table.h"
 
 namespace esharp::sql {
 
@@ -23,16 +24,11 @@ struct ExecContext {
   ResourceMeter* meter = nullptr;
   /// Stage name under which meter stats are recorded.
   std::string stage = "sql";
-  /// Per-operator profile for this plan node (EXPLAIN ANALYZE); parallel
-  /// kernels record exact rows in/out and the partition batch count here.
-  /// Owned by the Execute(plan, catalog, stats) caller; may be null.
+  /// Per-operator profile for this plan node (EXPLAIN ANALYZE); the
+  /// partitioned operators record exact rows in/out and the partition batch
+  /// count here. Owned by the Execute(plan, catalog, stats) caller; may be
+  /// null.
   ExplainStats* stats = nullptr;
-  /// Execute with the vectorized columnar kernels (typed column batches,
-  /// selection vectors, copy-free partitioning). Row counts, partition
-  /// routing, and batch counts are identical to the row path; operators
-  /// whose input has no columnar form (mixed-type columns) fall back to the
-  /// row kernels automatically.
-  bool use_columnar = true;
 };
 
 /// \brief Strategy for the parallel join, mirroring §4.2.3 of the paper.
@@ -46,21 +42,18 @@ enum class JoinStrategy {
   kPartitioned,
 };
 
-/// \brief Splits a table into `num_partitions` hash partitions on the given
-/// key columns; co-partitioned inputs join correctly partition-wise.
-Result<std::vector<Table>> HashPartition(const Table& t,
-                                         const std::vector<std::string>& keys,
-                                         size_t num_partitions);
+/// \name Partitioned operators
+///
+/// Each operator splits its input into `ctx.num_partitions` partitions, runs
+/// the columnar kernel once per partition on `ctx.pool` (inline without
+/// one), and concatenates the per-partition results in partition order.
+/// Rows, the partition count and the first failing partition's error are
+/// the same with or without a pool; row order follows the partitioning.
+/// @{
 
-/// \brief Splits a table into round-robin chunks (for stateless per-row maps
-/// and local pre-aggregation).
-std::vector<Table> RoundRobinPartition(const Table& t, size_t num_partitions);
-
-/// \brief Concatenates partitions back into one table.
-Result<Table> ConcatTables(const std::vector<Table>& parts);
-
-/// \brief Parallel hash join; result rows equal the single-threaded
-/// HashJoin up to row order.
+/// Hash join. kReplicated indexes the build side once and probes it from
+/// round-robin chunks of the probe side; kPartitioned co-partitions both
+/// sides on the key and joins partition-wise.
 Result<Table> ParallelHashJoin(const ExecContext& ctx, const Table& left,
                                const Table& right,
                                const std::vector<std::string>& left_keys,
@@ -68,21 +61,22 @@ Result<Table> ParallelHashJoin(const ExecContext& ctx, const Table& left,
                                JoinType type = JoinType::kInner,
                                JoinStrategy strategy = JoinStrategy::kReplicated);
 
-/// \brief Parallel GROUP BY: partitions rows by group key, aggregates each
-/// partition independently, and concatenates (keys never straddle
-/// partitions). With empty group keys, falls back to a two-phase
-/// local-aggregate + merge plan.
+/// GROUP BY: partitions rows by group key and aggregates each partition
+/// independently (keys never straddle partitions). With empty group keys the
+/// global aggregate runs as one batch.
 Result<Table> ParallelHashAggregate(const ExecContext& ctx, const Table& t,
                                     const std::vector<std::string>& group_keys,
                                     const std::vector<AggSpec>& aggs);
 
-/// \brief Parallel filter (round-robin split, per-chunk kernel, concat).
+/// Filter over round-robin chunks.
 Result<Table> ParallelFilter(const ExecContext& ctx, const Table& t,
                              const ExprPtr& pred);
 
-/// \brief Parallel projection.
+/// Projection over round-robin chunks.
 Result<Table> ParallelProject(const ExecContext& ctx, const Table& t,
                               const std::vector<ProjectedColumn>& cols);
+
+/// @}
 
 }  // namespace esharp::sql
 

@@ -158,10 +158,10 @@ Result<Table> Executor::Execute(const Plan& plan, const Catalog& catalog,
 
 namespace {
 
-/// Profiles one operator: label and inclusive wall time always; exact
-/// rows in/out for the serial kernels (the parallel kernels in parallel.cc
-/// account rows and batch counts themselves through ExecContext::stats, so
-/// Finish leaves already-recorded rows alone).
+/// Profiles one operator: label and inclusive wall time always; exact rows
+/// in/out for the single-batch operators (the partitioned operators account
+/// rows and batch counts themselves through ExecContext::stats, so Finish
+/// leaves already-recorded rows alone).
 class NodeProfile {
  public:
   NodeProfile(ExplainStats* stats, const PlanNode& node) : stats_(stats) {
@@ -188,10 +188,27 @@ class NodeProfile {
     return result;
   }
 
+  /// Finishes a single-batch operator whose kernel produced `out` from
+  /// `rows_in` input rows.
+  Result<Table> FinishBatch(uint64_t rows_in, Result<ColumnTable> out) {
+    if (!out.ok()) return Finish(out.status());
+    RecordRows(rows_in, out->num_rows());
+    return Finish(Table::FromColumnar(std::make_shared<const ColumnTable>(
+        std::move(out).MoveValueUnsafe())));
+  }
+
  private:
   ExplainStats* stats_;
   Timer timer_;
 };
+
+// The columnar payload of a catalog or literal table, converted once and
+// cached on the table, handed over without copying.
+Result<Table> ColumnarView(const Table& t) {
+  ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
+                          t.EnsureColumnar());
+  return Table::FromColumnar(std::move(ct));
+}
 
 }  // namespace
 
@@ -199,56 +216,30 @@ Result<Table> Executor::ExecuteNode(const PlanNode& node,
                                     const Catalog& catalog,
                                     ExplainStats* stats) const {
   NodeProfile profile(stats, node);
-  ExecContext ctx{options_.pool,  options_.num_partitions,
-                  options_.meter, options_.stage,
-                  stats,          options_.use_columnar};
+  // Without a pool the same partitioned operators run inline at one
+  // partition.
+  const ExecContext ctx{
+      options_.pool, options_.pool != nullptr ? options_.num_partitions : 1,
+      options_.meter, options_.stage, stats};
   switch (node.kind) {
     case PlanNode::Kind::kScan: {
       ESHARP_ASSIGN_OR_RETURN(const Table* t, catalog.Get(node.table_name));
       profile.RecordRows(t->num_rows(), t->num_rows());
-      // Columnar execution scans copy-free: the cached columnar payload is
-      // shared instead of deep-copying every row. The conversion happens
-      // once per catalog table and is reused across queries/iterations.
-      if (options_.use_columnar) {
-        Result<std::shared_ptr<const ColumnTable>> ct = t->EnsureColumnar();
-        if (ct.ok()) {
-          return profile.Finish(Table::FromColumnar(*ct));
-        }
-        if (!IsColumnarUnsupported(ct.status())) return ct.status();
-      }
-      return profile.Finish(*t);
+      return profile.Finish(ColumnarView(*t));
     }
     case PlanNode::Kind::kValues:
       profile.RecordRows(node.literal_table->num_rows(),
                          node.literal_table->num_rows());
-      if (options_.use_columnar) {
-        Result<std::shared_ptr<const ColumnTable>> ct =
-            node.literal_table->EnsureColumnar();
-        if (ct.ok()) {
-          return profile.Finish(Table::FromColumnar(*ct));
-        }
-        if (!IsColumnarUnsupported(ct.status())) return ct.status();
-      }
-      return profile.Finish(*node.literal_table);
+      return profile.Finish(ColumnarView(*node.literal_table));
     case PlanNode::Kind::kFilter: {
       ESHARP_ASSIGN_OR_RETURN(
           Table in, ExecuteNode(*node.children[0], catalog, profile.child()));
-      if (options_.pool != nullptr) {
-        return profile.Finish(ParallelFilter(ctx, in, node.predicate));
-      }
-      Result<Table> out = Filter(in, node.predicate);
-      if (out.ok()) profile.RecordRows(in.num_rows(), out.ValueOrDie().num_rows());
-      return profile.Finish(std::move(out));
+      return profile.Finish(ParallelFilter(ctx, in, node.predicate));
     }
     case PlanNode::Kind::kProject: {
       ESHARP_ASSIGN_OR_RETURN(
           Table in, ExecuteNode(*node.children[0], catalog, profile.child()));
-      if (options_.pool != nullptr) {
-        return profile.Finish(ParallelProject(ctx, in, node.projections));
-      }
-      Result<Table> out = Project(in, node.projections);
-      if (out.ok()) profile.RecordRows(in.num_rows(), out.ValueOrDie().num_rows());
-      return profile.Finish(std::move(out));
+      return profile.Finish(ParallelProject(ctx, in, node.projections));
     }
     case PlanNode::Kind::kJoin: {
       ESHARP_ASSIGN_OR_RETURN(
@@ -256,51 +247,38 @@ Result<Table> Executor::ExecuteNode(const PlanNode& node,
       ESHARP_ASSIGN_OR_RETURN(
           Table right,
           ExecuteNode(*node.children[1], catalog, profile.child()));
-      if (options_.pool != nullptr) {
-        return profile.Finish(ParallelHashJoin(ctx, left, right,
-                                               node.left_keys, node.right_keys,
-                                               node.join_type,
-                                               options_.join_strategy));
-      }
-      Result<Table> out = HashJoin(left, right, node.left_keys,
-                                   node.right_keys, node.join_type);
-      if (out.ok()) {
-        profile.RecordRows(left.num_rows() + right.num_rows(),
-                           out.ValueOrDie().num_rows());
-      }
-      return profile.Finish(std::move(out));
+      return profile.Finish(ParallelHashJoin(ctx, left, right, node.left_keys,
+                                             node.right_keys, node.join_type,
+                                             options_.join_strategy));
     }
     case PlanNode::Kind::kAggregate: {
       ESHARP_ASSIGN_OR_RETURN(
           Table in, ExecuteNode(*node.children[0], catalog, profile.child()));
-      if (options_.pool != nullptr) {
-        return profile.Finish(
-            ParallelHashAggregate(ctx, in, node.group_keys, node.aggregates));
-      }
-      Result<Table> out = HashAggregate(in, node.group_keys, node.aggregates);
-      if (out.ok()) profile.RecordRows(in.num_rows(), out.ValueOrDie().num_rows());
-      return profile.Finish(std::move(out));
+      return profile.Finish(
+          ParallelHashAggregate(ctx, in, node.group_keys, node.aggregates));
     }
     case PlanNode::Kind::kDistinct: {
       ESHARP_ASSIGN_OR_RETURN(
           Table in, ExecuteNode(*node.children[0], catalog, profile.child()));
-      Result<Table> out = sql::Distinct(in);
-      if (out.ok()) profile.RecordRows(in.num_rows(), out.ValueOrDie().num_rows());
-      return profile.Finish(std::move(out));
+      ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
+                              in.EnsureColumnar());
+      return profile.FinishBatch(in.num_rows(), ColumnarDistinct(*ct));
     }
     case PlanNode::Kind::kSort: {
       ESHARP_ASSIGN_OR_RETURN(
           Table in, ExecuteNode(*node.children[0], catalog, profile.child()));
-      Result<Table> out = SortBy(in, node.sort_keys, node.sort_ascending);
-      if (out.ok()) profile.RecordRows(in.num_rows(), out.ValueOrDie().num_rows());
-      return profile.Finish(std::move(out));
+      ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
+                              in.EnsureColumnar());
+      return profile.FinishBatch(
+          in.num_rows(),
+          ColumnarSort(*ct, node.sort_keys, node.sort_ascending));
     }
     case PlanNode::Kind::kLimit: {
       ESHARP_ASSIGN_OR_RETURN(
           Table in, ExecuteNode(*node.children[0], catalog, profile.child()));
-      Result<Table> out = sql::Limit(in, node.limit);
-      if (out.ok()) profile.RecordRows(in.num_rows(), out.ValueOrDie().num_rows());
-      return profile.Finish(std::move(out));
+      ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
+                              in.EnsureColumnar());
+      return profile.FinishBatch(in.num_rows(), ColumnarLimit(*ct, node.limit));
     }
     case PlanNode::Kind::kUnionAll: {
       ESHARP_ASSIGN_OR_RETURN(
@@ -308,33 +286,30 @@ Result<Table> Executor::ExecuteNode(const PlanNode& node,
       ESHARP_ASSIGN_OR_RETURN(
           Table right,
           ExecuteNode(*node.children[1], catalog, profile.child()));
-      Result<Table> out = UnionAll(left, right);
-      if (out.ok()) {
-        profile.RecordRows(left.num_rows() + right.num_rows(),
-                           out.ValueOrDie().num_rows());
-      }
-      return profile.Finish(std::move(out));
+      ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> lct,
+                              left.EnsureColumnar());
+      ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> rct,
+                              right.EnsureColumnar());
+      return profile.FinishBatch(left.num_rows() + right.num_rows(),
+                                 ColumnarUnionAll(*lct, *rct));
     }
     case PlanNode::Kind::kAlias: {
       ESHARP_ASSIGN_OR_RETURN(
           Table in, ExecuteNode(*node.children[0], catalog, profile.child()));
-      Schema renamed;
+      ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
+                              in.EnsureColumnar());
+      // Rename on the columnar payload: copies typed vectors, not Values.
+      ColumnTable renamed = *ct;
+      Schema& schema = renamed.mutable_schema();
+      schema = Schema();
       for (const Column& c : in.schema().columns()) {
         // Strip any previous qualifier, then apply the new one.
         size_t dot = c.name.rfind('.');
         std::string base =
             dot == std::string::npos ? c.name : c.name.substr(dot + 1);
-        renamed.AddColumn({node.alias + "." + base, c.type});
+        schema.AddColumn({node.alias + "." + base, c.type});
       }
-      profile.RecordRows(in.num_rows(), in.num_rows());
-      if (options_.use_columnar && in.columnar() != nullptr) {
-        // Rename on the columnar payload: copies typed vectors, not Values.
-        ColumnTable renamed_ct = *in.columnar();
-        renamed_ct.mutable_schema() = renamed;
-        return profile.Finish(Table::FromColumnar(
-            std::make_shared<const ColumnTable>(std::move(renamed_ct))));
-      }
-      return profile.Finish(Table(renamed, in.rows()));
+      return profile.FinishBatch(in.num_rows(), std::move(renamed));
     }
   }
   return Status::Internal("unhandled plan node kind");

@@ -16,8 +16,8 @@ namespace esharp::sql {
 ///
 /// The plan layer is what makes the engine "declarative": callers compose
 /// scans, joins, filters, projections and aggregations as a tree; the
-/// Executor chooses between single-threaded kernels and partitioned parallel
-/// execution. This is precisely the property §4.2.2 of the paper claims for
+/// Executor runs every node on the columnar kernels, partitioned across a
+/// thread pool when it has one. This is precisely the property §4.2.2 of the paper claims for
 /// its algorithm — it "can directly be implemented in a SQL-like language"
 /// and parallelized "with standard map-reduce relational operators".
 struct PlanNode {
@@ -99,23 +99,24 @@ class Plan {
 
 /// \brief Options controlling plan execution.
 struct ExecutorOptions {
-  /// Thread pool; null executes single-threaded.
+  /// Thread pool; null executes single-threaded at one partition.
   ThreadPool* pool = nullptr;
-  /// Hash-partition fan-out for parallel operators (the "VM count").
+  /// Hash-partition fan-out with a pool (the "VM count").
   size_t num_partitions = 8;
   /// Join strategy for parallel joins (§4.2.3 discusses both).
   JoinStrategy join_strategy = JoinStrategy::kReplicated;
   /// Optional resource accounting.
   ResourceMeter* meter = nullptr;
   std::string stage = "sql";
-  /// Parallel operators execute on the vectorized columnar kernels (typed
-  /// column batches, selection vectors, copy-free partitioning); the row
-  /// kernels remain as reference and as the automatic fallback for inputs
-  /// with no columnar form. Results are identical either way.
-  bool use_columnar = true;
 };
 
 /// \brief Evaluates plans against a catalog.
+///
+/// Filter, Project, Join and Aggregate run through the partitioned operators
+/// of parallel.h: `num_partitions` ways on the pool, or inline at one
+/// partition without one (one batch in EXPLAIN ANALYZE). Distinct, Sort,
+/// Limit and UnionAll run as one batch. Rows agree with and without a pool
+/// up to the order of unsorted output.
 class Executor {
  public:
   explicit Executor(ExecutorOptions options = {}) : options_(options) {}

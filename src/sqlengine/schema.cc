@@ -17,6 +17,28 @@ bool Schema::Contains(const std::string& name) const {
   return false;
 }
 
+Result<size_t> Schema::Resolve(const std::string& name) const {
+  if (Contains(name)) return IndexOf(name);
+  const std::string suffix = "." + name;
+  size_t found = SIZE_MAX;
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    const std::string& col = columns_[i].name;
+    if (col.size() > suffix.size() &&
+        col.compare(col.size() - suffix.size(), suffix.size(), suffix) == 0) {
+      if (found != SIZE_MAX) {
+        return Status::InvalidArgument("ambiguous column reference '", name,
+                                       "' in schema [", ToString(), "]");
+      }
+      found = i;
+    }
+  }
+  if (found == SIZE_MAX) {
+    return Status::NotFound("no column matching '", name, "' in schema [",
+                            ToString(), "]");
+  }
+  return found;
+}
+
 Schema Schema::Concat(const Schema& left, const Schema& right,
                       const std::string& right_prefix) {
   Schema out = left;

@@ -36,6 +36,11 @@ class Schema {
   /// True iff a column with the given name exists.
   bool Contains(const std::string& name) const;
 
+  /// SQL name resolution: the column named exactly `name`, otherwise the
+  /// UNIQUE column whose name ends in ".name" (a bare reference into an
+  /// aliased table). Ambiguity is InvalidArgument, no match NotFound.
+  Result<size_t> Resolve(const std::string& name) const;
+
   /// Appends a column.
   void AddColumn(Column c) { columns_.push_back(std::move(c)); }
 

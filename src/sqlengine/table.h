@@ -24,11 +24,12 @@ using Row = std::vector<Value>;
 /// hash partitions.
 ///
 /// A Table can carry its data in either or both of two representations:
-/// the row store (`rows_`) and a shared immutable ColumnTable payload.
-/// Columnar operator outputs are wrapped via FromColumnar() without
-/// materializing rows; the row representation is then built lazily on first
-/// row access. Conversely EnsureColumnar() converts (and caches) the
-/// columnar form of a row table. Lazy materialization and conversion are
+/// the row store (`rows_`), which row building and reading use, and a shared
+/// immutable ColumnTable payload, which every operator executes on.
+/// Operator outputs are wrapped via FromColumnar() without materializing
+/// rows; the row representation is then built lazily on first row access.
+/// Conversely EnsureColumnar() converts (and caches) the columnar form of a
+/// row table. Lazy materialization and conversion are
 /// NOT thread-safe: they must happen on the coordinating thread, never from
 /// partition workers (workers operate on the immutable ColumnTable).
 class Table {
@@ -92,9 +93,9 @@ class Table {
   /// appends maintain the total incrementally, mutations invalidate it.
   uint64_t SizeBytes() const;
 
-  /// Returns (converting and caching on first use) the columnar form.
-  /// kNotImplemented when a column mixes non-null cell types (no columnar
-  /// equivalent); callers then stay on the row path. Coordinator-only.
+  /// Returns (converting and caching on first use) the columnar form every
+  /// operator executes on. InvalidArgument when a column mixes non-null
+  /// cell types. Coordinator-only.
   Result<std::shared_ptr<const ColumnTable>> EnsureColumnar() const;
 
   /// The cached columnar payload, or null if none has been attached/built.

@@ -314,14 +314,20 @@ class SqlEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(SqlEquivalenceTest, SqlAndNativeProduceIdenticalPartitions) {
   graph::Graph g = PlantedPartition(4, 6, 0.75, 0.06, GetParam());
   DetectionResult native = *DetectCommunitiesParallel(g);
-  DetectionResult sql = *DetectCommunitiesSql(g);
-  EXPECT_EQ(AsPartition(native.assignment), AsPartition(sql.assignment));
-  EXPECT_EQ(native.communities_per_iteration, sql.communities_per_iteration);
-  ASSERT_EQ(native.modularity_per_iteration.size(),
-            sql.modularity_per_iteration.size());
-  for (size_t i = 0; i < native.modularity_per_iteration.size(); ++i) {
-    EXPECT_NEAR(native.modularity_per_iteration[i],
-                sql.modularity_per_iteration[i], 1e-6);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p != nullptr ? "pooled" : "serial");
+    SqlCdOptions options;
+    options.pool = p;
+    DetectionResult sql = *DetectCommunitiesSql(g, options);
+    EXPECT_EQ(native.assignment, sql.assignment);
+    EXPECT_EQ(native.communities_per_iteration, sql.communities_per_iteration);
+    ASSERT_EQ(native.modularity_per_iteration.size(),
+              sql.modularity_per_iteration.size());
+    for (size_t i = 0; i < native.modularity_per_iteration.size(); ++i) {
+      EXPECT_NEAR(native.modularity_per_iteration[i],
+                  sql.modularity_per_iteration[i], 1e-6);
+    }
   }
 }
 
@@ -388,16 +394,17 @@ void FlattenExplain(const sql::ExplainStats& node,
   for (const auto& child : node.children) FlattenExplain(*child, out);
 }
 
-TEST(SqlCdTest, ExplainProfilesTheNeighborsStatementOnBothPaths) {
+TEST(SqlCdTest, ExplainProfilesTheNeighborsStatementWithAndWithoutAPool) {
   graph::Graph g = PlantedPartition(3, 6, 0.8, 0.05, 131);
   std::vector<std::tuple<std::string, uint64_t, uint64_t>> profiles[2];
-  for (bool columnar : {true, false}) {
+  ThreadPool pool(4);
+  for (bool pooled : {false, true}) {
     sql::ExplainStats explain;
     SqlCdOptions options;
-    options.use_columnar = columnar;
+    options.pool = pooled ? &pool : nullptr;
     options.explain = &explain;
     ASSERT_TRUE(DetectCommunitiesSql(g, options).ok());
-    FlattenExplain(explain, &profiles[columnar]);
+    FlattenExplain(explain, &profiles[pooled]);
   }
   std::set<std::string> kinds;
   for (const auto& [op, rows_in, rows_out] : profiles[1]) {

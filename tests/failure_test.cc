@@ -36,7 +36,7 @@ TEST(FailureTest, UdfErrorPropagatesFromSerialFilter) {
     return Status::Internal("UDF exploded");
   };
   ExprPtr pred = Gt(Udf("boom", faulty, {Col("x")}), LitDouble(0));
-  auto result = Filter(t, pred);
+  auto result = Executor().Execute(Plan::Values(t).Where(pred), Catalog());
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInternal());
   EXPECT_NE(result.status().message().find("UDF exploded"),
@@ -131,7 +131,8 @@ TEST(FailureTest, SharedExpressionSurvivesRepeatedParallelBinding) {
   ThreadPool pool(4);
   ExecContext ctx{&pool, 8, nullptr, "test"};
   ExprPtr pred = Gt(Col("x"), LitDouble(0.5));
-  size_t expected = Filter(t, pred)->num_rows();
+  size_t expected =
+      Executor().Execute(Plan::Values(t).Where(pred), Catalog())->num_rows();
   for (int round = 0; round < 20; ++round) {
     auto out = ParallelFilter(ctx, t, pred);
     ASSERT_TRUE(out.ok());
@@ -149,9 +150,11 @@ TEST(FailureTest, ExpressionRebindsAcrossDifferentSchemas) {
   ExprPtr x = Col("x");
   Table t1 = b1.Build(), t2 = b2.Build();
   ASSERT_TRUE(x->Bind(t1.schema()).ok());
-  EXPECT_DOUBLE_EQ(x->Eval(t1.row(0))->double_value(), 1.5);
+  EXPECT_DOUBLE_EQ(x->EvalColumn(**t1.EnsureColumnar())->ValueAt(0).double_value(),
+                   1.5);
   ASSERT_TRUE(x->Bind(t2.schema()).ok());
-  EXPECT_DOUBLE_EQ(x->Eval(t2.row(0))->double_value(), 2.5);
+  EXPECT_DOUBLE_EQ(x->EvalColumn(**t2.EnsureColumnar())->ValueAt(0).double_value(),
+                   2.5);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// The online fast-path equivalence suite (ctest -L online): PR 5's
+// The online fast-path equivalence suite (ctest -L online): the
 // snapshot-time evidence index, interned-token matching and parallel live
-// fan-out must be *bit-identical* to the reference serial detector — same
-// ranked experts, same doubles, on randomized worlds — and the deadline
-// must cancel cooperatively inside candidate collection. Also exercised
-// under TSan via -DESHARP_SANITIZE=thread (the stress test at the bottom).
+// fan-out must be *bit-identical* to the serial reference,
+// core::ESharp::FindExperts over the same store and corpus — same ranked
+// experts, same doubles, on randomized worlds — and the deadline must
+// cancel cooperatively inside candidate collection. Also exercised under
+// TSan via -DESHARP_SANITIZE=thread (the stress test at the bottom).
 
 #include <atomic>
 #include <chrono>
@@ -17,6 +18,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "community/store.h"
+#include "esharp/esharp.h"
 #include "esharp/pipeline.h"
 #include "expert/detector.h"
 #include "expert/evidence_index.h"
@@ -138,18 +140,12 @@ std::vector<std::string> QueryMix(const World& world) {
   return queries;
 }
 
-serving::ServingOptions ReferenceOptions() {
+// Every request reaches the detector: no cache, no single-flight.
+serving::ServingOptions UncachedOptions() {
   serving::ServingOptions o;
   o.num_threads = 3;
   o.enable_cache = false;
   o.enable_single_flight = false;
-  o.parallel_detect = false;
-  return o;
-}
-
-serving::ServingOptions FastOptions() {
-  serving::ServingOptions o = ReferenceOptions();
-  o.parallel_detect = true;
   return o;
 }
 
@@ -177,15 +173,20 @@ TEST(OnlineFastPathTest, RandomizedWorldsBitIdenticalToReference) {
     ASSERT_NE(fast_manager.Acquire()->evidence(), nullptr);
     ASSERT_EQ(ref_manager.Acquire()->evidence(), nullptr);
 
-    serving::ServingEngine ref_engine(&ref_manager, ReferenceOptions());
-    serving::ServingEngine fast_engine(&fast_manager, FastOptions());
+    serving::ServingEngine ref_engine(&ref_manager, UncachedOptions());
+    serving::ServingEngine fast_engine(&fast_manager, UncachedOptions());
+    // The serial reference: no index, no fan-out.
+    const core::ESharp oracle(store.get(), &world.corpus);
 
     for (const std::string& q : QueryMix(world)) {
+      auto expected = oracle.FindExperts(q);
       auto ref = ref_engine.Query({q});
       auto fast = fast_engine.Query({q});
+      ASSERT_TRUE(expected.ok()) << q << ": " << expected.status().ToString();
       ASSERT_TRUE(ref.ok()) << q << ": " << ref.status().ToString();
       ASSERT_TRUE(fast.ok()) << q << ": " << fast.status().ToString();
-      ExpectSameExperts(fast->experts, ref->experts, "query '" + q + "'");
+      ExpectSameExperts(ref->experts, *expected, "live query '" + q + "'");
+      ExpectSameExperts(fast->experts, *expected, "indexed query '" + q + "'");
     }
   }
 }
@@ -404,8 +405,8 @@ TEST(OnlineFastPathTest, DeadlineCancelsInsideLiveCollection) {
   manager.Publish(std::make_shared<const community::CommunityStore>(
       world.artifacts.store));
 
-  serving::ServingOptions options = ReferenceOptions();
-  options.parallel_detect = true;  // cancellation must also cover the fan-out
+  // Cancellation must also cover the fan-out's helper tasks.
+  serving::ServingOptions options = UncachedOptions();
   // Burn the whole deadline before collection starts: the stage-boundary
   // check has already passed, so only the poll *inside* CollectCandidates
   // (entry + every kCollectCancelStride tweets) can stop the request.
@@ -437,7 +438,7 @@ TEST(OnlineFastPathTest, ConcurrentClientsAndPublishesStayConsistent) {
   serving::SnapshotManager manager(&world.corpus);
   manager.Publish(store);
 
-  serving::ServingOptions options = FastOptions();
+  serving::ServingOptions options = UncachedOptions();
   options.num_threads = 4;
   serving::ServingEngine engine(&manager, options);
 

@@ -10,7 +10,7 @@
 #include "common/rng.h"
 #include "graph/builder.h"
 #include "querylog/generator.h"
-#include "sqlengine/operators.h"
+#include "sqlengine/plan.h"
 
 namespace esharp {
 namespace {
@@ -136,21 +136,27 @@ TEST_P(SeededProperty, DetectionIsIdempotentAtTheFixpoint) {
 
 // -------------------------------------------------- Relational identities --
 
+sql::Table RunPlan(const sql::Plan& plan) {
+  Result<sql::Table> out = sql::Executor().Execute(plan, sql::Catalog());
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  return out.ok() ? std::move(out).MoveValueUnsafe() : sql::Table();
+}
+
 TEST_P(SeededProperty, FilterPartitionsTheTable) {
   sql::Table t = RandomSqlTable(GetParam() + 7, 300);
   sql::ExprPtr pred = sql::Gt(sql::Col("x"), sql::LitDouble(0.5));
-  sql::Table yes = *Filter(t, pred);
-  sql::Table no = *Filter(t, sql::Not(pred));
+  sql::Table yes = RunPlan(sql::Plan::Values(t).Where(pred));
+  sql::Table no = RunPlan(sql::Plan::Values(t).Where(sql::Not(pred)));
   EXPECT_EQ(yes.num_rows() + no.num_rows(), t.num_rows());
 }
 
 TEST_P(SeededProperty, DistinctAndSortAreIdempotent) {
   sql::Table t = RandomSqlTable(GetParam() + 8, 200);
-  sql::Table d1 = *Distinct(t);
-  sql::Table d2 = *Distinct(d1);
+  sql::Table d1 = RunPlan(sql::Plan::Values(t).Distinct());
+  sql::Table d2 = RunPlan(sql::Plan::Values(d1).Distinct());
   EXPECT_EQ(d1.num_rows(), d2.num_rows());
-  sql::Table s1 = *SortBy(t, {"k", "x"});
-  sql::Table s2 = *SortBy(s1, {"k", "x"});
+  sql::Table s1 = RunPlan(sql::Plan::Values(t).OrderBy({"k", "x"}));
+  sql::Table s2 = RunPlan(sql::Plan::Values(s1).OrderBy({"k", "x"}));
   for (size_t i = 0; i < s1.num_rows(); ++i) {
     for (size_t c = 0; c < s1.num_columns(); ++c) {
       EXPECT_EQ(s1.row(i)[c].Compare(s2.row(i)[c]), 0);
@@ -160,7 +166,8 @@ TEST_P(SeededProperty, DistinctAndSortAreIdempotent) {
 
 TEST_P(SeededProperty, GroupCountsSumToRowCount) {
   sql::Table t = RandomSqlTable(GetParam() + 9, 400);
-  sql::Table grouped = *HashAggregate(t, {"k"}, {sql::CountStar("n")});
+  sql::Table grouped =
+      RunPlan(sql::Plan::Values(t).GroupBy({"k"}, {sql::CountStar("n")}));
   int64_t total = 0;
   for (const sql::Row& r : grouped.rows()) total += r[1].int_value();
   EXPECT_EQ(static_cast<size_t>(total), t.num_rows());
@@ -176,7 +183,8 @@ TEST_P(SeededProperty, JoinOnDistinctKeyPreservesRows) {
     rb.AddRow({sql::Value::Int(k), sql::Value::String("t")});
   }
   sql::Table right = rb.Build();
-  sql::Table joined = *HashJoin(left, right, {"k"}, {"k2"});
+  sql::Table joined =
+      RunPlan(sql::Plan::Values(left).Join(sql::Plan::Values(right), {"k"}, {"k2"}));
   EXPECT_EQ(joined.num_rows(), left.num_rows());  // every key 0..19 covered
 }
 

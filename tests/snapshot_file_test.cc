@@ -2,20 +2,25 @@
 // load -> bit-identical query results against the pipeline-built
 // artifacts) plus the corruption battery — truncation, flipped magic,
 // flipped payload bytes, version skew — all of which must fail
-// LoadSnapshotFile with a clean Status, never a crash.
+// LoadSnapshotFile with a clean Status, never a crash — and a mutation fuzz
+// that re-seals the checksums so the section decoders behind them run.
 
 #include "serving/snapshot_file.h"
 
 #include <cstdio>
+#include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "cluster/coldstart.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "ingest/ingest.h"
 #include "ingest/verify.h"
 #include "cluster/partition.h"
 #include "common/file_io.h"
+#include "esharp/esharp.h"
 #include "esharp/pipeline.h"
 #include "microblog/generator.h"
 #include "querylog/generator.h"
@@ -242,6 +247,7 @@ class SnapshotCorruptionTest : public ::testing::Test {
     ASSERT_TRUE(bytes.ok());
     bytes_ = bytes.MoveValueUnsafe();
     ASSERT_GT(bytes_.size(), 64u);
+    queries_ = QueryMix(world);
   }
 
   /// Writes `mutated` to a scratch path and expects LoadSnapshotFile to
@@ -256,6 +262,7 @@ class SnapshotCorruptionTest : public ::testing::Test {
 
   std::string path_;
   std::string bytes_;
+  std::vector<std::string> queries_;
 };
 
 TEST_F(SnapshotCorruptionTest, IntactFileLoads) {
@@ -324,6 +331,119 @@ TEST_F(SnapshotCorruptionTest, ImplausibleSectionCountFails) {
   mutated[12] = static_cast<char>(0xFF);  // section_count low byte
   mutated[13] = static_cast<char>(0xFF);
   ExpectLoadFails(mutated, "implausible section count");
+}
+
+// Little-endian fixed-width fields of the header and section table.
+template <typename T>
+T GetLe(const std::string& bytes, size_t at) {
+  T v;
+  std::memcpy(&v, bytes.data() + at, sizeof(T));
+  return v;
+}
+template <typename T>
+void PutLe(std::string* bytes, size_t at, T v) {
+  std::memcpy(bytes->data() + at, &v, sizeof(T));
+}
+
+// Every mutation lands inside one section and is then re-sealed: the
+// section's checksum and the table checksum are recomputed, so only the
+// section decoders (and the cross-section checks after them) stand between
+// the bytes and a served query. A load must return OK or a Status; an OK
+// load must answer the whole query mix, with the evidence lookups the
+// engine makes.
+TEST_F(SnapshotCorruptionTest, ResealedSectionMutationsDecodeOrFailCleanly) {
+  constexpr size_t kHeader = 24, kEntry = 32;
+  const uint32_t count = GetLe<uint32_t>(bytes_, 12);
+  ASSERT_GE(count, 6u);
+  struct Section {
+    uint32_t id;
+    uint64_t offset, size;
+  };
+  std::vector<Section> sections;
+  for (uint32_t i = 0; i < count; ++i) {
+    const size_t e = kHeader + i * kEntry;
+    sections.push_back({GetLe<uint32_t>(bytes_, e),
+                        GetLe<uint64_t>(bytes_, e + 8),
+                        GetLe<uint64_t>(bytes_, e + 16)});
+  }
+
+  uint64_t lcg = 0x2545F4914F6CDD1DULL;
+  auto next = [&lcg] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg >> 17;
+  };
+  const uint64_t kValues[] = {0, 1, 2, 0xFF, 0xFFFF, 0x7FFFFFFF, 0xFFFFFFFF,
+                              0x100000000ULL, ~uint64_t{0}};
+  const std::string path = TempPath("fuzz_case.esnap");
+  std::vector<size_t> rejected(count, 0), served(count, 0);
+  std::set<std::string> diagnostics;
+  for (size_t m = 0; m < 500; ++m) {
+    const size_t which = m % count;
+    const Section& sec = sections[which];
+    if (sec.size < 8) continue;
+    std::string mutated = bytes_;
+    // Half the mutations hit the first 64 bytes, where a section keeps its
+    // counts; the rest land anywhere in it.
+    const uint64_t span = next() % 2 ? std::min<uint64_t>(64, sec.size)
+                                     : sec.size;
+    switch (next() % 3) {
+      case 0: {  // flip bits of one byte
+        const size_t at = sec.offset + next() % span;
+        mutated[at] = static_cast<char>(mutated[at] ^ (1 + next() % 255));
+        break;
+      }
+      case 1: {  // rewrite an aligned u32
+        const size_t at = sec.offset + (next() % (span / 4)) * 4;
+        const uint64_t v = next() % 2 ? kValues[next() % std::size(kValues)]
+                                      : GetLe<uint32_t>(bytes_, at) + 1;
+        PutLe<uint32_t>(&mutated, at, static_cast<uint32_t>(v));
+        break;
+      }
+      default: {  // rewrite an aligned u64
+        const size_t at = sec.offset + (next() % (span / 8)) * 8;
+        const uint64_t v = next() % 2 ? kValues[next() % std::size(kValues)]
+                                      : GetLe<uint64_t>(bytes_, at) - 1;
+        PutLe<uint64_t>(&mutated, at, v);
+        break;
+      }
+    }
+    PutLe<uint64_t>(&mutated, kHeader + which * kEntry + 24,
+                    simd::Checksum64(mutated.data() + sec.offset, sec.size));
+    PutLe<uint64_t>(&mutated, 16,
+                    simd::Checksum64(mutated.data() + kHeader, count * kEntry));
+    ASSERT_TRUE(WriteStringToFile(path, mutated).ok());
+
+    Result<serving::SnapshotArtifacts> loaded = serving::LoadSnapshotFile(path);
+    if (!loaded.ok()) {
+      ++rejected[which];
+      // Drop the path and numbers: what is left names the check that fired.
+      std::string why = loaded.status().message();
+      why = why.substr(why.find("': ") == std::string::npos
+                           ? 0
+                           : why.find("': ") + 3);
+      diagnostics.insert(why.substr(0, why.find_first_of("0123456789")));
+      continue;
+    }
+    ++served[which];
+    const core::ESharp esharp(loaded->store.get(), loaded->corpus.get());
+    for (const std::string& q : queries_) {
+      Result<std::vector<expert::RankedExpert>> answer = esharp.FindExperts(q);
+      (void)answer;  // OK or a Status; neither may crash
+      if (loaded->evidence != nullptr) {
+        for (const std::string& term : esharp.Expand(q).terms) {
+          (void)loaded->evidence->Find(term);
+        }
+      }
+    }
+  }
+  for (size_t i = 0; i < count; ++i) {
+    EXPECT_GT(rejected[i], 0u) << "no mutation of section id "
+                               << sections[i].id << " was rejected";
+  }
+  size_t total_served = 0;
+  for (size_t n : served) total_served += n;
+  EXPECT_GT(total_served, 0u) << "no mutated file loaded";
+  EXPECT_GT(diagnostics.size(), 5u);
 }
 
 // ---- per-shard cold start -------------------------------------------------

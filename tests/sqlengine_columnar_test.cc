@@ -5,11 +5,12 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
+#include "sql_reference.h"
 #include "sqlengine/catalog.h"
 #include "sqlengine/column.h"
 #include "sqlengine/columnar.h"
-#include "sqlengine/operators.h"
 #include "sqlengine/parallel.h"
 #include "sqlengine/plan.h"
 
@@ -19,8 +20,10 @@ namespace {
 // ------------------------------------------------------------- Harness ----
 //
 // Randomized equivalence suite: every columnar kernel must produce the same
-// multiset of rows as its row-store reference implementation, including
-// NULLs, empty inputs, and single-partition edge cases.
+// multiset of rows as the row-at-a-time reference evaluator
+// (sql_reference.h), including NULLs, empty inputs, and single-partition
+// edge cases; order-defined kernels (Distinct, Sort, Limit, UnionAll) must
+// produce the same rows in the same order.
 
 // Random table over all four concrete types with NULLs sprinkled in.
 Table RandomNullableTable(size_t rows, size_t key_cardinality, uint64_t seed,
@@ -80,6 +83,19 @@ void ExpectSameRows(Table a, Table b, const std::string& what) {
   }
 }
 
+// Cell-exact comparison in row order.
+void ExpectSameRowsInOrder(const Table& a, const Table& b,
+                           const std::string& what) {
+  ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
+  ASSERT_EQ(a.num_columns(), b.num_columns()) << what;
+  for (size_t i = 0; i < a.num_rows(); ++i) {
+    for (size_t c = 0; c < a.num_columns(); ++c) {
+      ASSERT_EQ(a.row(i)[c].Compare(b.row(i)[c]), 0)
+          << what << ": row " << i << " col " << c;
+    }
+  }
+}
+
 // ------------------------------------------------------- Conversions ------
 
 TEST(ColumnTableTest, RoundTripIsLossless) {
@@ -113,13 +129,34 @@ TEST(ColumnTableTest, EmptyAndAllNullColumns) {
   EXPECT_TRUE(rows[1][1].is_null());
 }
 
-TEST(ColumnTableTest, MixedTypeColumnIsUnsupportedNotAnError) {
+TEST(ColumnTableTest, MixedTypeColumnIsInvalidArgument) {
   TableBuilder b({{"m", DataType::kInt64}});
   b.AddRow({Value::Int(1)});
   b.AddRow({Value::String("oops")});
   Result<ColumnTable> ct = ColumnTable::FromTable(b.Build());
   ASSERT_FALSE(ct.ok());
-  EXPECT_TRUE(IsColumnarUnsupported(ct.status())) << ct.status().ToString();
+  EXPECT_TRUE(ct.status().IsInvalidArgument()) << ct.status().ToString();
+  EXPECT_NE(ct.status().ToString().find("column 'm' mixes INT64 and STRING"),
+            std::string::npos)
+      << ct.status().ToString();
+}
+
+TEST(ColumnTableTest, UdfReturningMixedTypesIsInvalidArgument) {
+  ScalarUdf int_or_string = [](const std::vector<Value>& args) -> Result<Value> {
+    return args[0].int_value() % 2 == 0 ? Value::Int(0) : Value::String("odd");
+  };
+  TableBuilder b({{"k", DataType::kInt64}});
+  b.AddRow({Value::Int(2)});
+  b.AddRow({Value::Int(3)});
+  ExprPtr e = Udf("parity", int_or_string, {Col("k")});
+  Table t = b.Build();
+  ASSERT_TRUE(e->Bind(t.schema()).ok());
+  Result<ColumnVec> col = e->EvalColumn(ToColumnar(t));
+  ASSERT_FALSE(col.ok());
+  EXPECT_TRUE(col.status().IsInvalidArgument());
+  EXPECT_NE(col.status().ToString().find("UDF parity mixes INT64 and STRING"),
+            std::string::npos)
+      << col.status().ToString();
 }
 
 TEST(ColumnTableTest, HashesMatchRowHashes) {
@@ -135,20 +172,22 @@ TEST(ColumnTableTest, HashesMatchRowHashes) {
 
 // --------------------------------------------------------------- Filter ---
 
-TEST(ColumnarKernelTest, FilterMatchesRowKernel) {
+TEST(ColumnarKernelTest, FilterMatchesReference) {
   std::vector<ExprPtr> preds = {
       Gt(Col("x"), LitDouble(0.5)),
       And(Gt(Col("x"), LitDouble(0.2)), Eq(Col("s"), LitString("s1"))),
       Or(Eq(Col("k"), LitInt(3)), Not(Col("f"))),
       Le(Col("k"), LitInt(5)),
+      // Guards: k is 0 on some rows, where the division must not run.
+      And(Gt(Col("k"), LitInt(0)), Gt(Div(LitInt(10), Col("k")), LitDouble(2))),
+      Or(Eq(Col("k"), LitInt(0)), Lt(Div(LitInt(10), Col("k")), LitDouble(2))),
   };
   for (uint64_t seed = 10; seed < 16; ++seed) {
-    // NOTE: no NULLs here — the row kernel requires the predicate to be
-    // all-BOOL, so NULL-producing predicates are an error on both paths
-    // (checked separately below).
+    // NOTE: no NULLs here — a filter requires the predicate to be all-BOOL,
+    // so NULL-producing predicates are an error (checked separately below).
     Table t = RandomNullableTable(250, 9, seed, /*null_prob=*/0.0);
     for (const ExprPtr& pred : preds) {
-      Result<Table> row = Filter(t, pred);
+      Result<Table> row = ref::Filter(t, pred);
       Result<ColumnTable> col = ColumnarFilter(ToColumnar(t), pred);
       ASSERT_TRUE(row.ok()) << row.status().ToString();
       ASSERT_TRUE(col.ok()) << col.status().ToString();
@@ -159,22 +198,19 @@ TEST(ColumnarKernelTest, FilterMatchesRowKernel) {
 }
 
 TEST(ColumnarKernelTest, FilterErrorParity) {
-  // Null-free so both paths reach the "not BOOL" check (with NULLs present
-  // the columnar arithmetic type-check surfaces the NULL-coercion error
-  // first, a documented divergence in error precedence, not in results).
   Table t = RandomNullableTable(50, 5, 20, /*null_prob=*/0.0);
-  // Non-BOOL predicate: same error code and message on both paths.
-  Result<Table> row = Filter(t, Add(Col("k"), LitInt(1)));
+  // Non-BOOL predicate: same error code and message as the reference.
+  Result<Table> row = ref::Filter(t, Add(Col("k"), LitInt(1)));
   Result<ColumnTable> col = ColumnarFilter(ToColumnar(t), Add(Col("k"), LitInt(1)));
   ASSERT_FALSE(row.ok());
   ASSERT_FALSE(col.ok());
-  EXPECT_FALSE(IsColumnarUnsupported(col.status()));
+  EXPECT_TRUE(col.status().IsInvalidArgument());
   EXPECT_EQ(row.status().ToString(), col.status().ToString());
 }
 
 TEST(ColumnarKernelTest, FilterEmptyInput) {
   ExprPtr pred = Gt(Col("x"), LitDouble(0.5));
-  Result<Table> row = Filter(EmptyTable(), pred);
+  Result<Table> row = ref::Filter(EmptyTable(), pred);
   Result<ColumnTable> col = ColumnarFilter(ToColumnar(EmptyTable()), pred);
   ASSERT_TRUE(row.ok());
   ASSERT_TRUE(col.ok());
@@ -185,7 +221,7 @@ TEST(ColumnarKernelTest, FilterEmptyInput) {
 
 // -------------------------------------------------------------- Project ---
 
-TEST(ColumnarKernelTest, ProjectMatchesRowKernel) {
+TEST(ColumnarKernelTest, ProjectMatchesReference) {
   std::vector<std::vector<ProjectedColumn>> cases = {
       {{Col("k"), "k"}, {Col("s"), "s"}},
       {{Add(Col("x"), LitDouble(1.0)), "x1"},
@@ -196,7 +232,7 @@ TEST(ColumnarKernelTest, ProjectMatchesRowKernel) {
   for (uint64_t seed = 30; seed < 34; ++seed) {
     Table t = RandomNullableTable(200, 7, seed, /*null_prob=*/0.0);
     for (const auto& cols : cases) {
-      Result<Table> row = Project(t, cols);
+      Result<Table> row = ref::Project(t, cols);
       Result<ColumnTable> col = ColumnarProject(ToColumnar(t), cols);
       ASSERT_TRUE(row.ok()) << row.status().ToString();
       ASSERT_TRUE(col.ok()) << col.status().ToString();
@@ -208,7 +244,7 @@ TEST(ColumnarKernelTest, ProjectMatchesRowKernel) {
 
 TEST(ColumnarKernelTest, ProjectNullsAndUdf) {
   // NULL-aware projections: pass-through of nullable columns and a UDF
-  // (which evaluates row-at-a-time internally on both paths).
+  // (which the kernel calls once per row).
   ScalarUdf coalesce_zero = [](const std::vector<Value>& args) -> Result<Value> {
     return args[0].is_null() ? Value::Int(0) : args[0];
   };
@@ -219,7 +255,7 @@ TEST(ColumnarKernelTest, ProjectNullsAndUdf) {
   };
   for (uint64_t seed = 40; seed < 44; ++seed) {
     Table t = RandomNullableTable(150, 6, seed, /*null_prob=*/0.3);
-    Result<Table> row = Project(t, cols);
+    Result<Table> row = ref::Project(t, cols);
     Result<ColumnTable> col = ColumnarProject(ToColumnar(t), cols);
     ASSERT_TRUE(row.ok()) << row.status().ToString();
     ASSERT_TRUE(col.ok()) << col.status().ToString();
@@ -234,7 +270,7 @@ TEST(ColumnarKernelTest, ProjectDivisionByZeroParity) {
   b.AddRow({Value::Int(4), Value::Int(0)});
   Table t = b.Build();
   std::vector<ProjectedColumn> cols = {{Div(Col("a"), Col("d")), "q"}};
-  Result<Table> row = Project(t, cols);
+  Result<Table> row = ref::Project(t, cols);
   Result<ColumnTable> col = ColumnarProject(ToColumnar(t), cols);
   ASSERT_FALSE(row.ok());
   ASSERT_FALSE(col.ok());
@@ -243,12 +279,12 @@ TEST(ColumnarKernelTest, ProjectDivisionByZeroParity) {
 
 // ----------------------------------------------------------------- Join ---
 
-TEST(ColumnarKernelTest, JoinMatchesRowKernel) {
+TEST(ColumnarKernelTest, JoinMatchesReference) {
   for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
     for (uint64_t seed = 50; seed < 54; ++seed) {
       Table left = RandomNullableTable(160, 10, seed);
       Table right = RandomNullableTable(90, 10, seed + 100);
-      Result<Table> row = HashJoin(left, right, {"k"}, {"k"}, type);
+      Result<Table> row = ref::Join(left, right, {"k"}, {"k"}, type);
       Result<ColumnTable> col = ColumnarHashJoin(
           ToColumnar(left), ToColumnar(right), {"k"}, {"k"}, type);
       ASSERT_TRUE(row.ok()) << row.status().ToString();
@@ -263,7 +299,7 @@ TEST(ColumnarKernelTest, MultiKeyAndStringKeyJoin) {
   for (uint64_t seed = 60; seed < 63; ++seed) {
     Table left = RandomNullableTable(120, 6, seed);
     Table right = RandomNullableTable(80, 6, seed + 200);
-    Result<Table> row = HashJoin(left, right, {"k", "s"}, {"k", "s"});
+    Result<Table> row = ref::Join(left, right, {"k", "s"}, {"k", "s"});
     Result<ColumnTable> col = ColumnarHashJoin(
         ToColumnar(left), ToColumnar(right), {"k", "s"}, {"k", "s"});
     ASSERT_TRUE(row.ok()) << row.status().ToString();
@@ -276,7 +312,7 @@ TEST(ColumnarKernelTest, MultiKeyAndStringKeyJoin) {
 TEST(ColumnarKernelTest, JoinEmptySidesAndErrorParity) {
   Table t = RandomNullableTable(40, 4, 70);
   for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
-    Result<Table> row = HashJoin(t, EmptyTable(), {"k"}, {"k"}, type);
+    Result<Table> row = ref::Join(t, EmptyTable(), {"k"}, {"k"}, type);
     Result<ColumnTable> col = ColumnarHashJoin(
         ToColumnar(t), ToColumnar(EmptyTable()), {"k"}, {"k"}, type);
     ASSERT_TRUE(row.ok());
@@ -285,7 +321,7 @@ TEST(ColumnarKernelTest, JoinEmptySidesAndErrorParity) {
                    "empty right join");
   }
   // Arity mismatch: same error.
-  Result<Table> row = HashJoin(t, t, {"k", "s"}, {"k"});
+  Result<Table> row = ref::Join(t, t, {"k", "s"}, {"k"});
   Result<ColumnTable> col =
       ColumnarHashJoin(ToColumnar(t), ToColumnar(t), {"k", "s"}, {"k"});
   ASSERT_FALSE(row.ok());
@@ -309,13 +345,13 @@ std::vector<AggSpec> AllAggKinds() {
   return aggs;
 }
 
-TEST(ColumnarKernelTest, AggregateMatchesRowKernel) {
+TEST(ColumnarKernelTest, AggregateMatchesReference) {
   for (uint64_t seed = 80; seed < 86; ++seed) {
     // Small cardinality forces ties, exercising ARGMAX/ARGMIN tie-breaks.
     Table t = RandomNullableTable(300, 5, seed);
     for (const auto& keys :
          std::vector<std::vector<std::string>>{{"k"}, {"s"}, {"k", "s"}}) {
-      Result<Table> row = HashAggregate(t, keys, AllAggKinds());
+      Result<Table> row = ref::Aggregate(t, keys, AllAggKinds());
       Result<ColumnTable> col =
           ColumnarHashAggregate(ToColumnar(t), keys, AllAggKinds());
       ASSERT_TRUE(row.ok()) << row.status().ToString();
@@ -330,7 +366,7 @@ TEST(ColumnarKernelTest, GlobalAggregateAndEmptyInput) {
   // No group keys: one output row, even over an empty input.
   for (const Table& t :
        {RandomNullableTable(120, 4, 90), EmptyTable()}) {
-    Result<Table> row = HashAggregate(t, {}, AllAggKinds());
+    Result<Table> row = ref::Aggregate(t, {}, AllAggKinds());
     Result<ColumnTable> col = ColumnarHashAggregate(ToColumnar(t), {},
                                                     AllAggKinds());
     ASSERT_TRUE(row.ok()) << row.status().ToString();
@@ -339,8 +375,8 @@ TEST(ColumnarKernelTest, GlobalAggregateAndEmptyInput) {
     ExpectSameRows(*row, FromColumnar(std::move(col).ValueOrDie()),
                    "global aggregate");
   }
-  // Grouped aggregate over empty input: zero rows on both paths.
-  Result<Table> row = HashAggregate(EmptyTable(), {"k"}, AllAggKinds());
+  // Grouped aggregate over empty input: zero rows.
+  Result<Table> row = ref::Aggregate(EmptyTable(), {"k"}, AllAggKinds());
   Result<ColumnTable> col =
       ColumnarHashAggregate(ToColumnar(EmptyTable()), {"k"}, AllAggKinds());
   ASSERT_TRUE(row.ok());
@@ -351,46 +387,61 @@ TEST(ColumnarKernelTest, GlobalAggregateAndEmptyInput) {
 
 // ---------------------------------------------------------- Partitioning --
 
-TEST(ColumnarKernelTest, HashPartitionRoutesIdentically) {
-  for (size_t parts : {1u, 2u, 7u, 16u}) {
-    Table t = RandomNullableTable(260, 12, 100 + parts);
-    Result<std::vector<Table>> row = HashPartition(t, {"k", "s"}, parts);
-    Result<std::vector<ColumnTable>> col =
-        ColumnarHashPartition(ToColumnar(t), {"k", "s"}, parts);
-    ASSERT_TRUE(row.ok()) << row.status().ToString();
-    ASSERT_TRUE(col.ok()) << col.status().ToString();
-    ASSERT_EQ(row->size(), col->size());
-    for (size_t p = 0; p < row->size(); ++p) {
-      // Identical routing: partition p holds the same rows on both paths.
-      ExpectSameRows((*row)[p], FromColumnar(std::move((*col)[p])),
-                     "partition " + std::to_string(p) + "/" +
-                         std::to_string(parts));
-    }
-  }
-  // Zero partitions: same error.
-  Table t = RandomNullableTable(10, 3, 99);
-  Result<std::vector<Table>> row = HashPartition(t, {"k"}, 0);
-  Result<std::vector<ColumnTable>> col =
-      ColumnarHashPartition(ToColumnar(t), {"k"}, 0);
-  ASSERT_FALSE(row.ok());
-  ASSERT_FALSE(col.ok());
-  EXPECT_EQ(row.status().ToString(), col.status().ToString());
+// Row i belongs to partition (seed ⊕ Value::Hash of each key cell) % parts:
+// the routing contract, computed here from the row store.
+size_t ExpectedPartition(const Row& row, const std::vector<size_t>& keys,
+                         size_t parts) {
+  uint64_t h = 0x87c37b91114253d5ULL;
+  for (size_t k : keys) h = HashCombine(h, row[k].Hash());
+  return h % parts;
 }
 
-TEST(ColumnarKernelTest, RoundRobinChunksIdentically) {
+TEST(ColumnarKernelTest, HashPartitionRoutesByValueHashes) {
+  for (size_t parts : {1u, 2u, 7u, 16u}) {
+    Table t = RandomNullableTable(260, 12, 100 + parts);
+    Result<std::vector<ColumnTable>> col =
+        ColumnarHashPartition(ToColumnar(t), {"k", "s"}, parts);
+    ASSERT_TRUE(col.ok()) << col.status().ToString();
+    ASSERT_EQ(col->size(), parts);
+    std::vector<Table> expected(parts, Table(t.schema()));
+    for (const Row& row : t.rows()) {
+      expected[ExpectedPartition(row, {0, 1}, parts)].AppendRowUnchecked(row);
+    }
+    for (size_t p = 0; p < parts; ++p) {
+      // Rows keep their input order inside a partition.
+      std::vector<Row> rows = (*col)[p].MaterializeRows();
+      ASSERT_EQ(rows.size(), expected[p].num_rows())
+          << "partition " << p << "/" << parts;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        for (size_t c = 0; c < rows[i].size(); ++c) {
+          ASSERT_EQ(rows[i][c].Compare(expected[p].row(i)[c]), 0);
+        }
+      }
+    }
+  }
+  // Zero partitions: InvalidArgument.
+  Table t = RandomNullableTable(10, 3, 99);
+  EXPECT_TRUE(ColumnarHashPartition(ToColumnar(t), {"k"}, 0)
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(ColumnarKernelTest, RoundRobinChunksAreContiguousRanges) {
   for (size_t parts : {1u, 3u, 8u}) {
     Table t = RandomNullableTable(103, 6, 110 + parts);
-    std::vector<Table> row = RoundRobinPartition(t, parts);
     std::vector<ColumnTable> col =
         ColumnarRoundRobinPartition(ToColumnar(t), parts);
-    ASSERT_EQ(row.size(), col.size());
-    for (size_t p = 0; p < row.size(); ++p) {
-      ASSERT_EQ(row[p].num_rows(), col[p].num_rows()) << "chunk " << p;
+    ASSERT_EQ(col.size(), parts);
+    const size_t per = (t.num_rows() + parts - 1) / parts;
+    for (size_t p = 0; p < col.size(); ++p) {
+      const size_t begin = std::min(t.num_rows(), p * per);
+      const size_t end = std::min(t.num_rows(), begin + per);
+      ASSERT_EQ(col[p].num_rows(), end - begin) << "chunk " << p;
       // Chunking is positional: compare in order, not as multisets.
       std::vector<Row> rows = col[p].MaterializeRows();
       for (size_t i = 0; i < rows.size(); ++i) {
         for (size_t c = 0; c < rows[i].size(); ++c) {
-          ASSERT_EQ(rows[i][c].Compare(row[p].row(i)[c]), 0);
+          ASSERT_EQ(rows[i][c].Compare(t.row(begin + i)[c]), 0);
         }
       }
     }
@@ -406,33 +457,95 @@ TEST(ColumnarKernelTest, ConcatRestoresPartitions) {
   ASSERT_TRUE(whole.ok()) << whole.status().ToString();
   ExpectSameRows(t, FromColumnar(std::move(whole).ValueOrDie()), "concat");
 
-  // Empty list: same error as the row path.
-  Result<Table> row_err = ConcatTables({});
-  Result<ColumnTable> col_err = ColumnarConcat({});
-  ASSERT_FALSE(row_err.ok());
-  ASSERT_FALSE(col_err.ok());
-  EXPECT_EQ(row_err.status().ToString(), col_err.status().ToString());
+  // Empty list: InvalidArgument.
+  EXPECT_TRUE(ColumnarConcat({}).status().IsInvalidArgument());
 }
 
-TEST(ColumnarKernelTest, EqualAsMultisetsDetectsDifferences) {
-  Table a = RandomNullableTable(80, 6, 130);
-  Table b = a;
-  EXPECT_TRUE(ColumnTablesEqualAsMultisets(ToColumnar(a), ToColumnar(b)));
-  b.mutable_row(3)[0] = Value::Int(424242);
-  EXPECT_FALSE(ColumnTablesEqualAsMultisets(ToColumnar(a), ToColumnar(b)));
+// ------------------------------------- Distinct, Sort, Limit, UnionAll ---
+
+TEST(ColumnarKernelTest, DistinctMatchesReferenceInOrder) {
+  for (uint64_t seed = 140; seed < 144; ++seed) {
+    // Low cardinality with NULLs makes plenty of duplicate rows.
+    Table t = RandomNullableTable(200, 3, seed, /*null_prob=*/0.4);
+    Result<Table> keys = ref::Project(t, {{Col("k"), "k"}, {Col("f"), "f"}});
+    ASSERT_TRUE(keys.ok());
+    for (const Table& in : {t, *keys, EmptyTable()}) {
+      ExpectSameRowsInOrder(ref::Distinct(in),
+                            FromColumnar(ColumnarDistinct(ToColumnar(in))),
+                            "distinct seed " + std::to_string(seed));
+    }
+  }
 }
 
-// ------------------------------------------- Parallel wrappers (on/off) ---
+TEST(ColumnarKernelTest, SortMatchesReferenceAndIsStable) {
+  const std::vector<std::pair<std::vector<std::string>, std::vector<bool>>>
+      orders = {{{"k"}, {}},
+                {{"s", "x"}, {false, true}},
+                {{"f", "k", "x"}, {true, false}},
+                {{}, {}}};
+  for (uint64_t seed = 150; seed < 154; ++seed) {
+    Table t = RandomNullableTable(180, 6, seed);
+    for (const auto& [keys, ascending] : orders) {
+      Result<Table> row = ref::Sort(t, keys, ascending);
+      Result<ColumnTable> col = ColumnarSort(ToColumnar(t), keys, ascending);
+      ASSERT_TRUE(row.ok()) << row.status().ToString();
+      ASSERT_TRUE(col.ok()) << col.status().ToString();
+      ExpectSameRowsInOrder(*row, FromColumnar(std::move(col).ValueOrDie()),
+                            "sort seed " + std::to_string(seed));
+    }
+  }
+  EXPECT_TRUE(ColumnarSort(ToColumnar(EmptyTable()), {"nope"})
+                  .status()
+                  .IsNotFound());
+}
+
+TEST(ColumnarKernelTest, LimitAndUnionAllMatchReferenceInOrder) {
+  Table a = RandomNullableTable(60, 5, 160);
+  Table b = RandomNullableTable(45, 5, 161);
+  for (size_t n : {0u, 1u, 59u, 60u, 1000u}) {
+    ExpectSameRowsInOrder(ref::Limit(a, n),
+                          FromColumnar(ColumnarLimit(ToColumnar(a), n)),
+                          "limit " + std::to_string(n));
+  }
+  for (const auto& [x, y] : std::vector<std::pair<Table, Table>>{
+           {a, b}, {b, a}, {a, EmptyTable()}, {EmptyTable(), b}}) {
+    Result<Table> row = ref::UnionAll(x, y);
+    Result<ColumnTable> col = ColumnarUnionAll(ToColumnar(x), ToColumnar(y));
+    ASSERT_TRUE(col.ok()) << col.status().ToString();
+    ExpectSameRowsInOrder(*row, FromColumnar(std::move(col).ValueOrDie()),
+                          "union all");
+  }
+  // An all-NULL column takes the other side's type; two concrete types and
+  // a different arity are InvalidArgument.
+  TableBuilder nulls({{"k", DataType::kNull}});
+  nulls.AddRow({Value()});
+  TableBuilder ints({{"k", DataType::kInt64}});
+  ints.AddRow({Value::Int(7)});
+  TableBuilder strings({{"k", DataType::kString}});
+  strings.AddRow({Value::String("7")});
+  Result<ColumnTable> typed =
+      ColumnarUnionAll(ToColumnar(nulls.Build()), ToColumnar(ints.Build()));
+  ASSERT_TRUE(typed.ok()) << typed.status().ToString();
+  EXPECT_EQ(typed->col(0).type, DataType::kInt64);
+  EXPECT_TRUE(typed->col(0).nulls.IsNull(0));
+  EXPECT_EQ(typed->col(0).ValueAt(1), Value::Int(7));
+  EXPECT_TRUE(ColumnarUnionAll(ToColumnar(ints.Build()),
+                               ToColumnar(strings.Build()))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ColumnarUnionAll(ToColumnar(a), ToColumnar(ints.Build()))
+                  .status()
+                  .IsInvalidArgument());
+}
+
+// -------------------------------------------- Partitioned operators ------
 
 class ColumnarParallelTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(ColumnarParallelTest, WrappersMatchRowPath) {
+TEST_P(ColumnarParallelTest, PartitionedOperatorsMatchReference) {
   ThreadPool pool(4);
   const size_t partitions = GetParam();
-  ExecContext columnar{&pool, partitions, nullptr, "test"};
-  columnar.use_columnar = true;
-  ExecContext rowwise = columnar;
-  rowwise.use_columnar = false;
+  ExecContext ctx{&pool, partitions, nullptr, "test"};
 
   Table left = RandomNullableTable(350, 14, 140);
   Table right = RandomNullableTable(180, 14, 141);
@@ -440,32 +553,31 @@ TEST_P(ColumnarParallelTest, WrappersMatchRowPath) {
   for (JoinStrategy strategy :
        {JoinStrategy::kReplicated, JoinStrategy::kPartitioned}) {
     for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
-      Table c = *ParallelHashJoin(columnar, left, right, {"k"}, {"k"}, type,
-                                  strategy);
-      Table r = *ParallelHashJoin(rowwise, left, right, {"k"}, {"k"}, type,
-                                  strategy);
-      ExpectSameRows(r, c, "parallel join");
+      ExpectSameRows(*ref::Join(left, right, {"k"}, {"k"}, type),
+                     *ParallelHashJoin(ctx, left, right, {"k"}, {"k"}, type,
+                                       strategy),
+                     "parallel join");
     }
   }
 
   std::vector<AggSpec> aggs = AllAggKinds();
-  ExpectSameRows(*ParallelHashAggregate(rowwise, left, {"k"}, aggs),
-                 *ParallelHashAggregate(columnar, left, {"k"}, aggs),
+  ExpectSameRows(*ref::Aggregate(left, {"k"}, aggs),
+                 *ParallelHashAggregate(ctx, left, {"k"}, aggs),
                  "parallel aggregate");
-  ExpectSameRows(*ParallelHashAggregate(rowwise, left, {}, aggs),
-                 *ParallelHashAggregate(columnar, left, {}, aggs),
+  ExpectSameRows(*ref::Aggregate(left, {}, aggs),
+                 *ParallelHashAggregate(ctx, left, {}, aggs),
                  "parallel global aggregate");
 
   ExprPtr pred = Gt(Col("x"), LitDouble(0.4));
-  ExpectSameRows(*ParallelFilter(rowwise, left, pred),
-                 *ParallelFilter(columnar, left, pred), "parallel filter");
+  ExpectSameRows(*ref::Filter(left, pred), *ParallelFilter(ctx, left, pred),
+                 "parallel filter");
 
-  // NULL-safe projection (comparisons use Compare semantics on both paths;
-  // arithmetic over NULL cells is an error on both).
+  // NULL-safe projection (comparisons use Compare semantics; arithmetic
+  // over NULL cells is an error).
   std::vector<ProjectedColumn> cols = {{Col("s"), "s"},
                                        {Ge(Col("x"), LitDouble(0.5)), "hi"}};
-  ExpectSameRows(*ParallelProject(rowwise, left, cols),
-                 *ParallelProject(columnar, left, cols), "parallel project");
+  ExpectSameRows(*ref::Project(left, cols),
+                 *ParallelProject(ctx, left, cols), "parallel project");
 }
 
 INSTANTIATE_TEST_SUITE_P(Fanouts, ColumnarParallelTest,
@@ -473,49 +585,54 @@ INSTANTIATE_TEST_SUITE_P(Fanouts, ColumnarParallelTest,
 
 // ---------------------------------------------------- Executor end-to-end --
 
-TEST(ColumnarExecutorTest, PlansMatchRowPathAndExplainCountsAgree) {
+TEST(ColumnarExecutorTest, OneAndEightPartitionsMatchReferenceAndExplain) {
+  Table l = RandomNullableTable(400, 15, 150, /*null_prob=*/0.0);
+  Table r = RandomNullableTable(220, 15, 151, /*null_prob=*/0.0);
   Catalog cat;
-  cat.Register("l", RandomNullableTable(400, 15, 150, /*null_prob=*/0.0));
-  cat.Register("r", RandomNullableTable(220, 15, 151, /*null_prob=*/0.0));
+  cat.Register("l", l);
+  cat.Register("r", r);
+  ExprPtr pred = Gt(Col("x"), LitDouble(0.2));
+  std::vector<AggSpec> aggs = {CountStar("n"), SumOf(Col("r_x"), "sx")};
   Plan plan = Plan::Scan("l")
-                  .As("a")
-                  .Join(Plan::Scan("r").As("b"), {"a.k"}, {"b.k"})
-                  .Where(Gt(Col("a.x"), LitDouble(0.2)))
-                  .GroupBy({"a.s"}, {CountStar("n"), SumOf(Col("b.x"), "sx")});
+                  .Join(Plan::Scan("r"), {"k"}, {"k"})
+                  .Where(pred)
+                  .GroupBy({"s"}, aggs);
 
   ThreadPool pool(4);
-  ExecutorOptions columnar;
-  columnar.pool = &pool;
-  columnar.num_partitions = 8;
-  columnar.use_columnar = true;
-  ExecutorOptions rowwise = columnar;
-  rowwise.use_columnar = false;
+  ExecutorOptions pooled;
+  pooled.pool = &pool;
+  pooled.num_partitions = 8;
 
-  ExplainStats cstats, rstats;
-  Table c = *Executor(columnar).Execute(plan, cat, &cstats);
-  Table r = *Executor(rowwise).Execute(plan, cat, &rstats);
-  ExpectSameRows(r, c, "executor end-to-end");
+  ExplainStats pstats, sstats;
+  Table p = *Executor(pooled).Execute(plan, cat, &pstats);
+  Table s = *Executor().Execute(plan, cat, &sstats);
+  Table expected =
+      *ref::Aggregate(*ref::Filter(*ref::Join(l, r, {"k"}, {"k"}), pred),
+                      {"s"}, aggs);
+  ExpectSameRows(expected, s, "serial executor");
+  ExpectSameRows(expected, p, "8-partition executor");
 
-  // EXPLAIN ANALYZE parity: exact rows in/out and batch counts are
-  // identical node-by-node across the two execution paths.
-  ASSERT_EQ(cstats.NodeCount(), rstats.NodeCount());
+  // EXPLAIN ANALYZE: exact rows in/out agree node by node; the pooled run
+  // reports one batch per partition, the serial run one.
+  ASSERT_EQ(pstats.NodeCount(), sstats.NodeCount());
   std::function<void(const ExplainStats&, const ExplainStats&)> compare =
       [&](const ExplainStats& x, const ExplainStats& y) {
         EXPECT_EQ(x.op, y.op);
         EXPECT_EQ(x.rows_in, y.rows_in) << x.op;
         EXPECT_EQ(x.rows_out, y.rows_out) << x.op;
-        EXPECT_EQ(x.batches, y.batches) << x.op;
+        EXPECT_EQ(y.batches, 1u) << y.op;
         ASSERT_EQ(x.children.size(), y.children.size());
         for (size_t i = 0; i < x.children.size(); ++i) {
           compare(*x.children[i], *y.children[i]);
         }
       };
-  compare(cstats, rstats);
+  compare(pstats, sstats);
+  EXPECT_EQ(pstats.batches, 8u);
 }
 
-TEST(ColumnarExecutorTest, MixedTypeTableFallsBackToRowKernels) {
+TEST(ColumnarExecutorTest, MixedTypeTableIsInvalidArgument) {
   // A column whose cells mix INT64 and STRING has no columnar form; plans
-  // over it transparently run on the row kernels with identical results.
+  // over it fail with and without a pool, naming the column.
   TableBuilder b({{"k", DataType::kInt64}, {"v", DataType::kInt64}});
   b.AddRow({Value::Int(1), Value::Int(10)});
   b.AddRow({Value::Int(2), Value::String("not an int")});
@@ -525,14 +642,16 @@ TEST(ColumnarExecutorTest, MixedTypeTableFallsBackToRowKernels) {
   Plan plan = Plan::Scan("weird").GroupBy({"k"}, {CountStar("n")});
 
   ThreadPool pool(2);
-  for (bool use_columnar : {true, false}) {
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
     ExecutorOptions options;
-    options.pool = &pool;
+    options.pool = p;
     options.num_partitions = 4;
-    options.use_columnar = use_columnar;
     Result<Table> out = Executor(options).Execute(plan, cat);
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    EXPECT_EQ(out->num_rows(), 2u);
+    ASSERT_FALSE(out.ok());
+    EXPECT_TRUE(out.status().IsInvalidArgument());
+    EXPECT_NE(out.status().ToString().find("column 'v' mixes INT64 and STRING"),
+              std::string::npos)
+        << out.status().ToString();
   }
 }
 

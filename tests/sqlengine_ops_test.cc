@@ -1,10 +1,25 @@
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
-#include "sqlengine/operators.h"
+#include "sqlengine/plan.h"
 
 namespace esharp::sql {
 namespace {
+
+// Operator semantics through the executor (no pool: every operator runs at
+// one partition), over literal tables.
+Result<Table> RunPlan(const Plan& plan) {
+  return Executor().Execute(plan, Catalog());
+}
+Plan Values(Table t) { return Plan::Values(std::move(t)); }
+
+// Evaluates `e` over the whole of `t` column-at-a-time; the cell at `row`.
+Result<Value> EvalAt(const ExprPtr& e, const Table& t, size_t row) {
+  ESHARP_RETURN_NOT_OK(e->Bind(t.schema()));
+  ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
+                          t.EnsureColumnar());
+  ESHARP_ASSIGN_OR_RETURN(ColumnVec v, e->EvalColumn(*ct));
+  return v.ValueAt(row);
+}
 
 Table People() {
   TableBuilder b({{"name", DataType::kString},
@@ -22,16 +37,14 @@ Table People() {
 TEST(ExpressionTest, ArithmeticAndComparison) {
   Table t = People();
   ExprPtr e = Gt(Add(Col("age"), LitInt(5)), LitInt(34));
-  ASSERT_TRUE(e->Bind(t.schema()).ok());
-  EXPECT_FALSE(e->Eval(t.row(1))->bool_value());  // 25+5 > 34 ? no
-  EXPECT_TRUE(e->Eval(t.row(3))->bool_value());   // 40+5 > 34 ? yes
+  EXPECT_FALSE(EvalAt(e, t, 1)->bool_value());  // 25+5 > 34 ? no
+  EXPECT_TRUE(EvalAt(e, t, 3)->bool_value());   // 40+5 > 34 ? yes
 }
 
 TEST(ExpressionTest, IntegerArithmeticStaysExact) {
   Table t = People();
   ExprPtr e = Mul(Col("age"), LitInt(2));
-  ASSERT_TRUE(e->Bind(t.schema()).ok());
-  Value v = *e->Eval(t.row(0));
+  Value v = *EvalAt(e, t, 0);
   EXPECT_EQ(v.type(), DataType::kInt64);
   EXPECT_EQ(v.int_value(), 60);
 }
@@ -39,35 +52,43 @@ TEST(ExpressionTest, IntegerArithmeticStaysExact) {
 TEST(ExpressionTest, DivisionIsDoubleAndChecksZero) {
   Table t = People();
   ExprPtr e = Div(Col("age"), LitInt(4));
-  ASSERT_TRUE(e->Bind(t.schema()).ok());
-  EXPECT_DOUBLE_EQ(e->Eval(t.row(0))->double_value(), 7.5);
+  EXPECT_DOUBLE_EQ(EvalAt(e, t, 0)->double_value(), 7.5);
   ExprPtr bad = Div(Col("age"), LitInt(0));
-  ASSERT_TRUE(bad->Bind(t.schema()).ok());
-  EXPECT_FALSE(bad->Eval(t.row(0)).ok());
+  EXPECT_FALSE(EvalAt(bad, t, 0).ok());
 }
 
 TEST(ExpressionTest, BooleanShortCircuit) {
   Table t = People();
-  // Right side would divide by zero; AND must not evaluate it when the
-  // left side is already false.
+  // Right side would divide by zero; AND must not evaluate it where the
+  // left side is already false (here: every row), nor OR where it is true.
   ExprPtr e = And(Lt(Col("age"), LitInt(0)),
                   Gt(Div(Col("age"), LitInt(0)), LitInt(1)));
-  ASSERT_TRUE(e->Bind(t.schema()).ok());
-  EXPECT_FALSE(e->Eval(t.row(0))->bool_value());
+  for (size_t row = 0; row < t.num_rows(); ++row) {
+    Result<Value> v = EvalAt(e, t, row);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    EXPECT_FALSE(v->bool_value());
+  }
   ExprPtr o = Or(Gt(Col("age"), LitInt(0)),
                  Gt(Div(Col("age"), LitInt(0)), LitInt(1)));
-  ASSERT_TRUE(o->Bind(t.schema()).ok());
-  EXPECT_TRUE(o->Eval(t.row(0))->bool_value());
+  for (size_t row = 0; row < t.num_rows(); ++row) {
+    Result<Value> v = EvalAt(o, t, row);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    EXPECT_TRUE(v->bool_value());
+  }
+  // The right operand still runs, and fails, on the rows it decides.
+  EXPECT_TRUE(EvalAt(And(Gt(Col("age"), LitInt(26)),
+                         Gt(Div(Col("age"), LitInt(0)), LitInt(1))),
+                     t, 0)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(ExpressionTest, NotAndNeg) {
   Table t = People();
   ExprPtr e = Not(Eq(Col("name"), LitString("ann")));
-  ASSERT_TRUE(e->Bind(t.schema()).ok());
-  EXPECT_FALSE(e->Eval(t.row(0))->bool_value());
+  EXPECT_FALSE(EvalAt(e, t, 0)->bool_value());
   ExprPtr n = UnaryExpr(Expr::UnaryOp::kNeg, Col("age"));
-  ASSERT_TRUE(n->Bind(t.schema()).ok());
-  EXPECT_EQ(n->Eval(t.row(0))->int_value(), -30);
+  EXPECT_EQ(EvalAt(n, t, 0)->int_value(), -30);
 }
 
 TEST(ExpressionTest, UdfReceivesArguments) {
@@ -76,8 +97,7 @@ TEST(ExpressionTest, UdfReceivesArguments) {
     return Value::Int(args[0].int_value() * 2);
   };
   ExprPtr e = Udf("twice", twice, {Col("age")});
-  ASSERT_TRUE(e->Bind(t.schema()).ok());
-  EXPECT_EQ(e->Eval(t.row(1))->int_value(), 50);
+  EXPECT_EQ(EvalAt(e, t, 1)->int_value(), 50);
   EXPECT_EQ(e->ToString(), "twice(age)");
 }
 
@@ -91,7 +111,7 @@ TEST(ExpressionTest, UnboundColumnFails) {
 
 TEST(FilterTest, KeepsMatchingRows) {
   Table t = People();
-  Table out = *Filter(t, Eq(Col("age"), LitInt(30)));
+  Table out = *RunPlan(Values(t).Where(Eq(Col("age"), LitInt(30))));
   EXPECT_EQ(out.num_rows(), 2u);
   EXPECT_EQ(out.row(0)[0].string_value(), "ann");
   EXPECT_EQ(out.row(1)[0].string_value(), "cat");
@@ -99,22 +119,22 @@ TEST(FilterTest, KeepsMatchingRows) {
 
 TEST(FilterTest, NonBoolPredicateRejected) {
   Table t = People();
-  EXPECT_FALSE(Filter(t, Add(Col("age"), LitInt(1))).ok());
+  EXPECT_FALSE(RunPlan(Values(t).Where(Add(Col("age"), LitInt(1)))).ok());
 }
 
 // --------------------------------------------------------------- Project --
 
 TEST(ProjectTest, ComputesAndRenames) {
   Table t = People();
-  Table out = *Project(
-      t, {{Col("name"), "who"}, {Mul(Col("age"), LitInt(10)), "decades"}});
+  Table out = *RunPlan(Values(t).Select(
+      {{Col("name"), "who"}, {Mul(Col("age"), LitInt(10)), "decades"}}));
   EXPECT_EQ(out.schema().ToString(), "who:STRING, decades:INT64");
   EXPECT_EQ(out.row(2)[1].int_value(), 300);
 }
 
 TEST(ProjectTest, EmptyInputYieldsNullTypes) {
   Table t(Schema({{"a", DataType::kInt64}}));
-  Table out = *Project(t, {{Col("a"), "a2"}});
+  Table out = *RunPlan(Values(t).Select({{Col("a"), "a2"}}));
   EXPECT_EQ(out.num_rows(), 0u);
   EXPECT_EQ(out.schema().column(0).type, DataType::kNull);
 }
@@ -131,7 +151,7 @@ Table Orders() {
 }
 
 TEST(HashJoinTest, InnerJoinMatchesKeys) {
-  Table out = *HashJoin(People(), Orders(), {"name"}, {"who"});
+  Table out = *RunPlan(Values(People()).Join(Values(Orders()), {"name"}, {"who"}));
   EXPECT_EQ(out.num_rows(), 3u);  // ann x2, dan x1
   // All output rows agree on the key columns.
   size_t name_idx = *out.schema().IndexOf("name");
@@ -142,8 +162,8 @@ TEST(HashJoinTest, InnerJoinMatchesKeys) {
 }
 
 TEST(HashJoinTest, LeftOuterPadsWithNulls) {
-  Table out = *HashJoin(People(), Orders(), {"name"}, {"who"},
-                        JoinType::kLeftOuter);
+  Table out = *RunPlan(Values(People()).Join(Values(Orders()), {"name"}, {"who"},
+                                         JoinType::kLeftOuter));
   EXPECT_EQ(out.num_rows(), 5u);  // ann x2, bob NULL, cat NULL, dan x1
   size_t item_idx = *out.schema().IndexOf("item");
   size_t nulls = 0;
@@ -155,7 +175,7 @@ TEST(HashJoinTest, LeftOuterPadsWithNulls) {
 
 TEST(HashJoinTest, ClashingColumnNamesArePrefixed) {
   Table a = People(), b = People();
-  Table out = *HashJoin(a, b, {"name"}, {"name"});
+  Table out = *RunPlan(Values(a).Join(Values(b), {"name"}, {"name"}));
   EXPECT_TRUE(out.schema().Contains("r_name"));
   EXPECT_TRUE(out.schema().Contains("r_age"));
   EXPECT_EQ(out.num_rows(), 4u);
@@ -167,30 +187,36 @@ TEST(HashJoinTest, MultiKeyJoin) {
   l.AddRow({Value::Int(1), Value::Int(2)});
   TableBuilder r({{"x", DataType::kInt64}, {"y", DataType::kInt64}});
   r.AddRow({Value::Int(1), Value::Int(2)});
-  Table out = *HashJoin(l.Build(), r.Build(), {"a", "b"}, {"x", "y"});
+  Table out = *RunPlan(Values(l.Build()).Join(Values(r.Build()), {"a", "b"}, {"x", "y"}));
   EXPECT_EQ(out.num_rows(), 1u);
 }
 
 TEST(HashJoinTest, KeyArityMismatchRejected) {
-  EXPECT_FALSE(HashJoin(People(), Orders(), {"name"}, {}).ok());
+  EXPECT_FALSE(
+      RunPlan(Values(People()).Join(Values(Orders()), {"name"}, {})).ok());
 }
 
 TEST(HashJoinTest, EmptySidesProduceEmpty) {
   Table empty(Orders().schema());
-  EXPECT_EQ(HashJoin(People(), empty, {"name"}, {"who"})->num_rows(), 0u);
+  EXPECT_EQ(
+      RunPlan(Values(People()).Join(Values(empty), {"name"}, {"who"}))->num_rows(),
+      0u);
   Table empty_left(People().schema());
-  EXPECT_EQ(HashJoin(empty_left, Orders(), {"name"}, {"who"})->num_rows(), 0u);
+  EXPECT_EQ(RunPlan(Values(empty_left).Join(Values(Orders()), {"name"}, {"who"}))
+                ->num_rows(),
+            0u);
 }
 
 // --------------------------------------------------------- HashAggregate --
 
 TEST(HashAggregateTest, CountSumMinMaxAvgPerGroup) {
-  Table out = *HashAggregate(
-      People(), {"age"},
-      {CountStar("n"), SumOf(Col("score"), "total"),
-       MinOf(Col("score"), "lo"), MaxOf(Col("score"), "hi"),
-       AvgOf(Col("score"), "avg")});
-  Table sorted = *SortBy(out, {"age"});
+  Table sorted = *RunPlan(Values(People())
+                          .GroupBy({"age"}, {CountStar("n"),
+                                             SumOf(Col("score"), "total"),
+                                             MinOf(Col("score"), "lo"),
+                                             MaxOf(Col("score"), "hi"),
+                                             AvgOf(Col("score"), "avg")})
+                          .OrderBy({"age"}));
   ASSERT_EQ(sorted.num_rows(), 3u);
   // age=30 group: ann (1.5), cat (0.5).
   EXPECT_EQ(sorted.row(1)[0].int_value(), 30);
@@ -202,21 +228,22 @@ TEST(HashAggregateTest, CountSumMinMaxAvgPerGroup) {
 }
 
 TEST(HashAggregateTest, GlobalAggregateAlwaysOneRow) {
-  Table out = *HashAggregate(People(), {}, {CountStar("n")});
+  Table out = *RunPlan(Values(People()).GroupBy({}, {CountStar("n")}));
   ASSERT_EQ(out.num_rows(), 1u);
   EXPECT_EQ(out.row(0)[0].int_value(), 4);
   // Empty input too.
   Table empty(People().schema());
-  Table out2 = *HashAggregate(empty, {}, {CountStar("n")});
+  Table out2 = *RunPlan(Values(empty).GroupBy({}, {CountStar("n")}));
   ASSERT_EQ(out2.num_rows(), 1u);
   EXPECT_EQ(out2.row(0)[0].int_value(), 0);
 }
 
 TEST(HashAggregateTest, ArgMaxReturnsOutputAtMaxOrderKey) {
   // argmax(score, name): within each age group, the name with top score.
-  Table out = *HashAggregate(People(), {"age"},
-                             {ArgMaxOf(Col("score"), Col("name"), "best")});
-  Table sorted = *SortBy(out, {"age"});
+  Table sorted =
+      *RunPlan(Values(People())
+               .GroupBy({"age"}, {ArgMaxOf(Col("score"), Col("name"), "best")})
+               .OrderBy({"age"}));
   EXPECT_EQ(sorted.row(0)[1].string_value(), "bob");  // age 25
   EXPECT_EQ(sorted.row(1)[1].string_value(), "ann");  // 1.5 > 0.5
   EXPECT_EQ(sorted.row(2)[1].string_value(), "dan");
@@ -228,62 +255,45 @@ TEST(HashAggregateTest, ArgMaxTieBreaksTowardSmallerOutput) {
                   {"v", DataType::kString}});
   b.AddRow({Value::Int(1), Value::Double(5.0), Value::String("zz")});
   b.AddRow({Value::Int(1), Value::Double(5.0), Value::String("aa")});
-  Table out = *HashAggregate(b.Build(), {"g"},
-                             {ArgMaxOf(Col("k"), Col("v"), "best")});
+  Table out = *RunPlan(
+      Values(b.Build()).GroupBy({"g"}, {ArgMaxOf(Col("k"), Col("v"), "best")}));
   EXPECT_EQ(out.row(0)[1].string_value(), "aa");
 }
 
 TEST(HashAggregateTest, ArgMinMirrorsArgMax) {
-  Table out = *HashAggregate(People(), {"age"},
-                             {ArgMinOf(Col("score"), Col("name"), "worst")});
-  Table sorted = *SortBy(out, {"age"});
+  Table sorted = *RunPlan(
+      Values(People())
+          .GroupBy({"age"}, {ArgMinOf(Col("score"), Col("name"), "worst")})
+          .OrderBy({"age"}));
   EXPECT_EQ(sorted.row(1)[1].string_value(), "cat");  // 0.5 < 1.5
 }
 
 TEST(HashAggregateTest, SumOverIntsStaysInt) {
-  Table out = *HashAggregate(People(), {}, {SumOf(Col("age"), "total")});
+  Table out =
+      *RunPlan(Values(People()).GroupBy({}, {SumOf(Col("age"), "total")}));
   EXPECT_EQ(out.row(0)[0].type(), DataType::kInt64);
   EXPECT_EQ(out.row(0)[0].int_value(), 125);
 }
 
-TEST(AggAccumulatorTest, MergeMatchesSequential) {
-  for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kMin,
-                       AggKind::kMax, AggKind::kArgMax, AggKind::kArgMin}) {
-    AggAccumulator whole(kind), left(kind), right(kind);
-    Rng rng(55);
-    for (int i = 0; i < 100; ++i) {
-      Value arg = Value::Double(rng.NextDouble());
-      Value output = Value::Int(static_cast<int64_t>(rng.Uniform(1000)));
-      whole.Add(arg, output);
-      (i % 2 == 0 ? left : right).Add(arg, output);
-    }
-    left.Merge(right);
-    Value expected = *whole.Finish();
-    Value merged = *left.Finish();
-    if (expected.type() == DataType::kDouble) {
-      // Double sums may differ in the last bits depending on association.
-      EXPECT_NEAR(expected.double_value(), merged.double_value(), 1e-9)
-          << "kind=" << static_cast<int>(kind);
-    } else {
-      EXPECT_EQ(expected.Compare(merged), 0)
-          << "kind=" << static_cast<int>(kind);
-    }
-  }
-}
-
-TEST(AggAccumulatorTest, EmptyFinishes) {
-  EXPECT_EQ(AggAccumulator(AggKind::kCount).Finish()->int_value(), 0);
-  EXPECT_TRUE(AggAccumulator(AggKind::kSum).Finish()->is_null());
-  EXPECT_TRUE(AggAccumulator(AggKind::kMax).Finish()->is_null());
-  EXPECT_TRUE(AggAccumulator(AggKind::kArgMax).Finish()->is_null());
+TEST(HashAggregateTest, EmptyInputFinishes) {
+  // Over no rows COUNT is 0 and every other aggregate NULL.
+  Table empty(People().schema());
+  Table out = *RunPlan(Values(empty).GroupBy(
+      {}, {CountStar("n"), SumOf(Col("age"), "s"), MaxOf(Col("age"), "m"),
+           ArgMaxOf(Col("score"), Col("name"), "best")}));
+  ASSERT_EQ(out.num_rows(), 1u);
+  EXPECT_EQ(out.row(0)[0].int_value(), 0);
+  EXPECT_TRUE(out.row(0)[1].is_null());
+  EXPECT_TRUE(out.row(0)[2].is_null());
+  EXPECT_TRUE(out.row(0)[3].is_null());
 }
 
 // ------------------------------------------------------ Union & Distinct --
 
 TEST(UnionAllTest, ConcatenatesAndChecksArity) {
-  Table out = *UnionAll(People(), People());
+  Table out = *RunPlan(Values(People()).Union(Values(People())));
   EXPECT_EQ(out.num_rows(), 8u);
-  EXPECT_FALSE(UnionAll(People(), Orders()).ok());
+  EXPECT_FALSE(RunPlan(Values(People()).Union(Values(Orders()))).ok());
 }
 
 TEST(DistinctTest, RemovesDuplicateRows) {
@@ -291,7 +301,7 @@ TEST(DistinctTest, RemovesDuplicateRows) {
   b.AddRow({Value::Int(1)});
   b.AddRow({Value::Int(2)});
   b.AddRow({Value::Int(1)});
-  Table out = *Distinct(b.Build());
+  Table out = *RunPlan(Values(b.Build()).Distinct());
   EXPECT_EQ(out.num_rows(), 2u);
   // First occurrence order preserved.
   EXPECT_EQ(out.row(0)[0].int_value(), 1);
@@ -301,7 +311,8 @@ TEST(DistinctTest, RemovesDuplicateRows) {
 // ---------------------------------------------------------- Sort & Limit --
 
 TEST(SortByTest, MultiKeyMixedDirections) {
-  Table out = *SortBy(People(), {"age", "score"}, {true, false});
+  Table out =
+      *RunPlan(Values(People()).OrderBy({"age", "score"}, {true, false}));
   EXPECT_EQ(out.row(0)[0].string_value(), "bob");
   EXPECT_EQ(out.row(1)[0].string_value(), "ann");  // 30, score desc: 1.5 first
   EXPECT_EQ(out.row(2)[0].string_value(), "cat");
@@ -309,13 +320,13 @@ TEST(SortByTest, MultiKeyMixedDirections) {
 }
 
 TEST(SortByTest, UnknownKeyRejected) {
-  EXPECT_FALSE(SortBy(People(), {"nope"}).ok());
+  EXPECT_FALSE(RunPlan(Values(People()).OrderBy({"nope"})).ok());
 }
 
 TEST(LimitTest, TruncatesAndClamps) {
-  EXPECT_EQ(Limit(People(), 2)->num_rows(), 2u);
-  EXPECT_EQ(Limit(People(), 100)->num_rows(), 4u);
-  EXPECT_EQ(Limit(People(), 0)->num_rows(), 0u);
+  EXPECT_EQ(RunPlan(Values(People()).Take(2))->num_rows(), 2u);
+  EXPECT_EQ(RunPlan(Values(People()).Take(100))->num_rows(), 4u);
+  EXPECT_EQ(RunPlan(Values(People()).Take(0))->num_rows(), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "sql_reference.h"
 #include "sqlengine/catalog.h"
 #include "sqlengine/parallel.h"
 #include "sqlengine/plan.h"
@@ -11,7 +12,7 @@
 namespace esharp::sql {
 namespace {
 
-// Random tables for the serial-vs-parallel equivalence properties.
+// Random tables for the parallel-vs-reference equivalence properties.
 Table RandomTable(size_t rows, size_t key_cardinality, uint64_t seed) {
   Rng rng(seed);
   TableBuilder b({{"k", DataType::kInt64},
@@ -40,9 +41,21 @@ void ExpectSameRows(Table a, Table b) {
 
 // ----------------------------------------------------------- Partitioning --
 
+std::vector<Table> HashParts(const Table& t, size_t parts) {
+  Result<std::vector<ColumnTable>> cparts =
+      ColumnarHashPartition(**t.EnsureColumnar(), {"k"}, parts);
+  EXPECT_TRUE(cparts.ok()) << cparts.status().ToString();
+  std::vector<Table> out;
+  for (ColumnTable& p : *cparts) {
+    out.push_back(
+        Table::FromColumnar(std::make_shared<const ColumnTable>(std::move(p))));
+  }
+  return out;
+}
+
 TEST(HashPartitionTest, PartitionsAreDisjointAndComplete) {
   Table t = RandomTable(500, 40, 1);
-  auto parts = *HashPartition(t, {"k"}, 7);
+  auto parts = HashParts(t, 7);
   size_t total = 0;
   for (const Table& p : parts) total += p.num_rows();
   EXPECT_EQ(total, t.num_rows());
@@ -50,7 +63,7 @@ TEST(HashPartitionTest, PartitionsAreDisjointAndComplete) {
 
 TEST(HashPartitionTest, SameKeySamePartition) {
   Table t = RandomTable(500, 10, 2);
-  auto parts = *HashPartition(t, {"k"}, 5);
+  auto parts = HashParts(t, 5);
   // Every key must appear in exactly one partition.
   std::map<int64_t, std::set<size_t>> where;
   for (size_t p = 0; p < parts.size(); ++p) {
@@ -62,20 +75,23 @@ TEST(HashPartitionTest, SameKeySamePartition) {
 }
 
 TEST(HashPartitionTest, ZeroPartitionsRejected) {
-  EXPECT_FALSE(HashPartition(RandomTable(5, 2, 3), {"k"}, 0).ok());
+  EXPECT_FALSE(ColumnarHashPartition(**RandomTable(5, 2, 3).EnsureColumnar(),
+                                     {"k"}, 0)
+                   .ok());
 }
 
 TEST(RoundRobinPartitionTest, CoversAllRows) {
   Table t = RandomTable(103, 5, 4);
-  auto parts = RoundRobinPartition(t, 8);
+  auto parts = ColumnarRoundRobinPartition(**t.EnsureColumnar(), 8);
   size_t total = 0;
-  for (const Table& p : parts) total += p.num_rows();
+  for (const ColumnTable& p : parts) total += p.num_rows();
   EXPECT_EQ(total, 103u);
-  EXPECT_EQ(*ConcatTables(parts)->GetValue(0, "k"),
-            *t.GetValue(0, "k"));  // order preserved
+  Result<ColumnTable> whole = ColumnarConcat(parts);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(whole->col(0).ValueAt(0), *t.GetValue(0, "k"));  // order preserved
 }
 
-// ------------------------------------------ Parallel == serial properties --
+// -------------------------------------- Parallel == reference properties --
 
 struct ParallelCase {
   size_t partitions;
@@ -85,31 +101,28 @@ struct ParallelCase {
 class ParallelJoinTest
     : public ::testing::TestWithParam<std::tuple<size_t, JoinStrategy>> {};
 
-TEST_P(ParallelJoinTest, MatchesSerialHashJoin) {
+TEST_P(ParallelJoinTest, MatchesReferenceJoin) {
   auto [partitions, strategy] = GetParam();
   ThreadPool pool(4);
   ExecContext ctx{&pool, partitions, nullptr, "test"};
   Table left = RandomTable(400, 30, 5);
   Table right = RandomTable(300, 30, 6);
-  Table serial = *HashJoin(left, right, {"k"}, {"k"});
+  Table expected = *ref::Join(left, right, {"k"}, {"k"});
   Table parallel = *ParallelHashJoin(ctx, left, right, {"k"}, {"k"},
                                      JoinType::kInner, strategy);
-  ExpectSameRows(serial, parallel);
+  ExpectSameRows(expected, parallel);
 }
 
-TEST_P(ParallelJoinTest, LeftOuterMatchesSerial) {
+TEST_P(ParallelJoinTest, LeftOuterMatchesReference) {
   auto [partitions, strategy] = GetParam();
-  if (strategy == JoinStrategy::kReplicated) {
-    // Left-outer works with both strategies; exercised for both.
-  }
   ThreadPool pool(4);
   ExecContext ctx{&pool, partitions, nullptr, "test"};
   Table left = RandomTable(200, 60, 7);   // many unmatched keys
   Table right = RandomTable(50, 60, 8);
-  Table serial = *HashJoin(left, right, {"k"}, {"k"}, JoinType::kLeftOuter);
+  Table expected = *ref::Join(left, right, {"k"}, {"k"}, JoinType::kLeftOuter);
   Table parallel = *ParallelHashJoin(ctx, left, right, {"k"}, {"k"},
                                      JoinType::kLeftOuter, strategy);
-  ExpectSameRows(serial, parallel);
+  ExpectSameRows(expected, parallel);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -120,27 +133,27 @@ INSTANTIATE_TEST_SUITE_P(
 
 class ParallelAggTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(ParallelAggTest, MatchesSerialAggregate) {
+TEST_P(ParallelAggTest, MatchesReferenceAggregate) {
   ThreadPool pool(4);
   ExecContext ctx{&pool, GetParam(), nullptr, "test"};
   Table t = RandomTable(1000, 25, 9);
   std::vector<AggSpec> aggs = {CountStar("n"), SumOf(Col("x"), "sx"),
                                MaxOf(Col("x"), "mx"),
                                ArgMaxOf(Col("x"), Col("s"), "best")};
-  Table serial = *HashAggregate(t, {"k"}, aggs);
+  Table expected = *ref::Aggregate(t, {"k"}, aggs);
   Table parallel = *ParallelHashAggregate(ctx, t, {"k"}, aggs);
-  ExpectSameRows(serial, parallel);
+  ExpectSameRows(expected, parallel);
 }
 
-TEST_P(ParallelAggTest, FilterAndProjectMatchSerial) {
+TEST_P(ParallelAggTest, FilterAndProjectMatchReference) {
   ThreadPool pool(4);
   ExecContext ctx{&pool, GetParam(), nullptr, "test"};
   Table t = RandomTable(777, 25, 10);
   ExprPtr pred = Gt(Col("x"), LitDouble(0.5));
-  ExpectSameRows(*Filter(t, pred), *ParallelFilter(ctx, t, pred));
+  ExpectSameRows(*ref::Filter(t, pred), *ParallelFilter(ctx, t, pred));
   std::vector<ProjectedColumn> cols = {{Col("k"), "k"},
                                        {Mul(Col("x"), LitDouble(2)), "x2"}};
-  ExpectSameRows(*Project(t, cols), *ParallelProject(ctx, t, cols));
+  ExpectSameRows(*ref::Project(t, cols), *ParallelProject(ctx, t, cols));
 }
 
 INSTANTIATE_TEST_SUITE_P(Fanouts, ParallelAggTest,
@@ -178,8 +191,8 @@ TEST(PlanTest, ScanFilterProjectPipeline) {
   Executor exec;
   Table out = *exec.Execute(plan, cat);
   const Table& source = **cat.Get("t");
-  Table expected = *Project(*Filter(source, Eq(Col("k"), LitInt(3))),
-                            {{Col("x"), "x"}});
+  Table expected = *ref::Project(*ref::Filter(source, Eq(Col("k"), LitInt(3))),
+                                 {{Col("x"), "x"}});
   EXPECT_EQ(out.num_rows(), expected.num_rows());
 }
 
@@ -319,47 +332,7 @@ TEST(ExplainAnalyzeTest, RowCountsAreExactUnderParallelExecution) {
   EXPECT_EQ(stats.NodeCount(), 3u);
 }
 
-TEST(ExplainAnalyzeTest, RowCountsIdenticalAcrossRowAndColumnarPaths) {
-  // The columnar kernels hash keys bit-identically to the row kernels, so
-  // partition routing — and with it every exact rows_in/rows_out/batches
-  // figure — must match between the two execution paths.
-  Catalog cat;
-  cat.Register("t", DeterministicTable());
-  Plan plan = Plan::Scan("t")
-                  .Where(Gt(Col("x"), LitDouble(0)))
-                  .GroupBy({"k"}, {CountStar("n")});
-
-  ThreadPool pool(4);
-  ExecutorOptions options;
-  options.pool = &pool;
-  options.num_partitions = 6;
-
-  options.use_columnar = true;
-  ExplainStats columnar;
-  Table cout_table = *Executor(options).Execute(plan, cat, &columnar);
-
-  options.use_columnar = false;
-  ExplainStats rowwise;
-  Table rout_table = *Executor(options).Execute(plan, cat, &rowwise);
-
-  EXPECT_EQ(cout_table.num_rows(), rout_table.num_rows());
-  ASSERT_EQ(columnar.NodeCount(), rowwise.NodeCount());
-  const ExplainStats& cfilter = *columnar.children[0];
-  const ExplainStats& rfilter = *rowwise.children[0];
-  EXPECT_EQ(columnar.rows_in, rowwise.rows_in);
-  EXPECT_EQ(columnar.rows_out, rowwise.rows_out);
-  EXPECT_EQ(columnar.batches, rowwise.batches);
-  EXPECT_EQ(cfilter.rows_in, rfilter.rows_in);
-  EXPECT_EQ(cfilter.rows_out, rfilter.rows_out);
-  EXPECT_EQ(cfilter.batches, rfilter.batches);
-  // And the absolute numbers are the known exact cardinalities.
-  EXPECT_EQ(cfilter.rows_in, 100u);
-  EXPECT_EQ(cfilter.rows_out, 40u);
-  EXPECT_EQ(cfilter.batches, 6u);
-  EXPECT_EQ(columnar.rows_out, 10u);
-}
-
-TEST(ExplainAnalyzeTest, JoinCountsIdenticalAcrossRowAndColumnarPaths) {
+TEST(ExplainAnalyzeTest, JoinCountsIdenticalAcrossJoinStrategies) {
   Catalog cat;
   cat.Register("l", RandomTable(300, 12, 23));
   cat.Register("r", RandomTable(200, 12, 24));
@@ -368,21 +341,20 @@ TEST(ExplainAnalyzeTest, JoinCountsIdenticalAcrossRowAndColumnarPaths) {
   ExecutorOptions options;
   options.pool = &pool;
   options.num_partitions = 5;
+
   options.join_strategy = JoinStrategy::kPartitioned;
+  ExplainStats partitioned;
+  Table ptab = *Executor(options).Execute(plan, cat, &partitioned);
+  options.join_strategy = JoinStrategy::kReplicated;
+  ExplainStats replicated;
+  Table rtab = *Executor(options).Execute(plan, cat, &replicated);
 
-  options.use_columnar = true;
-  ExplainStats columnar;
-  Table ctab = *Executor(options).Execute(plan, cat, &columnar);
-  options.use_columnar = false;
-  ExplainStats rowwise;
-  Table rtab = *Executor(options).Execute(plan, cat, &rowwise);
-
-  EXPECT_EQ(ctab.num_rows(), rtab.num_rows());
-  EXPECT_EQ(columnar.rows_in, rowwise.rows_in);
-  EXPECT_EQ(columnar.rows_out, rowwise.rows_out);
-  EXPECT_EQ(columnar.batches, rowwise.batches);
-  EXPECT_EQ(columnar.rows_in, 500u);
-  EXPECT_EQ(columnar.batches, 5u);
+  ExpectSameRows(ptab, rtab);
+  EXPECT_EQ(partitioned.rows_in, replicated.rows_in);
+  EXPECT_EQ(partitioned.rows_out, replicated.rows_out);
+  EXPECT_EQ(partitioned.batches, replicated.batches);
+  EXPECT_EQ(partitioned.rows_in, 500u);
+  EXPECT_EQ(partitioned.batches, 5u);
 }
 
 TEST(ExplainAnalyzeTest, JoinRecordsBothInputs) {

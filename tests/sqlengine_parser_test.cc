@@ -388,26 +388,27 @@ TEST(ParserTest, DecimalLiteralOutOfRangeIsInvalidArgument) {
                   .IsInvalidArgument());
 }
 
+// The executor options of every path a statement can take: no pool (one
+// partition) and a 4-thread pool at 8 partitions.
+std::vector<ExecutorOptions> ExecutionPaths(ThreadPool* pool) {
+  ExecutorOptions serial;
+  ExecutorOptions pooled;
+  pooled.pool = pool;
+  pooled.num_partitions = 8;
+  return {serial, pooled};
+}
+
 // Signed INT64 overflow is undefined behaviour in the kernels; hostile SQL
 // must get InvalidArgument instead of a silently wrapped answer, the same
-// one on the row and the columnar path, with and without a pool (without
-// one the executor runs the row kernels whatever use_columnar says).
+// one with and without a pool.
 TEST(ParserTest, Int64OverflowIsInvalidArgumentOnEveryPath) {
   Catalog catalog;
   TableBuilder b({{"x", DataType::kInt64}});
   b.AddRow({Value::Int(INT64_MAX)});
   b.AddRow({Value::Int(INT64_MAX)});
   catalog.Register("t", b.Build());
-  ThreadPool pool(2);
-  std::vector<ExecutorOptions> paths;
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    for (bool columnar : {true, false}) {
-      ExecutorOptions options;
-      options.pool = p;
-      options.use_columnar = columnar;
-      paths.push_back(options);
-    }
-  }
+  ThreadPool pool(4);
+  const std::vector<ExecutorOptions> paths = ExecutionPaths(&pool);
   for (const char* sql : {
            "SELECT 9223372036854775807 + 1 AS y FROM t",
            "SELECT x * 2 AS y FROM t",
@@ -420,8 +421,7 @@ TEST(ParserTest, Int64OverflowIsInvalidArgumentOnEveryPath) {
     for (const ExecutorOptions& options : paths) {
       Result<Table> result = ExecuteSql(sql, catalog, {}, options);
       EXPECT_TRUE(result.status().IsInvalidArgument())
-          << sql << " (columnar " << options.use_columnar << ", pool "
-          << (options.pool != nullptr) << ") -> "
+          << sql << " (pool " << (options.pool != nullptr) << ") -> "
           << (result.ok() ? result->ToString(2) : result.status().ToString());
       if (first.empty()) first = result.status().ToString();
       EXPECT_EQ(result.status().ToString(), first) << sql;
@@ -445,6 +445,56 @@ TEST(ParserTest, Int64OverflowIsInvalidArgumentOnEveryPath) {
     ASSERT_TRUE(sums.ok()) << sums.status().ToString();
     EXPECT_EQ(sums->row(0)[0].int_value(), 2);
     EXPECT_DOUBLE_EQ(sums->row(0)[1].double_value(), 1.0);
+  }
+}
+
+// AND/OR evaluate their right operand only where the left one leaves the
+// answer open, so a guard protects the arithmetic behind it on every path.
+TEST(ParserTest, AndOrGuardsHoldWithAndWithoutAPool) {
+  Catalog catalog;
+  TableBuilder b({{"x", DataType::kInt64}});
+  for (int64_t x = 1; x <= 4; ++x) b.AddRow({Value::Int(x)});
+  catalog.Register("t", b.Build());
+  ThreadPool pool(4);
+  const std::pair<const char*, size_t> cases[] = {
+      {"SELECT x FROM t WHERE x > 2 AND 10 / (x - 1) > 1", 2},
+      {"SELECT x FROM t WHERE x < 0 AND x / 0 > 1", 0},
+      {"SELECT x FROM t WHERE x > 0 OR x / 0 > 1", 4},
+  };
+  for (const ExecutorOptions& options : ExecutionPaths(&pool)) {
+    for (const auto& [sql, rows] : cases) {
+      Result<Table> out = ExecuteSql(sql, catalog, {}, options);
+      ASSERT_TRUE(out.ok()) << sql << " (pool " << (options.pool != nullptr)
+                            << ") -> " << out.status().ToString();
+      EXPECT_EQ(out->num_rows(), rows) << sql;
+    }
+  }
+}
+
+// A plan whose column no longer resolves fails on every run, and never
+// reads a column of the previous schema.
+TEST(ParserTest, FailedBindLeavesNoStaleColumn) {
+  Result<Plan> plan = ParseSql("SELECT q FROM t");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  Catalog catalog;
+  TableBuilder before({{"x", DataType::kInt64}, {"q", DataType::kInt64}});
+  before.AddRow({Value::Int(1), Value::Int(2)});
+  catalog.Register("t", before.Build());
+  Result<Table> first = Executor().Execute(*plan, catalog);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->row(0)[0], Value::Int(2));
+
+  TableBuilder renamed({{"y", DataType::kInt64}, {"z", DataType::kInt64}});
+  renamed.AddRow({Value::Int(3), Value::Int(4)});
+  TableBuilder ambiguous({{"a.q", DataType::kInt64}, {"b.q", DataType::kInt64}});
+  ambiguous.AddRow({Value::Int(5), Value::Int(6)});
+  for (Table next : {renamed.Build(), ambiguous.Build()}) {
+    catalog.Register("t", std::move(next));
+    for (int run = 0; run < 2; ++run) {
+      Result<Table> out = Executor().Execute(*plan, catalog);
+      EXPECT_FALSE(out.ok()) << "run " << run << " returned "
+                             << (out.ok() ? out->ToString() : "");
+    }
   }
 }
 
@@ -625,24 +675,22 @@ std::string JoinTokens(const std::vector<std::string>& tokens) {
 }
 
 // Parses `sql`; a plan must render and must execute to a table or a Status
-// on both execution paths, the same one on each (rows compared in sorted
-// order). Returns whether it parsed.
+// without a pool and on a 4-thread pool at 8 partitions, the same one on
+// each (rows compared in sorted order). Returns whether it parsed.
 bool ParseAndRun(const std::string& sql, const FunctionRegistry& registry,
-                 const Catalog& catalog, size_t* executed) {
+                 const Catalog& catalog, ThreadPool* pool, size_t* executed) {
   Result<Plan> plan = ParseSql(sql, registry);
   if (!plan.ok()) return false;
   EXPECT_FALSE(plan->Explain().empty()) << sql;
-  std::string outcome[2];
-  for (bool columnar : {true, false}) {
-    ExecutorOptions options;
-    options.use_columnar = columnar;
+  std::vector<std::string> outcome;
+  for (const ExecutorOptions& options : ExecutionPaths(pool)) {
     Result<Table> table = Executor(options).Execute(*plan, catalog);
     if (table.ok()) {
       ++*executed;
       table->SortLexicographic();
-      outcome[columnar] = table->ToString(table->num_rows());
+      outcome.push_back(table->ToString(table->num_rows()));
     } else {
-      outcome[columnar] = table.status().ToString();
+      outcome.push_back(table.status().ToString());
     }
   }
   EXPECT_EQ(outcome[0], outcome[1]) << sql;
@@ -653,9 +701,10 @@ TEST(ParserFuzzTest, MutatedStatementsYieldAStatusOrARunnablePlan) {
   const FunctionRegistry registry = community::Fig4Functions(5.0);
   const Catalog catalog = FuzzCatalog(registry);
   const std::vector<std::string> seeds = FuzzSeeds();
+  ThreadPool pool(4);
   size_t parsed = 0, executed = 0;
   for (const std::string& seed : seeds) {
-    ASSERT_TRUE(ParseAndRun(seed, registry, catalog, &executed)) << seed;
+    ASSERT_TRUE(ParseAndRun(seed, registry, catalog, &pool, &executed)) << seed;
   }
   EXPECT_EQ(executed, 2 * seeds.size());
 
@@ -664,11 +713,12 @@ TEST(ParserFuzzTest, MutatedStatementsYieldAStatusOrARunnablePlan) {
                          'x', '=', '<', '#', '\0', '\xff'};
   for (const std::string& seed : seeds) {
     for (size_t n = 0; n < seed.size(); ++n) {
-      parsed += ParseAndRun(seed.substr(0, n), registry, catalog, &executed);
+      parsed += ParseAndRun(seed.substr(0, n), registry, catalog, &pool,
+                            &executed);
       for (char byte : kBytes) {
         std::string replaced = seed;
         replaced[n] = byte;
-        parsed += ParseAndRun(replaced, registry, catalog, &executed);
+        parsed += ParseAndRun(replaced, registry, catalog, &pool, &executed);
       }
     }
   }
@@ -707,7 +757,8 @@ TEST(ParserFuzzTest, MutatedStatementsYieldAStatusOrARunnablePlan) {
         }
       }
     }
-    parsed += ParseAndRun(JoinTokens(tokens), registry, catalog, &executed);
+    parsed += ParseAndRun(JoinTokens(tokens), registry, catalog, &pool,
+                          &executed);
   }
   // The fuzz reached the planner and the executor, not only the lexer.
   EXPECT_GT(parsed, 5000u);
