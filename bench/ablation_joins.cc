@@ -27,7 +27,7 @@ Table EdgeTable(size_t rows, size_t vertices, uint64_t seed) {
               Value::String("v" + std::to_string(rng.Uniform(vertices))),
               Value::Double(rng.NextDouble())});
   }
-  return b.Build();
+  return *b.Build();
 }
 
 Table CommunityTable(size_t vertices) {
@@ -37,15 +37,15 @@ Table CommunityTable(size_t vertices) {
     b.AddRow({Value::String("c" + std::to_string(v / 8)),
               Value::String("v" + std::to_string(v))});
   }
-  return b.Build();
+  return *b.Build();
 }
 
 void BM_SerialJoin(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));
   Table edges = EdgeTable(rows, rows / 8, 3);
   Table communities = CommunityTable(rows / 8);
-  const ColumnTable& edge_cols = **edges.EnsureColumnar();
-  const ColumnTable& community_cols = **communities.EnsureColumnar();
+  const ColumnTable& edge_cols = edges.columns();
+  const ColumnTable& community_cols = communities.columns();
   for (auto _ : state) {
     auto out =
         ColumnarHashJoin(edge_cols, community_cols, {"query1"}, {"query"});

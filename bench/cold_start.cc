@@ -212,13 +212,13 @@ int main(int argc, char** argv) {
   // ---- Timing -------------------------------------------------------------
   const double pipeline_s = BestOf(iters, [&] {
     core::OfflineArtifacts rebuilt = rebuild();
-    g_sink += rebuilt.store.communities().size();
+    g_sink = g_sink + rebuilt.store.communities().size();
   });
   const double load_s = BestOf(iters, [&] {
     Result<serving::SnapshotArtifacts> loaded =
         serving::LoadSnapshotFile(snapshot_path);
     if (!loaded.ok()) Fail("load loop: " + loaded.status().ToString());
-    g_sink += loaded->corpus->num_tweets();
+    g_sink = g_sink + loaded->corpus->num_tweets();
   });
   const double speedup = load_s > 0 ? pipeline_s / load_s : 0;
   const double file_bytes = static_cast<double>(cold->info.file_bytes);
@@ -259,23 +259,25 @@ int main(int argc, char** argv) {
 
   const size_t kernel_iters = smoke ? 3 : 25;
   const double compact_sparse_speedup = KernelSpeedup(kernel_iters, [&] {
-    g_sink += simd::CompactSelection(sparse_flags.data(), kn, idx.data());
+    g_sink =
+        g_sink + simd::CompactSelection(sparse_flags.data(), kn, idx.data());
   });
   const double compact_dense_speedup = KernelSpeedup(kernel_iters, [&] {
-    g_sink += simd::CompactSelection(dense_flags.data(), kn, idx.data());
+    g_sink =
+        g_sink + simd::CompactSelection(dense_flags.data(), kn, idx.data());
   });
   const double hash_speedup = KernelSpeedup(kernel_iters, [&] {
     std::vector<uint64_t> a = acc;
     simd::HashCombineMix64Batch(a.data(), keys.data(), kn);
-    g_sink += a[kn / 2];
+    g_sink = g_sink + a[kn / 2];
   });
   const double intersect_speedup = KernelSpeedup(kernel_iters, [&] {
-    g_sink += simd::IntersectSortedU32(list_a.data(), list_a.size(),
-                                       list_b.data(), list_b.size(),
-                                       inter_out.data());
+    g_sink = g_sink + simd::IntersectSortedU32(list_a.data(), list_a.size(),
+                                               list_b.data(), list_b.size(),
+                                               inter_out.data());
   });
   const double checksum_speedup = KernelSpeedup(kernel_iters, [&] {
-    g_sink += simd::Checksum64(blob.data(), blob.size());
+    g_sink = g_sink + simd::Checksum64(blob.data(), blob.size());
   });
   simd::ForceLevelForTest(simd::DetectedLevel());
 

@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
       Result<ingest::RebuildArtifacts> r =
           ingest::RebuildFromScratch(*pipeline);
       if (!r.ok()) Fail("rebuild: " + r.status().ToString());
-      g_sink += r->store->communities().size();
+      g_sink = g_sink + r->store->communities().size();
     });
 
     // Tweet-only 0.1% batches: the fast path (store and clustering are
@@ -356,7 +356,7 @@ int main(int argc, char** argv) {
           request.query = workload[i++ % workload.size()];
           Result<serving::QueryResponse> response =
               engine.Query(std::move(request));
-          if (response.ok()) g_sink += response->experts.size();
+          if (response.ok()) g_sink = g_sink + response->experts.size();
           served.fetch_add(1, std::memory_order_relaxed);
         }
       });

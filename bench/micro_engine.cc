@@ -154,7 +154,7 @@ DetectPass TimeDetect(serving::ServingEngine& engine,
       pass.detect_ms += response->stages.detect_ms;
       pass.expand_ms += response->stages.expand_ms;
       pass.rank_ms += response->stages.rank_ms;
-      g_sink += response->experts.size();
+      g_sink = g_sink + response->experts.size();
     }
     if (pass.detect_ms < best.detect_ms) best = pass;
   }
@@ -235,12 +235,12 @@ int main(int argc, char** argv) {
   // ---- Primitives ---------------------------------------------------------
   double match_string_s = BestOf(iters, [&] {
     for (const auto& tokens : term_tokens) {
-      g_sink += corpus.MatchTweets(tokens).size();
+      g_sink = g_sink + corpus.MatchTweets(tokens).size();
     }
   });
   double match_token_s = BestOf(iters, [&] {
     for (const auto& ids : term_ids) {
-      g_sink += corpus.MatchTweets(ids).size();
+      g_sink = g_sink + corpus.MatchTweets(ids).size();
     }
   });
   // ---- Gallop-vs-linear cutover calibration -------------------------------
@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
     double s = BestOf(iters, [&] {
       for (size_t rep = 0; rep < sweep_reps; ++rep) {
         for (const auto& ids : term_ids) {
-          g_sink += corpus.MatchTweets(ids).size();
+          g_sink = g_sink + corpus.MatchTweets(ids).size();
         }
       }
     });
@@ -290,17 +290,17 @@ int main(int argc, char** argv) {
   double collect_live_s = BestOf(iters, [&] {
     for (const auto& ids : term_ids) {
       auto pool = detector.CollectCandidates(ids);
-      g_sink += pool ? pool->size() : 0;
+      g_sink = g_sink + (pool ? pool->size() : 0);
     }
   });
   double evidence_lookup_s = BestOf(iters, [&] {
     for (const std::string& t : terms) {
       const auto* pool = evidence->Find(t);
-      g_sink += pool ? pool->size() : 0;
+      g_sink = g_sink + (pool ? pool->size() : 0);
     }
   });
   double store_lookup_s = BestOf(iters, [&] {
-    for (const std::string& q : queries) g_sink += store->Find(q).ok();
+    for (const std::string& q : queries) g_sink = g_sink + store->Find(q).ok();
   });
 
   std::printf("%-28s %12s\n", "Primitive (workload sweep)", "Best(ms)");

@@ -49,7 +49,7 @@ Table EdgeTable(size_t rows, size_t vertices, uint64_t seed) {
               Value::String("v" + std::to_string(rng.Uniform(vertices))),
               Value::Double(rng.NextDouble())});
   }
-  return b.Build();
+  return *b.Build();
 }
 
 // Community dimension table: (comm_name, query), one row per vertex.
@@ -60,7 +60,7 @@ Table CommunityTable(size_t vertices) {
     b.AddRow({Value::String("c" + std::to_string(v / 8)),
               Value::String("v" + std::to_string(v))});
   }
-  return b.Build();
+  return *b.Build();
 }
 
 // Best-of-K wall time of `fn` (minimum filters out scheduler noise, the
@@ -106,9 +106,10 @@ int main(int argc, char** argv) {
   std::printf("fact table: %zu rows, %zu distinct vertices; best of %zu\n\n",
               rows, vertices, iters);
 
-  const ColumnTable edges = *ColumnTable::FromTable(EdgeTable(rows, vertices, 3));
-  const ColumnTable communities =
-      *ColumnTable::FromTable(CommunityTable(vertices));
+  const Table edge_table = EdgeTable(rows, vertices, 3);
+  const Table community_table = CommunityTable(vertices);
+  const ColumnTable& edges = edge_table.columns();
+  const ColumnTable& communities = community_table.columns();
 
   std::vector<KernelResult> results;
   // Times `run`, which returns the kernel's output row count.

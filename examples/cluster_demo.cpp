@@ -296,7 +296,7 @@ int main(int argc, char** argv) {
 
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   std::printf("killing shard-2 under live traffic...\n");
-  double kill_t = obs::NowSeconds();
+  [[maybe_unused]] const double kill_t = obs::NowSeconds();
   switches[2]->set_dead(true);
   // With the incident stack armed the outage must outlast the watchdog's
   // long burn window (0.6 s) so the SLO breach fires, not just the
@@ -317,7 +317,7 @@ int main(int argc, char** argv) {
               quorum.detail.c_str());
 
   std::printf("\nreviving shard-2...\n");
-  double revive_t = obs::NowSeconds();
+  [[maybe_unused]] const double revive_t = obs::NowSeconds();
   switches[2]->set_dead(false);
   std::this_thread::sleep_for(
       std::chrono::milliseconds(incident_dir.empty() ? 150 : 400));

@@ -44,7 +44,7 @@ graph::Graph Fig3Graph() {
   return g;
 }
 
-Table GraphTable(const graph::Graph& g) {
+Result<Table> GraphTable(const graph::Graph& g) {
   TableBuilder b({{"query1", DataType::kString},
                   {"query2", DataType::kString},
                   {"distance", DataType::kDouble}});
@@ -57,7 +57,7 @@ Table GraphTable(const graph::Graph& g) {
   return b.Build();
 }
 
-Table SingletonCommunities(const graph::Graph& g) {
+Result<Table> SingletonCommunities(const graph::Graph& g) {
   TableBuilder b({{"comm_name", DataType::kString},
                   {"query", DataType::kString}});
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -71,9 +71,12 @@ Table SingletonCommunities(const graph::Graph& g) {
 int main() {
   graph::Graph g = Fig3Graph();
 
+  Result<Table> graph_table = GraphTable(g);
+  Result<Table> communities = SingletonCommunities(g);
+  if (!graph_table.ok() || !communities.ok()) return 1;
   Catalog catalog;
-  catalog.Register("graph", GraphTable(g));
-  catalog.Register("communities", SingletonCommunities(g));
+  catalog.Register("graph", *std::move(graph_table));
+  catalog.Register("communities", *std::move(communities));
   const FunctionRegistry functions =
       community::Fig4Functions(g.TotalWeight());
   Executor executor;
@@ -85,7 +88,6 @@ int main() {
     if (!plan.ok()) return 1;
     auto result = executor.Execute(*plan, catalog);
     if (!result.ok()) return 1;
-    result->SortLexicographic();
     std::printf("\n--- %s ---%s\n%s%s", statement.table, statement.sql,
                 plan->Explain().c_str(), result->ToString(12).c_str());
     catalog.Register(statement.table, std::move(result).MoveValueUnsafe());

@@ -3,7 +3,7 @@
 # kernels compiled out (-DESHARP_SIMD=OFF — scalar twins only, no
 # target-attribute variants, no runtime dispatch) and runs the full test
 # suite against it. Every bit-identity, snapshot and serving test must
-# pass on the pure scalar path, so a machine without AVX2/SSE4.2 — or a
+# pass on the pure scalar path, so a machine without AVX2 — or a
 # future port — can never silently rot.
 #
 # Usage: scripts/check_simd_fallback.sh [build_dir]   (default: build-nosimd)

@@ -93,7 +93,6 @@ namespace {
 // ---- AVX2 variants --------------------------------------------------------
 
 #define ESHARP_TARGET_AVX2 __attribute__((target("avx2")))
-#define ESHARP_TARGET_SSE42 __attribute__((target("sse4.2")))
 
 /// 64x64 -> low 64 multiply per lane (AVX2 has no _mm256_mullo_epi64):
 /// lo(a)*lo(b) + ((lo(a)*hi(b) + hi(a)*lo(b)) << 32), exact mod 2^64.
@@ -298,198 +297,6 @@ ESHARP_TARGET_AVX2 uint64_t Checksum64Avx2(const void* data, size_t size) {
   return h;
 }
 
-// ---- SSE4.2 variants ------------------------------------------------------
-
-ESHARP_TARGET_SSE42 inline __m128i Mul64LoSse(__m128i a, __m128i b) {
-  __m128i lo_hi = _mm_mul_epu32(a, _mm_srli_epi64(b, 32));
-  __m128i hi_lo = _mm_mul_epu32(_mm_srli_epi64(a, 32), b);
-  __m128i cross = _mm_add_epi64(lo_hi, hi_lo);
-  __m128i lo_lo = _mm_mul_epu32(a, b);
-  return _mm_add_epi64(lo_lo, _mm_slli_epi64(cross, 32));
-}
-
-ESHARP_TARGET_SSE42 inline __m128i Mix64LanesSse(__m128i k) {
-  k = _mm_xor_si128(k, _mm_srli_epi64(k, 33));
-  k = Mul64LoSse(k, _mm_set1_epi64x(static_cast<long long>(0xff51afd7ed558ccdULL)));
-  k = _mm_xor_si128(k, _mm_srli_epi64(k, 33));
-  k = Mul64LoSse(k, _mm_set1_epi64x(static_cast<long long>(0xc4ceb9fe1a85ec53ULL)));
-  k = _mm_xor_si128(k, _mm_srli_epi64(k, 33));
-  return k;
-}
-
-ESHARP_TARGET_SSE42 inline __m128i HashCombineLanesSse(__m128i acc, __m128i h) {
-  __m128i t = _mm_add_epi64(
-      h, _mm_set1_epi64x(static_cast<long long>(0x9e3779b97f4a7c15ULL)));
-  t = _mm_add_epi64(t, _mm_slli_epi64(acc, 6));
-  t = _mm_add_epi64(t, _mm_srli_epi64(acc, 2));
-  return _mm_xor_si128(acc, t);
-}
-
-/// 16-entry compress LUT for the SSE path: for each 4-bit hit mask, a
-/// pshufb control packing the set lanes' 4-byte groups to the front
-/// (0x80 zeroes the don't-care tail bytes).
-struct CompressLut4 {
-  alignas(16) uint8_t ctrl[16][16];
-  CompressLut4() {
-    for (int m = 0; m < 16; ++m) {
-      int c = 0;
-      for (int b = 0; b < 4; ++b) {
-        if ((m >> b) & 1) {
-          for (int byte = 0; byte < 4; ++byte) {
-            ctrl[m][4 * c + byte] = static_cast<uint8_t>(4 * b + byte);
-          }
-          ++c;
-        }
-      }
-      for (int rest = 4 * c; rest < 16; ++rest) ctrl[m][rest] = 0x80;
-    }
-  }
-};
-const CompressLut4 kCompressLut4;
-
-ESHARP_TARGET_SSE42 size_t CompactSelectionSse42(const uint8_t* flags,
-                                                 size_t n, uint32_t* out) {
-  // Same emulated compress-store as the AVX2 variant, 4 lanes per nibble
-  // via pshufb. Writes up to 3 garbage lanes past the final count (covered
-  // by the contract's +7 slack).
-  size_t k = 0;
-  size_t i = 0;
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i inc4 = _mm_set1_epi32(4);
-  const __m128i inc16 = _mm_set1_epi32(16);
-  __m128i base = _mm_setr_epi32(0, 1, 2, 3);
-  for (; i + 16 <= n; i += 16) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(flags + i));
-    uint32_t mask =
-        (~static_cast<uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(v, zero)))) &
-        0xFFFFu;
-    if (mask == 0) {
-      base = _mm_add_epi32(base, inc16);
-      continue;
-    }
-    for (int b = 0; b < 4; ++b) {
-      const uint32_t m4 = (mask >> (4 * b)) & 0xFu;
-      __m128i ctrl = _mm_load_si128(
-          reinterpret_cast<const __m128i*>(kCompressLut4.ctrl[m4]));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k),
-                       _mm_shuffle_epi8(base, ctrl));
-      k += static_cast<size_t>(__builtin_popcount(m4));
-      base = _mm_add_epi32(base, inc4);
-    }
-  }
-  for (; i < n; ++i) {
-    out[k] = static_cast<uint32_t>(i);
-    k += flags[i] != 0;
-  }
-  return k;
-}
-
-ESHARP_TARGET_SSE42 void HashCombineBatchSse42(uint64_t* acc,
-                                               const uint64_t* h, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
-    __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(h + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i),
-                     HashCombineLanesSse(a, b));
-  }
-  for (; i < n; ++i) acc[i] = HashCombine(acc[i], h[i]);
-}
-
-ESHARP_TARGET_SSE42 void HashCombineMix64BatchSse42(uint64_t* acc,
-                                                    const uint64_t* keys,
-                                                    size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
-    __m128i k = _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i),
-                     HashCombineLanesSse(a, Mix64LanesSse(k)));
-  }
-  for (; i < n; ++i) acc[i] = HashCombine(acc[i], Mix64(keys[i]));
-}
-
-ESHARP_TARGET_SSE42 size_t IntersectSortedU32Sse42(const uint32_t* a,
-                                                   size_t na,
-                                                   const uint32_t* b,
-                                                   size_t nb, uint32_t* out) {
-  size_t i = 0, j = 0, k = 0;
-  while (i + 4 <= na && j + 4 <= nb) {
-    const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-    __m128i match = _mm_cmpeq_epi32(va, vb);
-    match = _mm_or_si128(
-        match, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x39)));  // rot 1
-    match = _mm_or_si128(
-        match, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x4E)));  // rot 2
-    match = _mm_or_si128(
-        match, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x93)));  // rot 3
-    uint32_t mask =
-        static_cast<uint32_t>(_mm_movemask_ps(_mm_castsi128_ps(match)));
-    while (mask != 0) {
-      out[k++] = a[i + __builtin_ctz(mask)];
-      mask &= mask - 1;
-    }
-    const uint32_t amax = a[i + 3];
-    const uint32_t bmax = b[j + 3];
-    if (amax <= bmax) i += 4;
-    if (bmax <= amax) j += 4;
-  }
-  return k + scalar::IntersectSortedU32(a + i, na - i, b + j, nb - j, out + k);
-}
-
-ESHARP_TARGET_SSE42 uint32_t MinU32Sse42(const uint32_t* v, size_t n) {
-  if (n < 4) return scalar::MinU32(v, n);
-  __m128i acc = _mm_loadu_si128(reinterpret_cast<const __m128i*>(v));
-  size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm_min_epu32(
-        acc, _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i)));
-  }
-  alignas(16) uint32_t lanes[4];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  uint32_t m = scalar::MinU32(lanes, 4);
-  if (i < n) {
-    uint32_t tail = scalar::MinU32(v + i, n - i);
-    m = tail < m ? tail : m;
-  }
-  return m;
-}
-
-ESHARP_TARGET_SSE42 uint64_t Checksum64Sse42(const void* data, size_t size) {
-  constexpr uint64_t kStep = 0x9e3779b97f4a7c15ULL;
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  const size_t words = size / 8;
-  uint64_t h = kStep ^ static_cast<uint64_t>(size);
-  size_t i = 0;
-  if (words >= 2) {
-    __m128i acc = _mm_setzero_si128();
-    __m128i pos = _mm_set_epi64x(static_cast<long long>(2 * kStep),
-                                 static_cast<long long>(kStep));
-    const __m128i step = _mm_set1_epi64x(static_cast<long long>(2 * kStep));
-    for (; i + 2 <= words; i += 2) {
-      __m128i w = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i * 8));
-      acc = _mm_xor_si128(acc, Mix64LanesSse(_mm_add_epi64(w, pos)));
-      pos = _mm_add_epi64(pos, step);
-    }
-    alignas(16) uint64_t lanes[2];
-    _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-    h ^= lanes[0] ^ lanes[1];
-  }
-  for (; i < words; ++i) {
-    uint64_t w;
-    std::memcpy(&w, p + i * 8, 8);
-    h ^= Mix64(w + (static_cast<uint64_t>(i) + 1) * kStep);
-  }
-  const size_t tail = size - words * 8;
-  if (tail > 0) {
-    uint64_t w = 0;
-    std::memcpy(&w, p + words * 8, tail);
-    h ^= Mix64(w + (static_cast<uint64_t>(words) + 1) * kStep);
-  }
-  return h;
-}
-
 }  // namespace
 
 #endif  // ESHARP_SIMD_X86
@@ -504,7 +311,6 @@ Level DetectedLevel() {
 #if ESHARP_SIMD_X86
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-    if (__builtin_cpu_supports("sse4.2")) return Level::kSse42;
 #endif
     return Level::kScalar;
   }();
@@ -526,7 +332,6 @@ void ForceLevelForTest(Level level) {
 std::string_view LevelName(Level level) {
   switch (level) {
     case Level::kScalar: return "scalar";
-    case Level::kSse42: return "sse4.2";
     case Level::kAvx2: return "avx2";
   }
   return "unknown";
@@ -536,7 +341,6 @@ size_t CompactSelection(const uint8_t* flags, size_t n, uint32_t* out) {
 #if ESHARP_SIMD_X86
   switch (ActiveLevel()) {
     case Level::kAvx2: return CompactSelectionAvx2(flags, n, out);
-    case Level::kSse42: return CompactSelectionSse42(flags, n, out);
     case Level::kScalar: break;
   }
 #endif
@@ -547,7 +351,6 @@ void HashCombineBatch(uint64_t* acc, const uint64_t* h, size_t n) {
 #if ESHARP_SIMD_X86
   switch (ActiveLevel()) {
     case Level::kAvx2: HashCombineBatchAvx2(acc, h, n); return;
-    case Level::kSse42: HashCombineBatchSse42(acc, h, n); return;
     case Level::kScalar: break;
   }
 #endif
@@ -558,7 +361,6 @@ void HashCombineMix64Batch(uint64_t* acc, const uint64_t* keys, size_t n) {
 #if ESHARP_SIMD_X86
   switch (ActiveLevel()) {
     case Level::kAvx2: HashCombineMix64BatchAvx2(acc, keys, n); return;
-    case Level::kSse42: HashCombineMix64BatchSse42(acc, keys, n); return;
     case Level::kScalar: break;
   }
 #endif
@@ -570,7 +372,6 @@ size_t IntersectSortedU32(const uint32_t* a, size_t na, const uint32_t* b,
 #if ESHARP_SIMD_X86
   switch (ActiveLevel()) {
     case Level::kAvx2: return IntersectSortedU32Avx2(a, na, b, nb, out);
-    case Level::kSse42: return IntersectSortedU32Sse42(a, na, b, nb, out);
     case Level::kScalar: break;
   }
 #endif
@@ -581,7 +382,6 @@ uint32_t MinU32(const uint32_t* v, size_t n) {
 #if ESHARP_SIMD_X86
   switch (ActiveLevel()) {
     case Level::kAvx2: return MinU32Avx2(v, n);
-    case Level::kSse42: return MinU32Sse42(v, n);
     case Level::kScalar: break;
   }
 #endif
@@ -592,7 +392,6 @@ uint64_t Checksum64(const void* data, size_t size) {
 #if ESHARP_SIMD_X86
   switch (ActiveLevel()) {
     case Level::kAvx2: return Checksum64Avx2(data, size);
-    case Level::kSse42: return Checksum64Sse42(data, size);
     case Level::kScalar: break;
   }
 #endif

@@ -22,17 +22,18 @@
 ///
 /// Dispatch: `-DESHARP_SIMD=OFF` compiles the scalar twins only (the
 /// portable build CI keeps honest). When ON (default), the implementation
-/// compiles AVX2 and SSE4.2 variants as target-attribute functions — no
-/// global -mavx2, the binary stays runnable on any x86-64 — and picks the
-/// best level the CPU supports once, at first use. ForceLevelForTest
-/// clamps the dispatch for equivalence tests and A/B benches.
+/// compiles AVX2 variants as target-attribute functions — no global -mavx2,
+/// the binary stays runnable on any x86-64 — and uses them when the CPU
+/// supports AVX2 (checked once, at first use); any other CPU runs the
+/// scalar twins. ForceLevelForTest clamps the dispatch for equivalence
+/// tests and A/B benches.
 
 namespace esharp::simd {
 
-/// Instruction-set level of the dispatched kernels.
+/// Instruction-set level of the dispatched kernels. The values are what
+/// the bench.simd.level gauge reports, so they never change meaning.
 enum class Level : int {
   kScalar = 0,
-  kSse42 = 1,
   kAvx2 = 2,
 };
 
@@ -43,7 +44,7 @@ Level ActiveLevel();
 /// Best level this CPU (and build configuration) supports.
 Level DetectedLevel();
 
-/// Human-readable level name ("scalar", "sse4.2", "avx2").
+/// Human-readable level name ("scalar", "avx2").
 std::string_view LevelName(Level level);
 
 /// Clamps dispatch to `level` (levels above the detected one are reduced

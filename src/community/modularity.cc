@@ -1,5 +1,6 @@
 #include "community/modularity.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <set>

@@ -46,7 +46,7 @@ sqlns::FunctionRegistry Fig4Functions(double total_weight) {
 namespace {
 
 // graph(query1, query2, distance): both directions of every edge.
-sqlns::Table BuildGraphTable(const graph::Graph& g) {
+Result<sqlns::Table> BuildGraphTable(const graph::Graph& g) {
   sqlns::TableBuilder b({{"query1", sqlns::DataType::kString},
                          {"query2", sqlns::DataType::kString},
                          {"distance", sqlns::DataType::kDouble}});
@@ -62,7 +62,7 @@ sqlns::Table BuildGraphTable(const graph::Graph& g) {
 }
 
 // communities(comm_name, query): singleton initialization.
-sqlns::Table BuildInitialCommunities(const graph::Graph& g) {
+Result<sqlns::Table> BuildInitialCommunities(const graph::Graph& g) {
   sqlns::TableBuilder b({{"comm_name", sqlns::DataType::kString},
                          {"query", sqlns::DataType::kString}});
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -86,13 +86,11 @@ Result<uint32_t> ParseVertexName(const std::string& name) {
 // Decodes communities(comm_name, query) into one community id per vertex.
 Result<std::vector<CommunityId>> DecodeAssignment(const sqlns::Table& table,
                                                   size_t num_vertices) {
-  ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const sqlns::ColumnTable> columns,
-                          table.EnsureColumnar());
   ESHARP_ASSIGN_OR_RETURN(size_t comm_idx, table.schema().IndexOf("comm_name"));
   ESHARP_ASSIGN_OR_RETURN(size_t query_idx, table.schema().IndexOf("query"));
-  const sqlns::ColumnVec& comm = columns->col(comm_idx);
-  const sqlns::ColumnVec& query = columns->col(query_idx);
-  if (columns->num_rows() != num_vertices ||
+  const sqlns::ColumnVec& comm = table.columns().col(comm_idx);
+  const sqlns::ColumnVec& query = table.columns().col(query_idx);
+  if (table.num_rows() != num_vertices ||
       comm.type != sqlns::DataType::kString ||
       query.type != sqlns::DataType::kString || comm.nulls.AnyNull() ||
       query.nulls.AnyNull()) {
@@ -135,12 +133,9 @@ Result<DetectionResult> DetectCommunitiesSql(const graph::Graph& g,
 
   sqlns::Catalog catalog;
   {
-    // Pre-convert the base tables so every per-iteration scan is a
-    // copy-free columnar handoff instead of a row→column conversion.
-    sqlns::Table graph_table = BuildGraphTable(g);
-    sqlns::Table communities_table = BuildInitialCommunities(g);
-    ESHARP_RETURN_NOT_OK(graph_table.EnsureColumnar().status());
-    ESHARP_RETURN_NOT_OK(communities_table.EnsureColumnar().status());
+    ESHARP_ASSIGN_OR_RETURN(sqlns::Table graph_table, BuildGraphTable(g));
+    ESHARP_ASSIGN_OR_RETURN(sqlns::Table communities_table,
+                            BuildInitialCommunities(g));
     catalog.Register("graph", std::move(graph_table));
     catalog.Register("communities", std::move(communities_table));
   }

@@ -61,21 +61,6 @@ Result<VertexId> Graph::FindVertex(const std::string& label) const {
   return it->second;
 }
 
-sql::Table Graph::ToEdgeTable() const {
-  sql::TableBuilder b({{"query1", sql::DataType::kString},
-                       {"query2", sql::DataType::kString},
-                       {"distance", sql::DataType::kDouble}});
-  for (const Edge& e : edges_) {
-    b.AddRow({sql::Value::String(labels_[e.u]),
-              sql::Value::String(labels_[e.v]),
-              sql::Value::Double(e.weight)});
-    b.AddRow({sql::Value::String(labels_[e.v]),
-              sql::Value::String(labels_[e.u]),
-              sql::Value::Double(e.weight)});
-  }
-  return b.Build();
-}
-
 std::string Graph::SerializeTsv() const {
   std::string out;
   for (const std::string& label : labels_) {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "sqlengine/table.h"
 
 namespace esharp::graph {
 
@@ -64,12 +63,6 @@ class Graph {
 
   /// Total edge weight of the graph (sum over unique edges).
   double TotalWeight() const { return total_weight_; }
-
-  /// Exports edges as a relational table
-  /// `graph(query1:STRING, query2:STRING, distance:DOUBLE)` with both edge
-  /// directions materialized — the symmetric representation Fig. 4's SQL
-  /// expects.
-  sql::Table ToEdgeTable() const;
 
   /// Serializes to TSV: one "label1<TAB>label2<TAB>weight" line per unique
   /// edge, preceded by one "label" line per vertex (so isolated vertices

@@ -289,21 +289,9 @@ Result<PublishStats> IngestPipeline::Publish() {
   const bool vocabulary_may_change = graph_dirty_;
   stats.graph_changed = graph_dirty_;
   if (graph_dirty_) {
-    if (options_.incremental_graph) {
-      UpdateGraphState();
-      ESHARP_ASSIGN_OR_RETURN(graph::Graph g, MaterializeGraph());
-      published_graph_ = std::make_shared<const graph::Graph>(std::move(g));
-    } else {
-      // Safety valve: full re-extraction from the accumulated log. Same
-      // result, batch-independent cost.
-      graph::SimilarityGraphOptions extraction = options_.extraction;
-      extraction.pool = options_.pool;
-      extraction.num_partitions = options_.num_partitions;
-      ESHARP_ASSIGN_OR_RETURN(graph::Graph g,
-                              BuildSimilarityGraph(log_, extraction));
-      published_graph_ = std::make_shared<const graph::Graph>(std::move(g));
-      dirty_queries_.clear();
-    }
+    UpdateGraphState();
+    ESHARP_ASSIGN_OR_RETURN(graph::Graph g, MaterializeGraph());
+    published_graph_ = std::make_shared<const graph::Graph>(std::move(g));
 
     community::DetectionResult detection;
     if (published_graph_->num_vertices() > 0) {

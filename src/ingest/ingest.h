@@ -38,10 +38,6 @@ struct IngestOptions {
   size_t num_partitions = 8;
   /// Options of the published serving generations.
   core::ESharpOptions serving;
-  /// Maintain the similarity graph incrementally across publishes (the
-  /// delta path). false = re-extract from the accumulated log on every
-  /// publish — the safety valve; results are identical either way.
-  bool incremental_graph = true;
   /// Ingest gauges (ingest.lag_ms / ingest.backlog / ingest.dirty_terms)
   /// land here; null disables. A TimeSeriesStore sampling this registry
   /// puts them on /graphz.

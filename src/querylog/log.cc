@@ -63,18 +63,6 @@ std::vector<SparseVector> QueryLog::BuildClickVectors() const {
   return out;
 }
 
-sql::Table QueryLog::ToClickTable() const {
-  sql::TableBuilder b({{"query", sql::DataType::kString},
-                       {"url", sql::DataType::kInt64},
-                       {"clicks", sql::DataType::kInt64}});
-  for (const ClickRecord& r : records_) {
-    b.AddRow({sql::Value::String(queries_[r.query_id].text),
-              sql::Value::Int(static_cast<int64_t>(r.url_id)),
-              sql::Value::Int(static_cast<int64_t>(r.clicks))});
-  }
-  return b.Build();
-}
-
 std::string QueryLog::SerializeTsv() const {
   std::string out;
   for (const ClickRecord& r : records_) {

@@ -9,7 +9,6 @@
 #include "common/result.h"
 #include "common/sparse_vector.h"
 #include "querylog/universe.h"
-#include "sqlengine/table.h"
 
 namespace esharp::querylog {
 
@@ -66,10 +65,6 @@ class QueryLog {
   /// Builds one sparse click vector per query (indexed by query id) — the
   /// vector-space representation of §4.1/Fig. 2.
   std::vector<SparseVector> BuildClickVectors() const;
-
-  /// Exports the click records as a relational table
-  /// `clicks(query:STRING, url:INT64, clicks:INT64)`.
-  sql::Table ToClickTable() const;
 
   /// Serializes to TSV ("query<TAB>url<TAB>clicks" lines); the byte count of
   /// this representation is what the Table 9 bench reports as stage input.

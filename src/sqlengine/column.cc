@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/simd.h"
-#include "sqlengine/table.h"
 
 namespace esharp::sql {
 
@@ -13,7 +12,6 @@ uint32_t StringDict::Intern(std::string_view s) {
   uint32_t id = static_cast<uint32_t>(strings_.size());
   strings_.emplace_back(s);
   hashes_.push_back(Fnv1a64(s));
-  payload_bytes_ += s.size();
   index_.emplace(strings_.back(), id);
   return id;
 }
@@ -115,63 +113,6 @@ int CompareCells(const ColumnVec& a, size_t i, const ColumnVec& b, size_t j) {
       break;
   }
   return 0;
-}
-
-Result<ColumnTable> ColumnTable::FromTable(const Table& t) {
-  ColumnTable out(t.schema());
-  const size_t n = t.num_rows();
-  const size_t width = t.schema().num_columns();
-  out.cols_.resize(width);
-  out.num_rows_ = n;
-  for (size_t c = 0; c < width; ++c) {
-    // Column type = the unique non-null cell type (kNull if all cells are).
-    DataType type = DataType::kNull;
-    for (size_t r = 0; r < n; ++r) {
-      DataType cell = t.row(r)[c].type();
-      if (cell == DataType::kNull) continue;
-      if (type == DataType::kNull) {
-        type = cell;
-      } else if (type != cell) {
-        return MixedTypeError("column '" + t.schema().column(c).name + "'",
-                              type, cell);
-      }
-    }
-    ColumnVec& col = out.cols_[c];
-    col.type = type;
-    col.null_length = n;
-    col.Reserve(n);
-    std::shared_ptr<StringDict> dict;
-    if (type == DataType::kString) {
-      dict = std::make_shared<StringDict>();
-      col.dict = dict;
-    }
-    for (size_t r = 0; r < n; ++r) {
-      const Value& v = t.row(r)[c];
-      const bool is_null = v.is_null();
-      switch (type) {
-        case DataType::kBool:
-          col.bools.push_back(is_null ? 0 : (v.bool_value() ? 1 : 0));
-          break;
-        case DataType::kInt64:
-          col.ints.push_back(is_null ? 0 : v.int_value());
-          break;
-        case DataType::kDouble:
-          col.doubles.push_back(is_null ? 0.0 : v.double_value());
-          break;
-        case DataType::kString:
-          col.str_ids.push_back(is_null ? 0 : dict->Intern(v.string_value()));
-          break;
-        case DataType::kNull:
-          break;
-      }
-      if (is_null && type != DataType::kNull) col.nulls.SetNull(r, n);
-    }
-    if (type == DataType::kString && dict->size() == 0) {
-      // All-null string column can't leave id 0 dangling on null slots.
-      dict->Intern("");
-    }
-  }
-  return out;
 }
 
 std::vector<Row> ColumnTable::MaterializeRows() const {

@@ -16,7 +16,7 @@
 
 namespace esharp::sql {
 
-class Table;
+/// \brief One tuple; values are positionally aligned with a Schema.
 using Row = std::vector<Value>;
 
 /// \brief Append-only interned string storage shared by dictionary-encoded
@@ -25,10 +25,9 @@ using Row = std::vector<Value>;
 /// Interning maps each distinct string to a dense uint32 id and caches its
 /// Fnv1a64 hash, so hashing a string column costs one table lookup per row
 /// instead of re-hashing the bytes, and equality within one dictionary is an
-/// id compare. Dictionaries are shared across tables via shared_ptr;
-/// mutation (Intern) is only legal on the coordinating thread while the
-/// dictionary is still exclusively owned — operator kernels treat them as
-/// read-only.
+/// id compare. Only the builder of a column interns into its dictionary;
+/// once the column is built, the dictionary is shared read-only across
+/// tables via shared_ptr.
 class StringDict {
  public:
   /// Returns the id of `s`, interning it on first sight.
@@ -37,9 +36,6 @@ class StringDict {
   const std::string& at(uint32_t id) const { return strings_[id]; }
   uint64_t hash(uint32_t id) const { return hashes_[id]; }
   size_t size() const { return strings_.size(); }
-
-  /// Total bytes of interned string payload.
-  uint64_t PayloadBytes() const { return payload_bytes_; }
 
  private:
   struct SvHash {
@@ -57,7 +53,6 @@ class StringDict {
   std::vector<std::string> strings_;
   std::vector<uint64_t> hashes_;
   std::unordered_map<std::string, uint32_t, SvHash, SvEq> index_;
-  uint64_t payload_bytes_ = 0;
 };
 
 /// \brief Validity bitmap: bit i set means row i is NULL. An empty bitmap
@@ -85,11 +80,6 @@ class NullBitmap {
       w |= bit;
       ++null_count_;
     }
-  }
-
-  void Clear() {
-    words_.clear();
-    null_count_ = 0;
   }
 
  private:
@@ -128,7 +118,7 @@ struct ColumnVec {
     return 0;
   }
 
-  /// Cell as a row-store Value (materialization / slow paths).
+  /// Cell as a Value (materialization / slow paths).
   Value ValueAt(size_t i) const;
 
   /// Stable cell hash, identical to Value::Hash() of ValueAt(i).
@@ -147,7 +137,7 @@ struct ColumnVec {
 /// shared, not copied.
 ColumnVec GatherColumn(const ColumnVec& src, const std::vector<uint32_t>& idx);
 
-/// \brief Builds one typed ColumnVec from a stream of row-store Values — the
+/// \brief Builds one typed ColumnVec from a stream of Values — the
 /// bridge used by UDF results and aggregate outputs. The first non-null
 /// value fixes the column type; a later non-null value of a different type
 /// is InvalidArgument naming `what` (a column has one type).
@@ -184,12 +174,9 @@ int CompareCells(const ColumnVec& a, size_t i, const ColumnVec& b, size_t j);
 /// \brief Column-store relation: a Schema plus one typed ColumnVec per
 /// schema column, all of equal length.
 ///
-/// This is the execution format of every operator (columnar.h). Tables
-/// convert losslessly to/from the row store (Table::EnsureColumnar /
-/// MaterializeRows) with one rule: a row-store column whose non-null cells
-/// mix types (legal to build in the dynamically-typed row store, never
-/// produced by the clustering pipeline) has no columnar form, and
-/// FromTable returns InvalidArgument naming the column.
+/// This is the execution format of every operator (columnar.h) and the
+/// payload of every Table (table.h): Table::FromRows builds one from rows,
+/// MaterializeRows turns it back into rows.
 class ColumnTable {
  public:
   ColumnTable() = default;
@@ -203,21 +190,16 @@ class ColumnTable {
   void set_num_rows(size_t n) { num_rows_ = n; }
 
   const ColumnVec& col(size_t i) const { return cols_[i]; }
-  ColumnVec& mutable_col(size_t i) { return cols_[i]; }
   void AddColumn(ColumnVec c) {
     num_rows_ = c.size();
     cols_.push_back(std::move(c));
   }
 
-  /// Lossless conversion from the row store; InvalidArgument for mixed-type
-  /// columns (see class comment).
-  static Result<ColumnTable> FromTable(const Table& t);
-
-  /// Materializes the row-store representation.
+  /// Every row, as Values.
   std::vector<Row> MaterializeRows() const;
 
-  /// Approximate logical footprint using the row-store per-cell accounting
-  /// (Value::SizeBytes), so ResourceMeter IO totals match Table::SizeBytes.
+  /// Approximate logical footprint using the per-cell accounting of
+  /// Value::SizeBytes.
   uint64_t SizeBytes() const;
 
   /// New table with the rows selected by `idx`, in order. An index of

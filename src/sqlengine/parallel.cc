@@ -68,12 +68,6 @@ void MeterRows(const ExecContext& ctx, uint64_t in, uint64_t out,
   }
 }
 
-// Wraps a finished result without materializing rows.
-Table WrapColumnar(ColumnTable out) {
-  return Table::FromColumnar(
-      std::make_shared<const ColumnTable>(std::move(out)));
-}
-
 }  // namespace
 
 Result<Table> ParallelHashJoin(const ExecContext& ctx, const Table& left,
@@ -86,27 +80,25 @@ Result<Table> ParallelHashJoin(const ExecContext& ctx, const Table& left,
                                    left_keys.size(), " vs ",
                                    right_keys.size());
   }
-  ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> lct,
-                          left.EnsureColumnar());
-  ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> rct,
-                          right.EnsureColumnar());
+  const ColumnTable& lct = left.columns();
+  const ColumnTable& rct = right.columns();
   const size_t p = Partitions(ctx);
   ColumnTable out;
   if (strategy == JoinStrategy::kReplicated || p == 1) {
     // The build side is hashed and indexed once on the coordinator; every
     // worker probes the shared read-only index.
     ESHARP_ASSIGN_OR_RETURN(ColumnarJoinIndex index,
-                            ColumnarJoinIndex::Build(*rct, right_keys));
+                            ColumnarJoinIndex::Build(rct, right_keys));
     ESHARP_ASSIGN_OR_RETURN(
-        out, MapChunks(ctx, *lct, [&](const ColumnTable& chunk) {
-          return ColumnarHashJoinProbe(chunk, left_keys, *rct, index, type);
+        out, MapChunks(ctx, lct, [&](const ColumnTable& chunk) {
+          return ColumnarHashJoinProbe(chunk, left_keys, rct, index, type);
         }));
   } else {
     // Right first, as the replicated path resolves the build keys first.
     ESHARP_ASSIGN_OR_RETURN(std::vector<ColumnTable> rparts,
-                            ColumnarHashPartition(*rct, right_keys, p));
+                            ColumnarHashPartition(rct, right_keys, p));
     ESHARP_ASSIGN_OR_RETURN(std::vector<ColumnTable> lparts,
-                            ColumnarHashPartition(*lct, left_keys, p));
+                            ColumnarHashPartition(lct, left_keys, p));
     ESHARP_ASSIGN_OR_RETURN(out, RunAndConcat(ctx, p, [&](size_t i) {
                               return ColumnarHashJoin(lparts[i], rparts[i],
                                                       left_keys, right_keys,
@@ -114,14 +106,13 @@ Result<Table> ParallelHashJoin(const ExecContext& ctx, const Table& left,
                             }));
   }
   MeterRows(ctx, left.num_rows() + right.num_rows(), out.num_rows(), p);
-  return WrapColumnar(std::move(out));
+  return Table(std::move(out));
 }
 
 Result<Table> ParallelHashAggregate(const ExecContext& ctx, const Table& t,
                                     const std::vector<std::string>& group_keys,
                                     const std::vector<AggSpec>& aggs) {
-  ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
-                          t.EnsureColumnar());
+  const ColumnTable& ct = t.columns();
   // Pre-bind on the coordinator; workers' Bind calls become no-ops.
   for (const AggSpec& a : aggs) {
     if (a.arg) ESHARP_RETURN_NOT_OK(a.arg->Bind(t.schema()));
@@ -130,45 +121,43 @@ Result<Table> ParallelHashAggregate(const ExecContext& ctx, const Table& t,
   const size_t p = group_keys.empty() ? 1 : Partitions(ctx);
   ColumnTable out;
   if (p == 1) {
-    ESHARP_ASSIGN_OR_RETURN(out, ColumnarHashAggregate(*ct, group_keys, aggs));
+    ESHARP_ASSIGN_OR_RETURN(out, ColumnarHashAggregate(ct, group_keys, aggs));
   } else {
     ESHARP_ASSIGN_OR_RETURN(std::vector<ColumnTable> parts,
-                            ColumnarHashPartition(*ct, group_keys, p));
+                            ColumnarHashPartition(ct, group_keys, p));
     ESHARP_ASSIGN_OR_RETURN(out, RunAndConcat(ctx, p, [&](size_t i) {
                               return ColumnarHashAggregate(parts[i],
                                                            group_keys, aggs);
                             }));
   }
   MeterRows(ctx, t.num_rows(), out.num_rows(), p);
-  return WrapColumnar(std::move(out));
+  return Table(std::move(out));
 }
 
 Result<Table> ParallelFilter(const ExecContext& ctx, const Table& t,
                              const ExprPtr& pred) {
-  ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
-                          t.EnsureColumnar());
+  const ColumnTable& ct = t.columns();
   ESHARP_RETURN_NOT_OK(pred->Bind(t.schema()));
   ESHARP_ASSIGN_OR_RETURN(
-      ColumnTable out, MapChunks(ctx, *ct, [&](const ColumnTable& chunk) {
+      ColumnTable out, MapChunks(ctx, ct, [&](const ColumnTable& chunk) {
         return ColumnarFilter(chunk, pred);
       }));
   MeterRows(ctx, t.num_rows(), out.num_rows(), Partitions(ctx));
-  return WrapColumnar(std::move(out));
+  return Table(std::move(out));
 }
 
 Result<Table> ParallelProject(const ExecContext& ctx, const Table& t,
                               const std::vector<ProjectedColumn>& cols) {
-  ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
-                          t.EnsureColumnar());
+  const ColumnTable& ct = t.columns();
   for (const ProjectedColumn& c : cols) {
     ESHARP_RETURN_NOT_OK(c.expr->Bind(t.schema()));
   }
   ESHARP_ASSIGN_OR_RETURN(
-      ColumnTable out, MapChunks(ctx, *ct, [&](const ColumnTable& chunk) {
+      ColumnTable out, MapChunks(ctx, ct, [&](const ColumnTable& chunk) {
         return ColumnarProject(chunk, cols);
       }));
   MeterRows(ctx, t.num_rows(), out.num_rows(), Partitions(ctx));
-  return WrapColumnar(std::move(out));
+  return Table(std::move(out));
 }
 
 }  // namespace esharp::sql

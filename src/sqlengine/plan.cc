@@ -193,22 +193,13 @@ class NodeProfile {
   Result<Table> FinishBatch(uint64_t rows_in, Result<ColumnTable> out) {
     if (!out.ok()) return Finish(out.status());
     RecordRows(rows_in, out->num_rows());
-    return Finish(Table::FromColumnar(std::make_shared<const ColumnTable>(
-        std::move(out).MoveValueUnsafe())));
+    return Finish(Table(std::move(out).MoveValueUnsafe()));
   }
 
  private:
   ExplainStats* stats_;
   Timer timer_;
 };
-
-// The columnar payload of a catalog or literal table, converted once and
-// cached on the table, handed over without copying.
-Result<Table> ColumnarView(const Table& t) {
-  ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
-                          t.EnsureColumnar());
-  return Table::FromColumnar(std::move(ct));
-}
 
 }  // namespace
 
@@ -225,12 +216,12 @@ Result<Table> Executor::ExecuteNode(const PlanNode& node,
     case PlanNode::Kind::kScan: {
       ESHARP_ASSIGN_OR_RETURN(const Table* t, catalog.Get(node.table_name));
       profile.RecordRows(t->num_rows(), t->num_rows());
-      return profile.Finish(ColumnarView(*t));
+      return profile.Finish(*t);
     }
     case PlanNode::Kind::kValues:
       profile.RecordRows(node.literal_table->num_rows(),
                          node.literal_table->num_rows());
-      return profile.Finish(ColumnarView(*node.literal_table));
+      return profile.Finish(*node.literal_table);
     case PlanNode::Kind::kFilter: {
       ESHARP_ASSIGN_OR_RETURN(
           Table in, ExecuteNode(*node.children[0], catalog, profile.child()));
@@ -260,25 +251,20 @@ Result<Table> Executor::ExecuteNode(const PlanNode& node,
     case PlanNode::Kind::kDistinct: {
       ESHARP_ASSIGN_OR_RETURN(
           Table in, ExecuteNode(*node.children[0], catalog, profile.child()));
-      ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
-                              in.EnsureColumnar());
-      return profile.FinishBatch(in.num_rows(), ColumnarDistinct(*ct));
+      return profile.FinishBatch(in.num_rows(), ColumnarDistinct(in.columns()));
     }
     case PlanNode::Kind::kSort: {
       ESHARP_ASSIGN_OR_RETURN(
           Table in, ExecuteNode(*node.children[0], catalog, profile.child()));
-      ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
-                              in.EnsureColumnar());
       return profile.FinishBatch(
           in.num_rows(),
-          ColumnarSort(*ct, node.sort_keys, node.sort_ascending));
+          ColumnarSort(in.columns(), node.sort_keys, node.sort_ascending));
     }
     case PlanNode::Kind::kLimit: {
       ESHARP_ASSIGN_OR_RETURN(
           Table in, ExecuteNode(*node.children[0], catalog, profile.child()));
-      ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
-                              in.EnsureColumnar());
-      return profile.FinishBatch(in.num_rows(), ColumnarLimit(*ct, node.limit));
+      return profile.FinishBatch(in.num_rows(),
+                                 ColumnarLimit(in.columns(), node.limit));
     }
     case PlanNode::Kind::kUnionAll: {
       ESHARP_ASSIGN_OR_RETURN(
@@ -286,20 +272,15 @@ Result<Table> Executor::ExecuteNode(const PlanNode& node,
       ESHARP_ASSIGN_OR_RETURN(
           Table right,
           ExecuteNode(*node.children[1], catalog, profile.child()));
-      ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> lct,
-                              left.EnsureColumnar());
-      ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> rct,
-                              right.EnsureColumnar());
-      return profile.FinishBatch(left.num_rows() + right.num_rows(),
-                                 ColumnarUnionAll(*lct, *rct));
+      return profile.FinishBatch(
+          left.num_rows() + right.num_rows(),
+          ColumnarUnionAll(left.columns(), right.columns()));
     }
     case PlanNode::Kind::kAlias: {
       ESHARP_ASSIGN_OR_RETURN(
           Table in, ExecuteNode(*node.children[0], catalog, profile.child()));
-      ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
-                              in.EnsureColumnar());
       // Rename on the columnar payload: copies typed vectors, not Values.
-      ColumnTable renamed = *ct;
+      ColumnTable renamed = in.columns();
       Schema& schema = renamed.mutable_schema();
       schema = Schema();
       for (const Column& c : in.schema().columns()) {

@@ -1,118 +1,118 @@
 #include "sqlengine/table.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/strings.h"
 
 namespace esharp::sql {
 
-Table Table::FromColumnar(std::shared_ptr<const ColumnTable> columnar) {
-  Table t(columnar->schema());
-  t.columnar_ = std::move(columnar);
-  t.rows_valid_ = false;
-  return t;
-}
-
-void Table::MaterializeFromColumnar() const {
-  rows_ = columnar_->MaterializeRows();
-  rows_valid_ = true;
-}
-
-Result<std::shared_ptr<const ColumnTable>> Table::EnsureColumnar() const {
-  if (columnar_ != nullptr) return columnar_;
-  // Invariant: a null payload implies rows_ is valid.
-  ESHARP_ASSIGN_OR_RETURN(ColumnTable ct, ColumnTable::FromTable(*this));
-  columnar_ = std::make_shared<const ColumnTable>(std::move(ct));
-  return columnar_;
-}
-
-Status Table::AppendRow(Row row) {
-  if (row.size() != schema_.num_columns()) {
-    return Status::InvalidArgument("row arity ", row.size(),
-                                   " does not match schema arity ",
-                                   schema_.num_columns());
-  }
-  AppendRowUnchecked(std::move(row));
-  return Status::OK();
-}
-
-Result<Value> Table::GetValue(size_t row_index,
-                              const std::string& column) const {
-  if (row_index >= num_rows()) {
-    return Status::OutOfRange("row ", row_index, " >= ", num_rows());
-  }
-  ESHARP_ASSIGN_OR_RETURN(size_t col, schema_.IndexOf(column));
-  return row(row_index)[col];
-}
-
-uint64_t Table::SizeBytes() const {
-  if (size_cache_valid_) return size_bytes_cache_;
-  uint64_t total = 0;
-  if (!rows_valid_) {
-    // ColumnTable::SizeBytes uses the same per-cell accounting.
-    total = columnar_->SizeBytes();
-  } else {
-    for (const Row& r : rows_) {
-      for (const Value& v : r) total += v.SizeBytes();
+Result<Table> Table::FromRows(Schema schema, std::vector<Row> rows) {
+  const size_t n = rows.size();
+  const size_t width = schema.num_columns();
+  for (size_t r = 0; r < n; ++r) {
+    if (rows[r].size() != width) {
+      return Status::InvalidArgument("row ", r, " arity ", rows[r].size(),
+                                     " does not match schema arity ", width);
     }
   }
-  size_bytes_cache_ = total;
-  size_cache_valid_ = true;
-  return total;
+  ColumnTable out(std::move(schema));
+  for (size_t c = 0; c < width; ++c) {
+    // Column type = the unique non-null cell type (kNull if all cells are).
+    DataType type = DataType::kNull;
+    for (const Row& row : rows) {
+      DataType cell = row[c].type();
+      if (cell == DataType::kNull) continue;
+      if (type == DataType::kNull) {
+        type = cell;
+      } else if (type != cell) {
+        return MixedTypeError("column '" + out.schema().column(c).name + "'",
+                              type, cell);
+      }
+    }
+    ColumnVec col;
+    col.type = type;
+    col.null_length = n;
+    col.Reserve(n);
+    std::shared_ptr<StringDict> dict;
+    if (type == DataType::kString) {
+      dict = std::make_shared<StringDict>();
+      col.dict = dict;
+    }
+    for (size_t r = 0; r < n; ++r) {
+      const Value& v = rows[r][c];
+      const bool is_null = v.is_null();
+      switch (type) {
+        case DataType::kBool:
+          col.bools.push_back(is_null ? 0 : (v.bool_value() ? 1 : 0));
+          break;
+        case DataType::kInt64:
+          col.ints.push_back(is_null ? 0 : v.int_value());
+          break;
+        case DataType::kDouble:
+          col.doubles.push_back(is_null ? 0.0 : v.double_value());
+          break;
+        case DataType::kString:
+          col.str_ids.push_back(is_null ? 0 : dict->Intern(v.string_value()));
+          break;
+        case DataType::kNull:
+          break;
+      }
+      if (is_null && type != DataType::kNull) col.nulls.SetNull(r, n);
+    }
+    if (type == DataType::kString && dict->size() == 0) {
+      // All-null string column can't leave id 0 dangling on null slots.
+      dict->Intern("");
+    }
+    out.AddColumn(std::move(col));
+  }
+  // Zero-column relations keep their cardinality.
+  out.set_num_rows(n);
+  return Table(std::move(out));
+}
+
+Row Table::row(size_t i) const {
+  Row out;
+  out.reserve(num_columns());
+  for (size_t c = 0; c < columns_->num_columns(); ++c) {
+    out.push_back(columns_->col(c).ValueAt(i));
+  }
+  return out;
 }
 
 std::string Table::ToString(size_t max_rows) const {
-  EnsureRows();
+  const Schema& schema = this->schema();
   // Compute column widths over the rendered prefix.
-  size_t shown = std::min(max_rows, rows_.size());
-  std::vector<size_t> widths(schema_.num_columns());
+  size_t shown = std::min(max_rows, num_rows());
+  std::vector<size_t> widths(schema.num_columns());
   std::vector<std::vector<std::string>> cells(shown);
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    widths[c] = schema_.column(c).name.size();
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    widths[c] = schema.column(c).name.size();
   }
   for (size_t r = 0; r < shown; ++r) {
-    cells[r].resize(schema_.num_columns());
-    for (size_t c = 0; c < schema_.num_columns(); ++c) {
-      cells[r][c] = rows_[r][c].ToString();
+    const Row values = row(r);
+    cells[r].resize(schema.num_columns());
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      cells[r][c] = values[c].ToString();
       widths[c] = std::max(widths[c], cells[r][c].size());
     }
   }
   std::string out;
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
     out += StrFormat("%-*s  ", static_cast<int>(widths[c]),
-                     schema_.column(c).name.c_str());
+                     schema.column(c).name.c_str());
   }
   out += "\n";
   for (size_t r = 0; r < shown; ++r) {
-    for (size_t c = 0; c < schema_.num_columns(); ++c) {
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
       out += StrFormat("%-*s  ", static_cast<int>(widths[c]),
                        cells[r][c].c_str());
     }
     out += "\n";
   }
-  if (shown < rows_.size()) {
-    out += StrFormat("... (%zu more rows)\n", rows_.size() - shown);
+  if (shown < num_rows()) {
+    out += StrFormat("... (%zu more rows)\n", num_rows() - shown);
   }
   return out;
-}
-
-void Table::SortLexicographic() {
-  EnsureRows();
-  columnar_.reset();  // payload row order no longer matches
-  std::sort(rows_.begin(), rows_.end(), [](const Row& a, const Row& b) {
-    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      int c = a[i].Compare(b[i]);
-      if (c != 0) return c < 0;
-    }
-    return a.size() < b.size();
-  });
-}
-
-TableBuilder& TableBuilder::AddRow(Row row) {
-  assert(row.size() == table_.schema().num_columns());
-  table_.AppendRowUnchecked(std::move(row));
-  return *this;
 }
 
 }  // namespace esharp::sql

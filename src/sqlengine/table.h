@@ -12,145 +12,83 @@
 
 namespace esharp::sql {
 
-/// \brief One tuple; values are positionally aligned with a Schema.
-using Row = std::vector<Value>;
-
-/// \brief In-memory relation: a Schema plus rows, with an optional columnar
-/// payload.
+/// \brief In-memory relation: a copyable, read-only handle on one immutable
+/// ColumnTable payload; its schema is the payload's schema.
 ///
 /// The engine is batch-oriented (table-at-a-time operators), matching the
 /// map-reduce relational execution model the paper targets: each operator
-/// materializes its output, and the parallel executor splits tables into
-/// hash partitions.
+/// reads whole relations and materializes a new output, never editing its
+/// inputs. Copies share the payload, and any number of threads may read
+/// one Table at once.
 ///
-/// A Table can carry its data in either or both of two representations:
-/// the row store (`rows_`), which row building and reading use, and a shared
-/// immutable ColumnTable payload, which every operator executes on.
-/// Operator outputs are wrapped via FromColumnar() without materializing
-/// rows; the row representation is then built lazily on first row access.
-/// Conversely EnsureColumnar() converts (and caches) the columnar form of a
-/// row table. Lazy materialization and conversion are
-/// NOT thread-safe: they must happen on the coordinating thread, never from
-/// partition workers (workers operate on the immutable ColumnTable).
+/// Rows enter through one checked door, FromRows (TableBuilder collects
+/// rows for it), and leave only as copies through row() and rows().
+/// Operators hand columns() straight to the kernels (columnar.h) and wrap
+/// their results with Table(ColumnTable).
 class Table {
  public:
-  Table() = default;
-  explicit Table(Schema schema) : schema_(std::move(schema)) {}
-  Table(Schema schema, std::vector<Row> rows)
-      : schema_(std::move(schema)), rows_(std::move(rows)) {}
+  /// The empty zero-column relation.
+  Table() : Table(ColumnTable()) {}
 
-  /// Wraps a columnar result without materializing rows. The payload is
-  /// shared (copy-free) and must not be mutated afterwards.
-  static Table FromColumnar(std::shared_ptr<const ColumnTable> columnar);
+  /// Wraps a kernel result without copying its columns.
+  explicit Table(ColumnTable columns)
+      : columns_(std::make_shared<const ColumnTable>(std::move(columns))) {}
 
-  const Schema& schema() const { return schema_; }
-  size_t num_rows() const {
-    return rows_valid_ ? rows_.size() : columnar_->num_rows();
-  }
-  size_t num_columns() const { return schema_.num_columns(); }
+  /// Builds the columnar payload of `rows`. A column's type is the type of
+  /// its non-null cells (NULL when every cell is); the declared schema
+  /// types are metadata. InvalidArgument when a row's arity differs from
+  /// the schema's, or when a column's non-null cells mix types
+  /// ("column 'v' mixes INT64 and STRING").
+  static Result<Table> FromRows(Schema schema, std::vector<Row> rows);
 
-  const Row& row(size_t i) const {
-    EnsureRows();
-    return rows_[i];
-  }
-  Row& mutable_row(size_t i) {
-    EnsureRows();
-    InvalidateDerived();
-    return rows_[i];
-  }
-  const std::vector<Row>& rows() const {
-    EnsureRows();
-    return rows_;
-  }
-  std::vector<Row>& mutable_rows() {
-    EnsureRows();
-    InvalidateDerived();
-    return rows_;
-  }
+  const Schema& schema() const { return columns_->schema(); }
+  size_t num_rows() const { return columns_->num_rows(); }
+  size_t num_columns() const { return schema().num_columns(); }
 
-  /// Appends a row after checking arity (type checking is left to operators;
-  /// generators construct well-typed rows by design).
-  Status AppendRow(Row row);
+  /// The payload every operator executes on.
+  const ColumnTable& columns() const { return *columns_; }
 
-  /// Appends without arity checking (hot path for operator outputs). Keeps
-  /// the cached SizeBytes total current instead of invalidating it.
-  void AppendRowUnchecked(Row row) {
-    EnsureRows();
-    columnar_.reset();
-    if (size_cache_valid_) {
-      for (const Value& v : row) size_bytes_cache_ += v.SizeBytes();
-    }
-    rows_.push_back(std::move(row));
-  }
+  /// A copy of row `i`.
+  Row row(size_t i) const;
 
-  /// Reserves capacity.
-  void Reserve(size_t n) { rows_.reserve(n); }
+  /// A copy of every row, in order.
+  std::vector<Row> rows() const { return columns_->MaterializeRows(); }
 
-  /// Value at (row, column-name); error if the column is missing.
-  Result<Value> GetValue(size_t row_index, const std::string& column) const;
-
-  /// Approximate in-memory footprint in bytes (sum of value sizes). Cached;
-  /// appends maintain the total incrementally, mutations invalidate it.
-  uint64_t SizeBytes() const;
-
-  /// Returns (converting and caching on first use) the columnar form every
-  /// operator executes on. InvalidArgument when a column mixes non-null
-  /// cell types. Coordinator-only.
-  Result<std::shared_ptr<const ColumnTable>> EnsureColumnar() const;
-
-  /// The cached columnar payload, or null if none has been attached/built.
-  const std::shared_ptr<const ColumnTable>& columnar() const {
-    return columnar_;
-  }
+  /// Approximate in-memory footprint in bytes (Value::SizeBytes summed over
+  /// the cells).
+  uint64_t SizeBytes() const { return columns_->SizeBytes(); }
 
   /// Renders at most `max_rows` rows as an aligned text table (debugging,
   /// example programs).
   std::string ToString(size_t max_rows = 20) const;
 
-  /// Sorts rows lexicographically by all columns — canonical form used by
-  /// tests to compare results regardless of operator output order.
-  void SortLexicographic();
-
  private:
-  /// Materializes rows from the columnar payload (coordinator-only).
-  void EnsureRows() const {
-    if (!rows_valid_) MaterializeFromColumnar();
-  }
-  void MaterializeFromColumnar() const;
-  /// Row mutation drops the cached columnar payload and size total.
-  void InvalidateDerived() {
-    columnar_.reset();
-    size_cache_valid_ = false;
-  }
-
-  Schema schema_;
-  mutable std::vector<Row> rows_;
-  /// Shared immutable columnar payload; see class comment.
-  mutable std::shared_ptr<const ColumnTable> columnar_;
-  /// False while rows_ has not yet been materialized from columnar_.
-  mutable bool rows_valid_ = true;
-  mutable uint64_t size_bytes_cache_ = 0;
-  mutable bool size_cache_valid_ = false;
+  std::shared_ptr<const ColumnTable> columns_;
 };
 
-/// \brief Convenience builder used by tests and generators.
+/// \brief Row collector for Table::FromRows, used by tests and generators.
 ///
 ///   TableBuilder b({{"query", DataType::kString}, {"count", DataType::kInt64}});
 ///   b.AddRow({Value::String("49ers"), Value::Int(12)});
+///   ESHARP_ASSIGN_OR_RETURN(Table t, b.Build());
 class TableBuilder {
  public:
   explicit TableBuilder(std::vector<Column> columns)
-      : table_(Schema(std::move(columns))) {}
+      : schema_(std::move(columns)) {}
 
-  /// Adds a row; aborts on arity mismatch (builder misuse is a programming
-  /// error, not a runtime condition).
-  TableBuilder& AddRow(Row row);
+  TableBuilder& AddRow(Row row) {
+    rows_.push_back(std::move(row));
+    return *this;
+  }
 
-  /// Finalizes the table.
-  Table Build() { return std::move(table_); }
+  /// Finalizes the table; the errors are FromRows's.
+  Result<Table> Build() {
+    return Table::FromRows(std::move(schema_), std::move(rows_));
+  }
 
  private:
-  Table table_;
+  Schema schema_;
+  std::vector<Row> rows_;
 };
 
 }  // namespace esharp::sql

@@ -57,6 +57,34 @@ TEST(GraphIoTest, RealExtractionOutputRoundTrips) {
 
 // --------------------------------- Substrate tables through the SQL engine --
 
+// clicks(query, url, clicks): one row per click record.
+sql::Table ClickTable(const querylog::QueryLog& log) {
+  sql::TableBuilder b({{"query", sql::DataType::kString},
+                       {"url", sql::DataType::kInt64},
+                       {"clicks", sql::DataType::kInt64}});
+  for (const querylog::ClickRecord& r : log.records()) {
+    b.AddRow({sql::Value::String(log.query(r.query_id).text),
+              sql::Value::Int(static_cast<int64_t>(r.url_id)),
+              sql::Value::Int(static_cast<int64_t>(r.clicks))});
+  }
+  return *b.Build();
+}
+
+// graph(query1, query2, distance): both directions of every edge, the
+// symmetric form Fig. 4's SQL expects.
+sql::Table EdgeTable(const graph::Graph& g) {
+  sql::TableBuilder b({{"query1", sql::DataType::kString},
+                       {"query2", sql::DataType::kString},
+                       {"distance", sql::DataType::kDouble}});
+  for (const graph::Edge& e : g.edges()) {
+    b.AddRow({sql::Value::String(g.label(e.u)),
+              sql::Value::String(g.label(e.v)), sql::Value::Double(e.weight)});
+    b.AddRow({sql::Value::String(g.label(e.v)),
+              sql::Value::String(g.label(e.u)), sql::Value::Double(e.weight)});
+  }
+  return *b.Build();
+}
+
 TEST(SubstrateSqlTest, ClickLogAnalyzedWithSqlText) {
   // The simulated click log exported as a relation and analyzed with plain
   // SQL: top URLs by clicks for one query string.
@@ -69,7 +97,7 @@ TEST(SubstrateSqlTest, ClickLogAnalyzedWithSqlText) {
   log.AddClicks(q2, 101, 15);
 
   sql::Catalog catalog;
-  catalog.Register("clicks", log.ToClickTable());
+  catalog.Register("clicks", ClickTable(log));
   sql::Table out = *sql::ExecuteSql(
       "SELECT url, sum(clicks) AS total FROM clicks "
       "WHERE query = '49ers' GROUP BY url ORDER BY total DESC",
@@ -91,7 +119,7 @@ TEST(SubstrateSqlTest, EdgeTableDegreesMatchGraphDegrees) {
   ASSERT_TRUE(g.AddEdge(1, 2, 2.5).ok());
   g.Finalize();
   sql::Catalog catalog;
-  catalog.Register("graph", g.ToEdgeTable());
+  catalog.Register("graph", EdgeTable(g));
   sql::Table out = *sql::ExecuteSql(
       "SELECT query1, sum(distance) AS degree FROM graph "
       "GROUP BY query1 ORDER BY query1",

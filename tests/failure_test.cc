@@ -25,7 +25,7 @@ Table SmallTable(size_t rows) {
     b.AddRow({Value::Int(static_cast<int64_t>(i % 10)),
               Value::Double(rng.NextDouble())});
   }
-  return b.Build();
+  return *b.Build();
 }
 
 // ------------------------------------------------------------- UDF errors --
@@ -148,13 +148,11 @@ TEST(FailureTest, ExpressionRebindsAcrossDifferentSchemas) {
   TableBuilder b2({{"pad", DataType::kInt64}, {"x", DataType::kDouble}});
   b2.AddRow({Value::Int(0), Value::Double(2.5)});
   ExprPtr x = Col("x");
-  Table t1 = b1.Build(), t2 = b2.Build();
+  Table t1 = *b1.Build(), t2 = *b2.Build();
   ASSERT_TRUE(x->Bind(t1.schema()).ok());
-  EXPECT_DOUBLE_EQ(x->EvalColumn(**t1.EnsureColumnar())->ValueAt(0).double_value(),
-                   1.5);
+  EXPECT_DOUBLE_EQ(x->EvalColumn(t1.columns())->ValueAt(0).double_value(), 1.5);
   ASSERT_TRUE(x->Bind(t2.schema()).ok());
-  EXPECT_DOUBLE_EQ(x->EvalColumn(**t2.EnsureColumnar())->ValueAt(0).double_value(),
-                   2.5);
+  EXPECT_DOUBLE_EQ(x->EvalColumn(t2.columns())->ValueAt(0).double_value(), 2.5);
 }
 
 }  // namespace

@@ -57,16 +57,6 @@ TEST(GraphTest, AdjacencyAndDegrees) {
   EXPECT_DOUBLE_EQ(g.TotalWeight(), 3.0);
 }
 
-TEST(GraphTest, EdgeTableIsSymmetric) {
-  Graph g;
-  VertexId a = g.AddVertex("x"), b = g.AddVertex("y");
-  ASSERT_TRUE(g.AddEdge(a, b, 0.4).ok());
-  sql::Table t = g.ToEdgeTable();
-  EXPECT_EQ(t.num_rows(), 2u);
-  EXPECT_EQ(t.row(0)[0].string_value(), "x");
-  EXPECT_EQ(t.row(1)[0].string_value(), "y");
-}
-
 TEST(GraphTest, FinalizeIsIdempotentAndReentrant) {
   Graph g;
   VertexId a = g.AddVertex("a"), b = g.AddVertex("b");

@@ -158,26 +158,6 @@ TEST(IngestFuzz, SqlBackendConvergesToRebuild) {
   }
 }
 
-TEST(IngestFuzz, FullReextractionSafetyValveMatchesIncremental) {
-  // incremental_graph=false re-extracts from the accumulated log on every
-  // publish; the gate must hold the same way (and this pins that the
-  // incremental adjacency is not what the gate itself is built from).
-  Rng rng(7);
-  serving::SnapshotManager manager;
-  IngestOptions options = TestOptions();
-  options.incremental_graph = false;
-  IngestPipeline pipeline(&manager, options);
-  microblog::UserId num_users = 0;
-  pipeline.AppendUser(MakeUser(num_users++));
-  for (size_t i = 0; i < 250; ++i) {
-    RandomAppend(rng, pipeline, &num_users);
-    if (rng.Bernoulli(0.05)) ASSERT_TRUE(pipeline.Publish().ok());
-  }
-  ASSERT_TRUE(pipeline.Publish().ok());
-  Status gate = ingest::VerifyAgainstRebuild(pipeline, ProbeQueries());
-  EXPECT_TRUE(gate.ok()) << gate.message();
-}
-
 TEST(IngestFuzz, VerifyRequiresDrainedPipeline) {
   serving::SnapshotManager manager;
   IngestPipeline pipeline(&manager, TestOptions());

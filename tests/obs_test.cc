@@ -388,7 +388,9 @@ TEST(TracerTest, RingCapsStorageAndCountsDrops) {
   ASSERT_EQ(events.size(), 4u);
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].name, "span" + std::to_string(i + 3));
-    if (i > 0) EXPECT_GE(events[i].start_us, events[i - 1].start_us);
+    if (i > 0) {
+      EXPECT_GE(events[i].start_us, events[i - 1].start_us);
+    }
   }
   // Reset clears the ring and the per-tracer drop count.
   tracer.Reset();

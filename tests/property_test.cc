@@ -45,7 +45,7 @@ sql::Table RandomSqlTable(uint64_t seed, size_t rows) {
               sql::Value::String("s" + std::to_string(rng.Uniform(5))),
               sql::Value::Double(rng.NextDouble())});
   }
-  return b.Build();
+  return *b.Build();
 }
 
 class SeededProperty : public ::testing::TestWithParam<uint64_t> {};
@@ -182,7 +182,7 @@ TEST_P(SeededProperty, JoinOnDistinctKeyPreservesRows) {
   for (int64_t k = 0; k < 20; ++k) {
     rb.AddRow({sql::Value::Int(k), sql::Value::String("t")});
   }
-  sql::Table right = rb.Build();
+  sql::Table right = *rb.Build();
   sql::Table joined =
       RunPlan(sql::Plan::Values(left).Join(sql::Plan::Values(right), {"k"}, {"k2"}));
   EXPECT_EQ(joined.num_rows(), left.num_rows());  // every key 0..19 covered

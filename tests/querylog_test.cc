@@ -211,15 +211,6 @@ TEST(QueryLogTest, ParseTsvRejectsGarbage) {
   EXPECT_TRUE(QueryLog::ParseTsv("").ok());
 }
 
-TEST(QueryLogTest, ToClickTableSchema) {
-  QueryLog log;
-  uint32_t a = log.AddQuery("xbox", 1, false);
-  log.AddClicks(a, 3, 4);
-  sql::Table t = log.ToClickTable();
-  EXPECT_EQ(t.schema().ToString(), "query:STRING, url:INT64, clicks:INT64");
-  EXPECT_EQ(t.num_rows(), 1u);
-}
-
 // -------------------------------------------------------------- Generator --
 
 class GeneratorTest : public ::testing::Test {

@@ -923,8 +923,12 @@ TEST_F(ServingTest, TraceCoversAllStagesOfAServedRequest) {
     return std::string();
   };
   for (const obs::TraceEvent& e : events) {
-    if (e.name == "cache") EXPECT_EQ(arg(e, "outcome"), "miss");
-    if (e.name == "request") EXPECT_EQ(arg(e, "outcome"), "ok");
+    if (e.name == "cache") {
+      EXPECT_EQ(arg(e, "outcome"), "miss");
+    }
+    if (e.name == "request") {
+      EXPECT_EQ(arg(e, "outcome"), "ok");
+    }
   }
 
   // A repeat of the same query is served from the cache: a new request

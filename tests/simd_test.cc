@@ -24,7 +24,6 @@ using simd::Level;
 /// would silently re-test the same level).
 std::vector<Level> TestableLevels() {
   std::vector<Level> levels = {Level::kScalar};
-  if (simd::DetectedLevel() >= Level::kSse42) levels.push_back(Level::kSse42);
   if (simd::DetectedLevel() >= Level::kAvx2) levels.push_back(Level::kAvx2);
   return levels;
 }
@@ -44,7 +43,6 @@ TEST(SimdDispatchTest, ForcingAboveDetectedClampsToDetected) {
 
 TEST(SimdDispatchTest, LevelNamesAreStable) {
   EXPECT_EQ(simd::LevelName(Level::kScalar), "scalar");
-  EXPECT_EQ(simd::LevelName(Level::kSse42), "sse4.2");
   EXPECT_EQ(simd::LevelName(Level::kAvx2), "avx2");
 }
 

@@ -540,7 +540,8 @@ TEST(IngestSnapshotRoundTripTest, DeltaBuiltGenerationColdStartsBitIdentically) 
         default:
           pipeline.AppendTweet(rng.Uniform(6),
                                std::string("about ") + a + " " + b,
-                               {rng.Uniform(6)}, rng.Uniform(3));
+                               {static_cast<microblog::UserId>(rng.Uniform(6))},
+                               rng.Uniform(3));
       }
     }
     ASSERT_TRUE(pipeline.Publish().ok());

@@ -28,9 +28,8 @@ namespace esharp::sql::ref {
 inline Result<Value> EvalRow(const ExprPtr& e, const Schema& schema,
                              const Row& row) {
   ESHARP_RETURN_NOT_OK(e->Bind(schema));
-  ESHARP_ASSIGN_OR_RETURN(ColumnTable one,
-                          ColumnTable::FromTable(Table(schema, {row})));
-  ESHARP_ASSIGN_OR_RETURN(ColumnVec v, e->EvalColumn(one));
+  ESHARP_ASSIGN_OR_RETURN(Table one, Table::FromRows(schema, {row}));
+  ESHARP_ASSIGN_OR_RETURN(ColumnVec v, e->EvalColumn(one.columns()));
   return v.ValueAt(0);
 }
 
@@ -53,16 +52,16 @@ inline bool KeysEqual(const Row& a, const std::vector<size_t>& ai,
 }
 
 inline Result<Table> Filter(const Table& t, const ExprPtr& pred) {
-  Table out(t.schema());
+  std::vector<Row> rows;
   for (const Row& row : t.rows()) {
     ESHARP_ASSIGN_OR_RETURN(Value v, EvalRow(pred, t.schema(), row));
     if (v.type() != DataType::kBool) {
       return Status::InvalidArgument("filter predicate is not BOOL: ",
                                      pred->ToString());
     }
-    if (v.bool_value()) out.AppendRowUnchecked(row);
+    if (v.bool_value()) rows.push_back(row);
   }
-  return out;
+  return Table::FromRows(t.schema(), std::move(rows));
 }
 
 inline Result<Table> Project(const Table& t,
@@ -81,7 +80,7 @@ inline Result<Table> Project(const Table& t,
     schema.AddColumn(
         {cols[i].name, rows.empty() ? DataType::kNull : rows[0][i].type()});
   }
-  return Table(std::move(schema), std::move(rows));
+  return Table::FromRows(std::move(schema), std::move(rows));
 }
 
 /// Nested-loop equi-join; left rows in order, each followed by its matches
@@ -99,23 +98,25 @@ inline Result<Table> Join(const Table& left, const Table& right,
                           KeyIndexes(left.schema(), left_keys));
   ESHARP_ASSIGN_OR_RETURN(std::vector<size_t> ri,
                           KeyIndexes(right.schema(), right_keys));
-  Table out(Schema::Concat(left.schema(), right.schema(), "r_"));
+  const std::vector<Row> right_rows = right.rows();
+  std::vector<Row> rows;
   for (const Row& l : left.rows()) {
     bool matched = false;
-    for (const Row& r : right.rows()) {
+    for (const Row& r : right_rows) {
       if (!KeysEqual(l, li, r, ri)) continue;
       matched = true;
       Row row = l;
       row.insert(row.end(), r.begin(), r.end());
-      out.AppendRowUnchecked(std::move(row));
+      rows.push_back(std::move(row));
     }
     if (!matched && type == JoinType::kLeftOuter) {
       Row row = l;
       row.resize(row.size() + right.num_columns());
-      out.AppendRowUnchecked(std::move(row));
+      rows.push_back(std::move(row));
     }
   }
-  return out;
+  return Table::FromRows(Schema::Concat(left.schema(), right.schema(), "r_"),
+                         std::move(rows));
 }
 
 /// One aggregate over one group.
@@ -253,25 +254,25 @@ inline Result<Table> Aggregate(const Table& t,
                                         ? DataType::kNull
                                         : rows[0][ki.size() + a].type()});
   }
-  return Table(std::move(schema), std::move(rows));
+  return Table::FromRows(std::move(schema), std::move(rows));
 }
 
 /// First occurrence of every distinct row, in input order.
-inline Table Distinct(const Table& t) {
+inline Result<Table> Distinct(const Table& t) {
   std::vector<size_t> all(t.num_columns());
   for (size_t c = 0; c < all.size(); ++c) all[c] = c;
-  Table out(t.schema());
+  std::vector<Row> rows;
   for (const Row& row : t.rows()) {
     bool seen = false;
-    for (const Row& kept : out.rows()) {
+    for (const Row& kept : rows) {
       if (KeysEqual(kept, all, row, all)) {
         seen = true;
         break;
       }
     }
-    if (!seen) out.AppendRowUnchecked(row);
+    if (!seen) rows.push_back(row);
   }
-  return out;
+  return Table::FromRows(t.schema(), std::move(rows));
 }
 
 inline Result<Table> Sort(const Table& t, const std::vector<std::string>& keys,
@@ -286,13 +287,13 @@ inline Result<Table> Sort(const Table& t, const std::vector<std::string>& keys,
     }
     return false;
   });
-  return Table(t.schema(), std::move(rows));
+  return Table::FromRows(t.schema(), std::move(rows));
 }
 
-inline Table Limit(const Table& t, size_t n) {
+inline Result<Table> Limit(const Table& t, size_t n) {
   std::vector<Row> rows = t.rows();
   if (rows.size() > n) rows.resize(n);
-  return Table(t.schema(), std::move(rows));
+  return Table::FromRows(t.schema(), std::move(rows));
 }
 
 inline Result<Table> UnionAll(const Table& a, const Table& b) {
@@ -301,8 +302,23 @@ inline Result<Table> UnionAll(const Table& a, const Table& b) {
                                    a.num_columns(), " vs ", b.num_columns());
   }
   std::vector<Row> rows = a.rows();
-  rows.insert(rows.end(), b.rows().begin(), b.rows().end());
-  return Table(a.schema(), std::move(rows));
+  const std::vector<Row> tail = b.rows();
+  rows.insert(rows.end(), tail.begin(), tail.end());
+  return Table::FromRows(a.schema(), std::move(rows));
+}
+
+/// Every row of `t`, sorted lexicographically by all columns: the canonical
+/// form tests compare results in regardless of operator output order.
+inline std::vector<Row> SortedRows(const Table& t) {
+  std::vector<Row> rows = t.rows();
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+      const int c = a[i].Compare(b[i]);
+      if (c != 0) return c < 0;
+    }
+    return a.size() < b.size();
+  });
+  return rows;
 }
 
 }  // namespace esharp::sql::ref

@@ -25,14 +25,19 @@ namespace {
 // edge cases; order-defined kernels (Distinct, Sort, Limit, UnionAll) must
 // produce the same rows in the same order.
 
-// Random table over all four concrete types with NULLs sprinkled in.
-Table RandomNullableTable(size_t rows, size_t key_cardinality, uint64_t seed,
-                          double null_prob = 0.15) {
+const Schema& RandomSchema() {
+  static const Schema schema({{"k", DataType::kInt64},
+                              {"s", DataType::kString},
+                              {"x", DataType::kDouble},
+                              {"f", DataType::kBool}});
+  return schema;
+}
+
+// Random rows over all four concrete types with NULLs sprinkled in.
+std::vector<Row> RandomNullableRows(size_t rows, size_t key_cardinality,
+                                    uint64_t seed, double null_prob = 0.15) {
   Rng rng(seed);
-  TableBuilder b({{"k", DataType::kInt64},
-                  {"s", DataType::kString},
-                  {"x", DataType::kDouble},
-                  {"f", DataType::kBool}});
+  std::vector<Row> out;
   for (size_t i = 0; i < rows; ++i) {
     int64_t k = static_cast<int64_t>(rng.Uniform(key_cardinality));
     Row r;
@@ -44,101 +49,79 @@ Table RandomNullableTable(size_t rows, size_t key_cardinality, uint64_t seed,
                                          : Value::Double(rng.NextDouble()));
     r.push_back(rng.Bernoulli(null_prob) ? Value::Null()
                                          : Value::Bool(rng.Bernoulli(0.5)));
-    b.AddRow(std::move(r));
+    out.push_back(std::move(r));
   }
-  return b.Build();
+  return out;
 }
 
-Table EmptyTable() {
-  return TableBuilder({{"k", DataType::kInt64},
-                       {"s", DataType::kString},
-                       {"x", DataType::kDouble},
-                       {"f", DataType::kBool}})
-      .Build();
+Table RandomNullableTable(size_t rows, size_t key_cardinality, uint64_t seed,
+                          double null_prob = 0.15) {
+  return *Table::FromRows(
+      RandomSchema(),
+      RandomNullableRows(rows, key_cardinality, seed, null_prob));
 }
 
-ColumnTable ToColumnar(const Table& t) {
-  Result<ColumnTable> ct = ColumnTable::FromTable(t);
-  EXPECT_TRUE(ct.ok()) << ct.status().ToString();
-  return std::move(ct).ValueOrDie();
-}
+Table EmptyTable() { return *Table::FromRows(RandomSchema(), {}); }
 
-Table FromColumnar(ColumnTable ct) {
-  return Table::FromColumnar(
-      std::make_shared<const ColumnTable>(std::move(ct)));
-}
-
-// Canonical lex-sorted comparison, cell-exact (Value::Compare == 0).
-void ExpectSameRows(Table a, Table b, const std::string& what) {
-  ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
-  ASSERT_EQ(a.num_columns(), b.num_columns()) << what;
-  a.SortLexicographic();
-  b.SortLexicographic();
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    for (size_t c = 0; c < a.num_columns(); ++c) {
-      ASSERT_EQ(a.row(i)[c].Compare(b.row(i)[c]), 0)
+// Cell-exact comparison of two row lists in order (Value::Compare == 0).
+void ExpectSameRowList(const std::vector<Row>& a, const std::vector<Row>& b,
+                       const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].size(), b[i].size()) << what;
+    for (size_t c = 0; c < a[i].size(); ++c) {
+      ASSERT_EQ(a[i][c].Compare(b[i][c]), 0)
           << what << ": row " << i << " col " << c << ": "
-          << a.row(i)[c].ToString() << " vs " << b.row(i)[c].ToString();
+          << a[i][c].ToString() << " vs " << b[i][c].ToString();
     }
   }
+}
+
+// Canonical lex-sorted comparison, cell-exact.
+void ExpectSameRows(const Table& a, const Table& b, const std::string& what) {
+  ASSERT_EQ(a.num_columns(), b.num_columns()) << what;
+  ExpectSameRowList(ref::SortedRows(a), ref::SortedRows(b), what);
 }
 
 // Cell-exact comparison in row order.
 void ExpectSameRowsInOrder(const Table& a, const Table& b,
                            const std::string& what) {
-  ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
   ASSERT_EQ(a.num_columns(), b.num_columns()) << what;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    for (size_t c = 0; c < a.num_columns(); ++c) {
-      ASSERT_EQ(a.row(i)[c].Compare(b.row(i)[c]), 0)
-          << what << ": row " << i << " col " << c;
-    }
-  }
+  ExpectSameRowList(a.rows(), b.rows(), what);
 }
 
 // ------------------------------------------------------- Conversions ------
 
 TEST(ColumnTableTest, RoundTripIsLossless) {
   for (uint64_t seed : {1u, 2u, 3u}) {
-    Table t = RandomNullableTable(200, 12, seed);
-    ColumnTable ct = ToColumnar(t);
-    ASSERT_EQ(ct.num_rows(), t.num_rows());
-    std::vector<Row> rows = ct.MaterializeRows();
-    for (size_t i = 0; i < t.num_rows(); ++i) {
+    std::vector<Row> in = RandomNullableRows(200, 12, seed);
+    Table t = *Table::FromRows(RandomSchema(), in);
+    ASSERT_EQ(t.num_rows(), in.size());
+    std::vector<Row> rows = t.rows();
+    for (size_t i = 0; i < in.size(); ++i) {
+      ASSERT_EQ(t.row(i), rows[i]);
       for (size_t c = 0; c < t.num_columns(); ++c) {
         // Cell-exact including the type (1 vs 1.0 must round-trip as-is).
-        ASSERT_EQ(rows[i][c].type(), t.row(i)[c].type());
-        ASSERT_EQ(rows[i][c].Compare(t.row(i)[c]), 0);
+        ASSERT_EQ(rows[i][c].type(), in[i][c].type());
+        ASSERT_EQ(rows[i][c].Compare(in[i][c]), 0);
       }
     }
   }
 }
 
 TEST(ColumnTableTest, EmptyAndAllNullColumns) {
-  ColumnTable empty = ToColumnar(EmptyTable());
+  ColumnTable empty = EmptyTable().columns();
   EXPECT_EQ(empty.num_rows(), 0u);
 
   TableBuilder b({{"n", DataType::kNull}, {"k", DataType::kInt64}});
   b.AddRow({Value::Null(), Value::Int(1)});
   b.AddRow({Value::Null(), Value::Null()});
-  Table t = b.Build();
-  ColumnTable ct = ToColumnar(t);
+  Table t = *b.Build();
+  const ColumnTable& ct = t.columns();
   EXPECT_EQ(ct.col(0).type, DataType::kNull);
   std::vector<Row> rows = ct.MaterializeRows();
   EXPECT_TRUE(rows[0][0].is_null());
   EXPECT_TRUE(rows[1][1].is_null());
-}
-
-TEST(ColumnTableTest, MixedTypeColumnIsInvalidArgument) {
-  TableBuilder b({{"m", DataType::kInt64}});
-  b.AddRow({Value::Int(1)});
-  b.AddRow({Value::String("oops")});
-  Result<ColumnTable> ct = ColumnTable::FromTable(b.Build());
-  ASSERT_FALSE(ct.ok());
-  EXPECT_TRUE(ct.status().IsInvalidArgument()) << ct.status().ToString();
-  EXPECT_NE(ct.status().ToString().find("column 'm' mixes INT64 and STRING"),
-            std::string::npos)
-      << ct.status().ToString();
 }
 
 TEST(ColumnTableTest, UdfReturningMixedTypesIsInvalidArgument) {
@@ -149,9 +132,9 @@ TEST(ColumnTableTest, UdfReturningMixedTypesIsInvalidArgument) {
   b.AddRow({Value::Int(2)});
   b.AddRow({Value::Int(3)});
   ExprPtr e = Udf("parity", int_or_string, {Col("k")});
-  Table t = b.Build();
+  Table t = *b.Build();
   ASSERT_TRUE(e->Bind(t.schema()).ok());
-  Result<ColumnVec> col = e->EvalColumn(ToColumnar(t));
+  Result<ColumnVec> col = e->EvalColumn(t.columns());
   ASSERT_FALSE(col.ok());
   EXPECT_TRUE(col.status().IsInvalidArgument());
   EXPECT_NE(col.status().ToString().find("UDF parity mixes INT64 and STRING"),
@@ -161,7 +144,7 @@ TEST(ColumnTableTest, UdfReturningMixedTypesIsInvalidArgument) {
 
 TEST(ColumnTableTest, HashesMatchRowHashes) {
   Table t = RandomNullableTable(300, 20, 4);
-  ColumnTable ct = ToColumnar(t);
+  const ColumnTable& ct = t.columns();
   for (size_t i = 0; i < t.num_rows(); ++i) {
     for (size_t c = 0; c < t.num_columns(); ++c) {
       ASSERT_EQ(ct.col(c).HashAt(i), t.row(i)[c].Hash())
@@ -188,10 +171,10 @@ TEST(ColumnarKernelTest, FilterMatchesReference) {
     Table t = RandomNullableTable(250, 9, seed, /*null_prob=*/0.0);
     for (const ExprPtr& pred : preds) {
       Result<Table> row = ref::Filter(t, pred);
-      Result<ColumnTable> col = ColumnarFilter(ToColumnar(t), pred);
+      Result<ColumnTable> col = ColumnarFilter(t.columns(), pred);
       ASSERT_TRUE(row.ok()) << row.status().ToString();
       ASSERT_TRUE(col.ok()) << col.status().ToString();
-      ExpectSameRows(*row, FromColumnar(std::move(col).ValueOrDie()),
+      ExpectSameRows(*row, Table(std::move(col).ValueOrDie()),
                      "filter seed " + std::to_string(seed));
     }
   }
@@ -201,7 +184,8 @@ TEST(ColumnarKernelTest, FilterErrorParity) {
   Table t = RandomNullableTable(50, 5, 20, /*null_prob=*/0.0);
   // Non-BOOL predicate: same error code and message as the reference.
   Result<Table> row = ref::Filter(t, Add(Col("k"), LitInt(1)));
-  Result<ColumnTable> col = ColumnarFilter(ToColumnar(t), Add(Col("k"), LitInt(1)));
+  Result<ColumnTable> col =
+      ColumnarFilter(t.columns(), Add(Col("k"), LitInt(1)));
   ASSERT_FALSE(row.ok());
   ASSERT_FALSE(col.ok());
   EXPECT_TRUE(col.status().IsInvalidArgument());
@@ -211,11 +195,11 @@ TEST(ColumnarKernelTest, FilterErrorParity) {
 TEST(ColumnarKernelTest, FilterEmptyInput) {
   ExprPtr pred = Gt(Col("x"), LitDouble(0.5));
   Result<Table> row = ref::Filter(EmptyTable(), pred);
-  Result<ColumnTable> col = ColumnarFilter(ToColumnar(EmptyTable()), pred);
+  Result<ColumnTable> col = ColumnarFilter(EmptyTable().columns(), pred);
   ASSERT_TRUE(row.ok());
   ASSERT_TRUE(col.ok());
   EXPECT_EQ(col->num_rows(), 0u);
-  ExpectSameRows(*row, FromColumnar(std::move(col).ValueOrDie()),
+  ExpectSameRows(*row, Table(std::move(col).ValueOrDie()),
                  "empty filter");
 }
 
@@ -233,10 +217,10 @@ TEST(ColumnarKernelTest, ProjectMatchesReference) {
     Table t = RandomNullableTable(200, 7, seed, /*null_prob=*/0.0);
     for (const auto& cols : cases) {
       Result<Table> row = ref::Project(t, cols);
-      Result<ColumnTable> col = ColumnarProject(ToColumnar(t), cols);
+      Result<ColumnTable> col = ColumnarProject(t.columns(), cols);
       ASSERT_TRUE(row.ok()) << row.status().ToString();
       ASSERT_TRUE(col.ok()) << col.status().ToString();
-      ExpectSameRows(*row, FromColumnar(std::move(col).ValueOrDie()),
+      ExpectSameRows(*row, Table(std::move(col).ValueOrDie()),
                      "project seed " + std::to_string(seed));
     }
   }
@@ -256,10 +240,10 @@ TEST(ColumnarKernelTest, ProjectNullsAndUdf) {
   for (uint64_t seed = 40; seed < 44; ++seed) {
     Table t = RandomNullableTable(150, 6, seed, /*null_prob=*/0.3);
     Result<Table> row = ref::Project(t, cols);
-    Result<ColumnTable> col = ColumnarProject(ToColumnar(t), cols);
+    Result<ColumnTable> col = ColumnarProject(t.columns(), cols);
     ASSERT_TRUE(row.ok()) << row.status().ToString();
     ASSERT_TRUE(col.ok()) << col.status().ToString();
-    ExpectSameRows(*row, FromColumnar(std::move(col).ValueOrDie()),
+    ExpectSameRows(*row, Table(std::move(col).ValueOrDie()),
                    "udf project seed " + std::to_string(seed));
   }
 }
@@ -268,10 +252,10 @@ TEST(ColumnarKernelTest, ProjectDivisionByZeroParity) {
   TableBuilder b({{"a", DataType::kInt64}, {"d", DataType::kInt64}});
   b.AddRow({Value::Int(4), Value::Int(2)});
   b.AddRow({Value::Int(4), Value::Int(0)});
-  Table t = b.Build();
+  Table t = *b.Build();
   std::vector<ProjectedColumn> cols = {{Div(Col("a"), Col("d")), "q"}};
   Result<Table> row = ref::Project(t, cols);
-  Result<ColumnTable> col = ColumnarProject(ToColumnar(t), cols);
+  Result<ColumnTable> col = ColumnarProject(t.columns(), cols);
   ASSERT_FALSE(row.ok());
   ASSERT_FALSE(col.ok());
   EXPECT_EQ(row.status().ToString(), col.status().ToString());
@@ -286,10 +270,10 @@ TEST(ColumnarKernelTest, JoinMatchesReference) {
       Table right = RandomNullableTable(90, 10, seed + 100);
       Result<Table> row = ref::Join(left, right, {"k"}, {"k"}, type);
       Result<ColumnTable> col = ColumnarHashJoin(
-          ToColumnar(left), ToColumnar(right), {"k"}, {"k"}, type);
+          left.columns(), right.columns(), {"k"}, {"k"}, type);
       ASSERT_TRUE(row.ok()) << row.status().ToString();
       ASSERT_TRUE(col.ok()) << col.status().ToString();
-      ExpectSameRows(*row, FromColumnar(std::move(col).ValueOrDie()),
+      ExpectSameRows(*row, Table(std::move(col).ValueOrDie()),
                      "join seed " + std::to_string(seed));
     }
   }
@@ -301,10 +285,10 @@ TEST(ColumnarKernelTest, MultiKeyAndStringKeyJoin) {
     Table right = RandomNullableTable(80, 6, seed + 200);
     Result<Table> row = ref::Join(left, right, {"k", "s"}, {"k", "s"});
     Result<ColumnTable> col = ColumnarHashJoin(
-        ToColumnar(left), ToColumnar(right), {"k", "s"}, {"k", "s"});
+        left.columns(), right.columns(), {"k", "s"}, {"k", "s"});
     ASSERT_TRUE(row.ok()) << row.status().ToString();
     ASSERT_TRUE(col.ok()) << col.status().ToString();
-    ExpectSameRows(*row, FromColumnar(std::move(col).ValueOrDie()),
+    ExpectSameRows(*row, Table(std::move(col).ValueOrDie()),
                    "multikey join seed " + std::to_string(seed));
   }
 }
@@ -314,16 +298,16 @@ TEST(ColumnarKernelTest, JoinEmptySidesAndErrorParity) {
   for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
     Result<Table> row = ref::Join(t, EmptyTable(), {"k"}, {"k"}, type);
     Result<ColumnTable> col = ColumnarHashJoin(
-        ToColumnar(t), ToColumnar(EmptyTable()), {"k"}, {"k"}, type);
+        t.columns(), EmptyTable().columns(), {"k"}, {"k"}, type);
     ASSERT_TRUE(row.ok());
     ASSERT_TRUE(col.ok());
-    ExpectSameRows(*row, FromColumnar(std::move(col).ValueOrDie()),
+    ExpectSameRows(*row, Table(std::move(col).ValueOrDie()),
                    "empty right join");
   }
   // Arity mismatch: same error.
   Result<Table> row = ref::Join(t, t, {"k", "s"}, {"k"});
   Result<ColumnTable> col =
-      ColumnarHashJoin(ToColumnar(t), ToColumnar(t), {"k", "s"}, {"k"});
+      ColumnarHashJoin(t.columns(), t.columns(), {"k", "s"}, {"k"});
   ASSERT_FALSE(row.ok());
   ASSERT_FALSE(col.ok());
   EXPECT_EQ(row.status().ToString(), col.status().ToString());
@@ -353,10 +337,10 @@ TEST(ColumnarKernelTest, AggregateMatchesReference) {
          std::vector<std::vector<std::string>>{{"k"}, {"s"}, {"k", "s"}}) {
       Result<Table> row = ref::Aggregate(t, keys, AllAggKinds());
       Result<ColumnTable> col =
-          ColumnarHashAggregate(ToColumnar(t), keys, AllAggKinds());
+          ColumnarHashAggregate(t.columns(), keys, AllAggKinds());
       ASSERT_TRUE(row.ok()) << row.status().ToString();
       ASSERT_TRUE(col.ok()) << col.status().ToString();
-      ExpectSameRows(*row, FromColumnar(std::move(col).ValueOrDie()),
+      ExpectSameRows(*row, Table(std::move(col).ValueOrDie()),
                      "aggregate seed " + std::to_string(seed));
     }
   }
@@ -367,18 +351,18 @@ TEST(ColumnarKernelTest, GlobalAggregateAndEmptyInput) {
   for (const Table& t :
        {RandomNullableTable(120, 4, 90), EmptyTable()}) {
     Result<Table> row = ref::Aggregate(t, {}, AllAggKinds());
-    Result<ColumnTable> col = ColumnarHashAggregate(ToColumnar(t), {},
+    Result<ColumnTable> col = ColumnarHashAggregate(t.columns(), {},
                                                     AllAggKinds());
     ASSERT_TRUE(row.ok()) << row.status().ToString();
     ASSERT_TRUE(col.ok()) << col.status().ToString();
     EXPECT_EQ(col->num_rows(), 1u);
-    ExpectSameRows(*row, FromColumnar(std::move(col).ValueOrDie()),
+    ExpectSameRows(*row, Table(std::move(col).ValueOrDie()),
                    "global aggregate");
   }
   // Grouped aggregate over empty input: zero rows.
   Result<Table> row = ref::Aggregate(EmptyTable(), {"k"}, AllAggKinds());
   Result<ColumnTable> col =
-      ColumnarHashAggregate(ToColumnar(EmptyTable()), {"k"}, AllAggKinds());
+      ColumnarHashAggregate(EmptyTable().columns(), {"k"}, AllAggKinds());
   ASSERT_TRUE(row.ok());
   ASSERT_TRUE(col.ok());
   EXPECT_EQ(col->num_rows(), 0u);
@@ -400,28 +384,23 @@ TEST(ColumnarKernelTest, HashPartitionRoutesByValueHashes) {
   for (size_t parts : {1u, 2u, 7u, 16u}) {
     Table t = RandomNullableTable(260, 12, 100 + parts);
     Result<std::vector<ColumnTable>> col =
-        ColumnarHashPartition(ToColumnar(t), {"k", "s"}, parts);
+        ColumnarHashPartition(t.columns(), {"k", "s"}, parts);
     ASSERT_TRUE(col.ok()) << col.status().ToString();
     ASSERT_EQ(col->size(), parts);
-    std::vector<Table> expected(parts, Table(t.schema()));
+    std::vector<std::vector<Row>> expected(parts);
     for (const Row& row : t.rows()) {
-      expected[ExpectedPartition(row, {0, 1}, parts)].AppendRowUnchecked(row);
+      expected[ExpectedPartition(row, {0, 1}, parts)].push_back(row);
     }
     for (size_t p = 0; p < parts; ++p) {
       // Rows keep their input order inside a partition.
-      std::vector<Row> rows = (*col)[p].MaterializeRows();
-      ASSERT_EQ(rows.size(), expected[p].num_rows())
-          << "partition " << p << "/" << parts;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        for (size_t c = 0; c < rows[i].size(); ++c) {
-          ASSERT_EQ(rows[i][c].Compare(expected[p].row(i)[c]), 0);
-        }
-      }
+      ExpectSameRowList((*col)[p].MaterializeRows(), expected[p],
+                        "partition " + std::to_string(p) + "/" +
+                            std::to_string(parts));
     }
   }
   // Zero partitions: InvalidArgument.
   Table t = RandomNullableTable(10, 3, 99);
-  EXPECT_TRUE(ColumnarHashPartition(ToColumnar(t), {"k"}, 0)
+  EXPECT_TRUE(ColumnarHashPartition(t.columns(), {"k"}, 0)
                   .status()
                   .IsInvalidArgument());
 }
@@ -430,7 +409,7 @@ TEST(ColumnarKernelTest, RoundRobinChunksAreContiguousRanges) {
   for (size_t parts : {1u, 3u, 8u}) {
     Table t = RandomNullableTable(103, 6, 110 + parts);
     std::vector<ColumnTable> col =
-        ColumnarRoundRobinPartition(ToColumnar(t), parts);
+        ColumnarRoundRobinPartition(t.columns(), parts);
     ASSERT_EQ(col.size(), parts);
     const size_t per = (t.num_rows() + parts - 1) / parts;
     for (size_t p = 0; p < col.size(); ++p) {
@@ -451,11 +430,11 @@ TEST(ColumnarKernelTest, RoundRobinChunksAreContiguousRanges) {
 TEST(ColumnarKernelTest, ConcatRestoresPartitions) {
   Table t = RandomNullableTable(240, 10, 120);
   Result<std::vector<ColumnTable>> parts =
-      ColumnarHashPartition(ToColumnar(t), {"k"}, 6);
+      ColumnarHashPartition(t.columns(), {"k"}, 6);
   ASSERT_TRUE(parts.ok());
   Result<ColumnTable> whole = ColumnarConcat(*parts);
   ASSERT_TRUE(whole.ok()) << whole.status().ToString();
-  ExpectSameRows(t, FromColumnar(std::move(whole).ValueOrDie()), "concat");
+  ExpectSameRows(t, Table(std::move(whole).ValueOrDie()), "concat");
 
   // Empty list: InvalidArgument.
   EXPECT_TRUE(ColumnarConcat({}).status().IsInvalidArgument());
@@ -470,8 +449,8 @@ TEST(ColumnarKernelTest, DistinctMatchesReferenceInOrder) {
     Result<Table> keys = ref::Project(t, {{Col("k"), "k"}, {Col("f"), "f"}});
     ASSERT_TRUE(keys.ok());
     for (const Table& in : {t, *keys, EmptyTable()}) {
-      ExpectSameRowsInOrder(ref::Distinct(in),
-                            FromColumnar(ColumnarDistinct(ToColumnar(in))),
+      ExpectSameRowsInOrder(*ref::Distinct(in),
+                            Table(ColumnarDistinct(in.columns())),
                             "distinct seed " + std::to_string(seed));
     }
   }
@@ -487,14 +466,14 @@ TEST(ColumnarKernelTest, SortMatchesReferenceAndIsStable) {
     Table t = RandomNullableTable(180, 6, seed);
     for (const auto& [keys, ascending] : orders) {
       Result<Table> row = ref::Sort(t, keys, ascending);
-      Result<ColumnTable> col = ColumnarSort(ToColumnar(t), keys, ascending);
+      Result<ColumnTable> col = ColumnarSort(t.columns(), keys, ascending);
       ASSERT_TRUE(row.ok()) << row.status().ToString();
       ASSERT_TRUE(col.ok()) << col.status().ToString();
-      ExpectSameRowsInOrder(*row, FromColumnar(std::move(col).ValueOrDie()),
+      ExpectSameRowsInOrder(*row, Table(std::move(col).ValueOrDie()),
                             "sort seed " + std::to_string(seed));
     }
   }
-  EXPECT_TRUE(ColumnarSort(ToColumnar(EmptyTable()), {"nope"})
+  EXPECT_TRUE(ColumnarSort(EmptyTable().columns(), {"nope"})
                   .status()
                   .IsNotFound());
 }
@@ -503,16 +482,16 @@ TEST(ColumnarKernelTest, LimitAndUnionAllMatchReferenceInOrder) {
   Table a = RandomNullableTable(60, 5, 160);
   Table b = RandomNullableTable(45, 5, 161);
   for (size_t n : {0u, 1u, 59u, 60u, 1000u}) {
-    ExpectSameRowsInOrder(ref::Limit(a, n),
-                          FromColumnar(ColumnarLimit(ToColumnar(a), n)),
+    ExpectSameRowsInOrder(*ref::Limit(a, n),
+                          Table(ColumnarLimit(a.columns(), n)),
                           "limit " + std::to_string(n));
   }
   for (const auto& [x, y] : std::vector<std::pair<Table, Table>>{
            {a, b}, {b, a}, {a, EmptyTable()}, {EmptyTable(), b}}) {
     Result<Table> row = ref::UnionAll(x, y);
-    Result<ColumnTable> col = ColumnarUnionAll(ToColumnar(x), ToColumnar(y));
+    Result<ColumnTable> col = ColumnarUnionAll(x.columns(), y.columns());
     ASSERT_TRUE(col.ok()) << col.status().ToString();
-    ExpectSameRowsInOrder(*row, FromColumnar(std::move(col).ValueOrDie()),
+    ExpectSameRowsInOrder(*row, Table(std::move(col).ValueOrDie()),
                           "union all");
   }
   // An all-NULL column takes the other side's type; two concrete types and
@@ -523,17 +502,19 @@ TEST(ColumnarKernelTest, LimitAndUnionAllMatchReferenceInOrder) {
   ints.AddRow({Value::Int(7)});
   TableBuilder strings({{"k", DataType::kString}});
   strings.AddRow({Value::String("7")});
+  const Table null_table = *nulls.Build();
+  const Table int_table = *ints.Build();
+  const Table string_table = *strings.Build();
   Result<ColumnTable> typed =
-      ColumnarUnionAll(ToColumnar(nulls.Build()), ToColumnar(ints.Build()));
+      ColumnarUnionAll(null_table.columns(), int_table.columns());
   ASSERT_TRUE(typed.ok()) << typed.status().ToString();
   EXPECT_EQ(typed->col(0).type, DataType::kInt64);
   EXPECT_TRUE(typed->col(0).nulls.IsNull(0));
   EXPECT_EQ(typed->col(0).ValueAt(1), Value::Int(7));
-  EXPECT_TRUE(ColumnarUnionAll(ToColumnar(ints.Build()),
-                               ToColumnar(strings.Build()))
+  EXPECT_TRUE(ColumnarUnionAll(int_table.columns(), string_table.columns())
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(ColumnarUnionAll(ToColumnar(a), ToColumnar(ints.Build()))
+  EXPECT_TRUE(ColumnarUnionAll(a.columns(), int_table.columns())
                   .status()
                   .IsInvalidArgument());
 }
@@ -631,28 +612,18 @@ TEST(ColumnarExecutorTest, OneAndEightPartitionsMatchReferenceAndExplain) {
 }
 
 TEST(ColumnarExecutorTest, MixedTypeTableIsInvalidArgument) {
-  // A column whose cells mix INT64 and STRING has no columnar form; plans
-  // over it fail with and without a pool, naming the column.
+  // A column whose cells mix INT64 and STRING has no columnar form, so the
+  // table is refused when it is built and can never reach a catalog.
   TableBuilder b({{"k", DataType::kInt64}, {"v", DataType::kInt64}});
   b.AddRow({Value::Int(1), Value::Int(10)});
   b.AddRow({Value::Int(2), Value::String("not an int")});
   b.AddRow({Value::Int(1), Value::Int(30)});
-  Catalog cat;
-  cat.Register("weird", b.Build());
-  Plan plan = Plan::Scan("weird").GroupBy({"k"}, {CountStar("n")});
-
-  ThreadPool pool(2);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    ExecutorOptions options;
-    options.pool = p;
-    options.num_partitions = 4;
-    Result<Table> out = Executor(options).Execute(plan, cat);
-    ASSERT_FALSE(out.ok());
-    EXPECT_TRUE(out.status().IsInvalidArgument());
-    EXPECT_NE(out.status().ToString().find("column 'v' mixes INT64 and STRING"),
-              std::string::npos)
-        << out.status().ToString();
-  }
+  Result<Table> built = b.Build();
+  ASSERT_FALSE(built.ok());
+  EXPECT_TRUE(built.status().IsInvalidArgument());
+  EXPECT_NE(built.status().ToString().find("column 'v' mixes INT64 and STRING"),
+            std::string::npos)
+      << built.status().ToString();
 }
 
 }  // namespace

@@ -15,9 +15,7 @@ Plan Values(Table t) { return Plan::Values(std::move(t)); }
 // Evaluates `e` over the whole of `t` column-at-a-time; the cell at `row`.
 Result<Value> EvalAt(const ExprPtr& e, const Table& t, size_t row) {
   ESHARP_RETURN_NOT_OK(e->Bind(t.schema()));
-  ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> ct,
-                          t.EnsureColumnar());
-  ESHARP_ASSIGN_OR_RETURN(ColumnVec v, e->EvalColumn(*ct));
+  ESHARP_ASSIGN_OR_RETURN(ColumnVec v, e->EvalColumn(t.columns()));
   return v.ValueAt(row);
 }
 
@@ -29,7 +27,7 @@ Table People() {
   b.AddRow({Value::String("bob"), Value::Int(25), Value::Double(2.5)});
   b.AddRow({Value::String("cat"), Value::Int(30), Value::Double(0.5)});
   b.AddRow({Value::String("dan"), Value::Int(40), Value::Double(4.0)});
-  return b.Build();
+  return *b.Build();
 }
 
 // ----------------------------------------------------------- Expressions --
@@ -133,7 +131,7 @@ TEST(ProjectTest, ComputesAndRenames) {
 }
 
 TEST(ProjectTest, EmptyInputYieldsNullTypes) {
-  Table t(Schema({{"a", DataType::kInt64}}));
+  Table t = *Table::FromRows(Schema({{"a", DataType::kInt64}}), {});
   Table out = *RunPlan(Values(t).Select({{Col("a"), "a2"}}));
   EXPECT_EQ(out.num_rows(), 0u);
   EXPECT_EQ(out.schema().column(0).type, DataType::kNull);
@@ -147,7 +145,7 @@ Table Orders() {
   b.AddRow({Value::String("ann"), Value::String("pen")});
   b.AddRow({Value::String("dan"), Value::String("mug")});
   b.AddRow({Value::String("zed"), Value::String("hat")});
-  return b.Build();
+  return *b.Build();
 }
 
 TEST(HashJoinTest, InnerJoinMatchesKeys) {
@@ -187,7 +185,7 @@ TEST(HashJoinTest, MultiKeyJoin) {
   l.AddRow({Value::Int(1), Value::Int(2)});
   TableBuilder r({{"x", DataType::kInt64}, {"y", DataType::kInt64}});
   r.AddRow({Value::Int(1), Value::Int(2)});
-  Table out = *RunPlan(Values(l.Build()).Join(Values(r.Build()), {"a", "b"}, {"x", "y"}));
+  Table out = *RunPlan(Values(*l.Build()).Join(Values(*r.Build()), {"a", "b"}, {"x", "y"}));
   EXPECT_EQ(out.num_rows(), 1u);
 }
 
@@ -197,11 +195,11 @@ TEST(HashJoinTest, KeyArityMismatchRejected) {
 }
 
 TEST(HashJoinTest, EmptySidesProduceEmpty) {
-  Table empty(Orders().schema());
+  Table empty = *Table::FromRows(Orders().schema(), {});
   EXPECT_EQ(
       RunPlan(Values(People()).Join(Values(empty), {"name"}, {"who"}))->num_rows(),
       0u);
-  Table empty_left(People().schema());
+  Table empty_left = *Table::FromRows(People().schema(), {});
   EXPECT_EQ(RunPlan(Values(empty_left).Join(Values(Orders()), {"name"}, {"who"}))
                 ->num_rows(),
             0u);
@@ -232,7 +230,7 @@ TEST(HashAggregateTest, GlobalAggregateAlwaysOneRow) {
   ASSERT_EQ(out.num_rows(), 1u);
   EXPECT_EQ(out.row(0)[0].int_value(), 4);
   // Empty input too.
-  Table empty(People().schema());
+  Table empty = *Table::FromRows(People().schema(), {});
   Table out2 = *RunPlan(Values(empty).GroupBy({}, {CountStar("n")}));
   ASSERT_EQ(out2.num_rows(), 1u);
   EXPECT_EQ(out2.row(0)[0].int_value(), 0);
@@ -256,7 +254,7 @@ TEST(HashAggregateTest, ArgMaxTieBreaksTowardSmallerOutput) {
   b.AddRow({Value::Int(1), Value::Double(5.0), Value::String("zz")});
   b.AddRow({Value::Int(1), Value::Double(5.0), Value::String("aa")});
   Table out = *RunPlan(
-      Values(b.Build()).GroupBy({"g"}, {ArgMaxOf(Col("k"), Col("v"), "best")}));
+      Values(*b.Build()).GroupBy({"g"}, {ArgMaxOf(Col("k"), Col("v"), "best")}));
   EXPECT_EQ(out.row(0)[1].string_value(), "aa");
 }
 
@@ -277,7 +275,7 @@ TEST(HashAggregateTest, SumOverIntsStaysInt) {
 
 TEST(HashAggregateTest, EmptyInputFinishes) {
   // Over no rows COUNT is 0 and every other aggregate NULL.
-  Table empty(People().schema());
+  Table empty = *Table::FromRows(People().schema(), {});
   Table out = *RunPlan(Values(empty).GroupBy(
       {}, {CountStar("n"), SumOf(Col("age"), "s"), MaxOf(Col("age"), "m"),
            ArgMaxOf(Col("score"), Col("name"), "best")}));
@@ -301,7 +299,7 @@ TEST(DistinctTest, RemovesDuplicateRows) {
   b.AddRow({Value::Int(1)});
   b.AddRow({Value::Int(2)});
   b.AddRow({Value::Int(1)});
-  Table out = *RunPlan(Values(b.Build()).Distinct());
+  Table out = *RunPlan(Values(*b.Build()).Distinct());
   EXPECT_EQ(out.num_rows(), 2u);
   // First occurrence order preserved.
   EXPECT_EQ(out.row(0)[0].int_value(), 1);

@@ -23,17 +23,17 @@ Table RandomTable(size_t rows, size_t key_cardinality, uint64_t seed) {
     b.AddRow({Value::Int(k), Value::String("s" + std::to_string(k % 7)),
               Value::Double(rng.NextDouble())});
   }
-  return b.Build();
+  return *b.Build();
 }
 
 // Canonical multiset comparison.
-void ExpectSameRows(Table a, Table b) {
+void ExpectSameRows(const Table& a, const Table& b) {
   ASSERT_EQ(a.num_rows(), b.num_rows());
-  a.SortLexicographic();
-  b.SortLexicographic();
-  for (size_t i = 0; i < a.num_rows(); ++i) {
+  const std::vector<Row> as = ref::SortedRows(a);
+  const std::vector<Row> bs = ref::SortedRows(b);
+  for (size_t i = 0; i < as.size(); ++i) {
     for (size_t c = 0; c < a.num_columns(); ++c) {
-      ASSERT_EQ(a.row(i)[c].Compare(b.row(i)[c]), 0)
+      ASSERT_EQ(as[i][c].Compare(bs[i][c]), 0)
           << "row " << i << " col " << c;
     }
   }
@@ -43,13 +43,10 @@ void ExpectSameRows(Table a, Table b) {
 
 std::vector<Table> HashParts(const Table& t, size_t parts) {
   Result<std::vector<ColumnTable>> cparts =
-      ColumnarHashPartition(**t.EnsureColumnar(), {"k"}, parts);
+      ColumnarHashPartition(t.columns(), {"k"}, parts);
   EXPECT_TRUE(cparts.ok()) << cparts.status().ToString();
   std::vector<Table> out;
-  for (ColumnTable& p : *cparts) {
-    out.push_back(
-        Table::FromColumnar(std::make_shared<const ColumnTable>(std::move(p))));
-  }
+  for (ColumnTable& p : *cparts) out.emplace_back(std::move(p));
   return out;
 }
 
@@ -75,20 +72,19 @@ TEST(HashPartitionTest, SameKeySamePartition) {
 }
 
 TEST(HashPartitionTest, ZeroPartitionsRejected) {
-  EXPECT_FALSE(ColumnarHashPartition(**RandomTable(5, 2, 3).EnsureColumnar(),
-                                     {"k"}, 0)
-                   .ok());
+  EXPECT_FALSE(
+      ColumnarHashPartition(RandomTable(5, 2, 3).columns(), {"k"}, 0).ok());
 }
 
 TEST(RoundRobinPartitionTest, CoversAllRows) {
   Table t = RandomTable(103, 5, 4);
-  auto parts = ColumnarRoundRobinPartition(**t.EnsureColumnar(), 8);
+  auto parts = ColumnarRoundRobinPartition(t.columns(), 8);
   size_t total = 0;
   for (const ColumnTable& p : parts) total += p.num_rows();
   EXPECT_EQ(total, 103u);
   Result<ColumnTable> whole = ColumnarConcat(parts);
   ASSERT_TRUE(whole.ok());
-  EXPECT_EQ(whole->col(0).ValueAt(0), *t.GetValue(0, "k"));  // order preserved
+  EXPECT_EQ(whole->col(0).ValueAt(0), t.row(0)[0]);  // order preserved
 }
 
 // -------------------------------------- Parallel == reference properties --
@@ -235,7 +231,7 @@ TEST(PlanTest, ValuesDistinctUnion) {
   TableBuilder b({{"a", DataType::kInt64}});
   b.AddRow({Value::Int(1)});
   b.AddRow({Value::Int(1)});
-  Plan values = Plan::Values(b.Build());
+  Plan values = Plan::Values(*b.Build());
   Plan plan = values.Distinct().Union(values);
   Executor exec;
   Catalog cat;
@@ -269,7 +265,7 @@ Table DeterministicTable() {
   for (int64_t i = 0; i < 100; ++i) {
     b.AddRow({Value::Int(i % 10), Value::Double(i < 40 ? 1.0 : -1.0)});
   }
-  return b.Build();
+  return *b.Build();
 }
 
 TEST(ExplainAnalyzeTest, RowCountsAreExactUnderParallelExecution) {

@@ -10,6 +10,7 @@
 
 #include "common/thread_pool.h"
 #include "community/sql_cd.h"
+#include "sql_reference.h"
 #include "sqlengine/parser.h"
 
 namespace esharp::sql {
@@ -25,7 +26,7 @@ Catalog MakeCatalog() {
     b.AddRow({Value::String("bob"), Value::Int(25), Value::Double(2.5)});
     b.AddRow({Value::String("cat"), Value::Int(30), Value::Double(0.5)});
     b.AddRow({Value::String("dan"), Value::Int(40), Value::Double(4.0)});
-    cat.Register("people", b.Build());
+    cat.Register("people", *b.Build());
   }
   {
     TableBuilder b({{"who", DataType::kString},
@@ -34,7 +35,7 @@ Catalog MakeCatalog() {
     b.AddRow({Value::String("ann"), Value::String("book"), Value::Double(12)});
     b.AddRow({Value::String("ann"), Value::String("pen"), Value::Double(2)});
     b.AddRow({Value::String("dan"), Value::String("mug"), Value::Double(8)});
-    cat.Register("orders", b.Build());
+    cat.Register("orders", *b.Build());
   }
   return cat;
 }
@@ -326,14 +327,14 @@ TEST(ParserTest, Figure4NeighborsStatementParsesAndRuns) {
                     {"distance", DataType::kDouble}});
     b.AddRow({Value::String("a"), Value::String("b"), Value::Double(1.0)});
     b.AddRow({Value::String("b"), Value::String("a"), Value::Double(1.0)});
-    cat.Register("graph", b.Build());
+    cat.Register("graph", *b.Build());
   }
   {
     TableBuilder b({{"comm_name", DataType::kString},
                     {"query", DataType::kString}});
     b.AddRow({Value::String("a"), Value::String("a")});
     b.AddRow({Value::String("b"), Value::String("b")});
-    cat.Register("communities", b.Build());
+    cat.Register("communities", *b.Build());
   }
   FunctionRegistry registry;
   registry.RegisterScalar(
@@ -406,7 +407,7 @@ TEST(ParserTest, Int64OverflowIsInvalidArgumentOnEveryPath) {
   TableBuilder b({{"x", DataType::kInt64}});
   b.AddRow({Value::Int(INT64_MAX)});
   b.AddRow({Value::Int(INT64_MAX)});
-  catalog.Register("t", b.Build());
+  catalog.Register("t", *b.Build());
   ThreadPool pool(4);
   const std::vector<ExecutorOptions> paths = ExecutionPaths(&pool);
   for (const char* sql : {
@@ -454,7 +455,7 @@ TEST(ParserTest, AndOrGuardsHoldWithAndWithoutAPool) {
   Catalog catalog;
   TableBuilder b({{"x", DataType::kInt64}});
   for (int64_t x = 1; x <= 4; ++x) b.AddRow({Value::Int(x)});
-  catalog.Register("t", b.Build());
+  catalog.Register("t", *b.Build());
   ThreadPool pool(4);
   const std::pair<const char*, size_t> cases[] = {
       {"SELECT x FROM t WHERE x > 2 AND 10 / (x - 1) > 1", 2},
@@ -479,7 +480,7 @@ TEST(ParserTest, FailedBindLeavesNoStaleColumn) {
   Catalog catalog;
   TableBuilder before({{"x", DataType::kInt64}, {"q", DataType::kInt64}});
   before.AddRow({Value::Int(1), Value::Int(2)});
-  catalog.Register("t", before.Build());
+  catalog.Register("t", *before.Build());
   Result<Table> first = Executor().Execute(*plan, catalog);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first->row(0)[0], Value::Int(2));
@@ -488,7 +489,7 @@ TEST(ParserTest, FailedBindLeavesNoStaleColumn) {
   renamed.AddRow({Value::Int(3), Value::Int(4)});
   TableBuilder ambiguous({{"a.q", DataType::kInt64}, {"b.q", DataType::kInt64}});
   ambiguous.AddRow({Value::Int(5), Value::Int(6)});
-  for (Table next : {renamed.Build(), ambiguous.Build()}) {
+  for (Table next : {*renamed.Build(), *ambiguous.Build()}) {
     catalog.Register("t", std::move(next));
     for (int run = 0; run < 2; ++run) {
       Result<Table> out = Executor().Execute(*plan, catalog);
@@ -627,8 +628,8 @@ Catalog FuzzCatalog(const FunctionRegistry& registry) {
   for (const char* n : names) {
     communities.AddRow({Value::String(n), Value::String(n)});
   }
-  cat.Register("graph", graph.Build());
-  cat.Register("communities", communities.Build());
+  cat.Register("graph", *graph.Build());
+  cat.Register("communities", *communities.Build());
   for (size_t i = 0; i + 1 < std::size(community::kFig4Statements); ++i) {
     const community::SqlStatement& s = community::kFig4Statements[i];
     Result<Table> t = ExecuteSql(s.sql, cat, registry);
@@ -687,8 +688,9 @@ bool ParseAndRun(const std::string& sql, const FunctionRegistry& registry,
     Result<Table> table = Executor(options).Execute(*plan, catalog);
     if (table.ok()) {
       ++*executed;
-      table->SortLexicographic();
-      outcome.push_back(table->ToString(table->num_rows()));
+      Result<Table> sorted =
+          Table::FromRows(table->schema(), ref::SortedRows(*table));
+      outcome.push_back(sorted->ToString(sorted->num_rows()));
     } else {
       outcome.push_back(table.status().ToString());
     }
