@@ -238,6 +238,10 @@ ESHARP_TARGET_AVX2 size_t IntersectSortedU32Avx2(const uint32_t* a, size_t na,
     if (amax <= bmax) i += 8;
     if (bmax <= amax) j += 8;
   }
+  // gcc 12 emits no vzeroupper anywhere in this function (its exit runs
+  // through the scalar twin), and a dirty upper YMM state slows later SSE
+  // code on the calling thread: clean it before leaving the vector loop.
+  _mm256_zeroupper();
   return k + scalar::IntersectSortedU32(a + i, na - i, b + j, nb - j, out + k);
 }
 

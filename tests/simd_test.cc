@@ -7,8 +7,15 @@
 #include "common/simd.h"
 
 #include <algorithm>
+#include <functional>
 #include <set>
+#include <utility>
 #include <vector>
+
+#if !defined(ESHARP_SIMD_OFF) && defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -44,6 +51,72 @@ TEST(SimdDispatchTest, ForcingAboveDetectedClampsToDetected) {
 TEST(SimdDispatchTest, LevelNamesAreStable) {
   EXPECT_EQ(simd::LevelName(Level::kScalar), "scalar");
   EXPECT_EQ(simd::LevelName(Level::kAvx2), "avx2");
+}
+
+#if !defined(ESHARP_SIMD_OFF) && defined(__x86_64__)
+__attribute__((target("avx"))) void ClearUpperYmm() { _mm256_zeroupper(); }
+
+/// XINUSE bit 2 (YMM_Hi128): set while the upper half of some YMM register
+/// may be non-zero. Legacy-SSE code run in that state pays a transition
+/// penalty or a false dependency on every instruction.
+__attribute__((target("xsave"))) bool UpperYmmInUse() {
+  return ((_xgetbv(1) >> 2) & 1) != 0;
+}
+
+/// XGETBV with ECX=1 (XINUSE) is supported: CPUID.(EAX=0DH,ECX=1):EAX[2].
+bool CanReadXinuse() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  return __get_cpuid_count(0xD, 1, &eax, &ebx, &ecx, &edx) != 0 &&
+         (eax & (1u << 2)) != 0;
+}
+#endif
+
+// Every AVX2 kernel must return with the upper YMM state clean. gcc adds
+// vzeroupper on most exits of a target("avx2") function but not on all
+// (a tail call into scalar code skips it); a dirty state then slows every
+// later SSE instruction on the calling thread until something cleans it.
+TEST(SimdDispatchTest, KernelsLeaveUpperYmmClean) {
+#if defined(ESHARP_SIMD_OFF) || !defined(__x86_64__)
+  GTEST_SKIP() << "no vector kernels in this build";
+#else
+  if (simd::DetectedLevel() < Level::kAvx2) GTEST_SKIP() << "no AVX2";
+  if (!CanReadXinuse()) GTEST_SKIP() << "XGETBV cannot read XINUSE";
+  LevelGuard guard;
+  simd::ForceLevelForTest(Level::kAvx2);
+  // Lengths that run each kernel's vector loop and its scalar tail.
+  std::vector<uint8_t> flags(100, 1);
+  std::vector<uint32_t> selected(flags.size() + 7);
+  std::vector<uint64_t> acc(10, 3), keys(10, 5);
+  std::vector<uint32_t> a(37), b(37), common(37);
+  for (uint32_t i = 0; i < a.size(); ++i) {
+    a[i] = 2 * i;
+    b[i] = 3 * i;
+  }
+  std::vector<uint8_t> bytes(75, 7);
+  const std::pair<const char*, std::function<void()>> kernels[] = {
+      {"CompactSelection",
+       [&] { simd::CompactSelection(flags.data(), flags.size(),
+                                    selected.data()); }},
+      {"HashCombineBatch",
+       [&] { simd::HashCombineBatch(acc.data(), keys.data(), acc.size()); }},
+      {"HashCombineMix64Batch",
+       [&] {
+         simd::HashCombineMix64Batch(acc.data(), keys.data(), acc.size());
+       }},
+      {"IntersectSortedU32",
+       [&] {
+         simd::IntersectSortedU32(a.data(), a.size(), b.data(), b.size(),
+                                  common.data());
+       }},
+      {"Checksum64", [&] { simd::Checksum64(bytes.data(), bytes.size()); }},
+  };
+  for (const auto& [name, run] : kernels) {
+    ClearUpperYmm();
+    ASSERT_FALSE(UpperYmmInUse()) << "vzeroupper left XINUSE[2] set";
+    run();
+    EXPECT_FALSE(UpperYmmInUse()) << name << " returned with dirty upper YMM";
+  }
+#endif
 }
 
 TEST(SimdCompactTest, MatchesScalarOnRandomFlags) {
