@@ -54,12 +54,6 @@ size_t IntersectSortedU32(const uint32_t* a, size_t na, const uint32_t* b,
   return k;
 }
 
-uint32_t MinU32(const uint32_t* v, size_t n) {
-  uint32_t m = v[0];
-  for (size_t i = 1; i < n; ++i) m = v[i] < m ? v[i] : m;
-  return m;
-}
-
 namespace {
 /// Word-position multiplier of Checksum64 (golden-ratio constant; the
 /// (i+1)*kChecksumStep term makes word swaps change the XOR fold).
@@ -245,24 +239,6 @@ ESHARP_TARGET_AVX2 size_t IntersectSortedU32Avx2(const uint32_t* a, size_t na,
   return k + scalar::IntersectSortedU32(a + i, na - i, b + j, nb - j, out + k);
 }
 
-ESHARP_TARGET_AVX2 uint32_t MinU32Avx2(const uint32_t* v, size_t n) {
-  if (n < 8) return scalar::MinU32(v, n);
-  __m256i acc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v));
-  size_t i = 8;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm256_min_epu32(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i)));
-  }
-  alignas(32) uint32_t lanes[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  uint32_t m = scalar::MinU32(lanes, 8);
-  if (i < n) {
-    uint32_t tail = scalar::MinU32(v + i, n - i);
-    m = tail < m ? tail : m;
-  }
-  return m;
-}
-
 ESHARP_TARGET_AVX2 uint64_t Checksum64Avx2(const void* data, size_t size) {
   constexpr uint64_t kStep = 0x9e3779b97f4a7c15ULL;
   const uint8_t* p = static_cast<const uint8_t*>(data);
@@ -380,16 +356,6 @@ size_t IntersectSortedU32(const uint32_t* a, size_t na, const uint32_t* b,
   }
 #endif
   return scalar::IntersectSortedU32(a, na, b, nb, out);
-}
-
-uint32_t MinU32(const uint32_t* v, size_t n) {
-#if ESHARP_SIMD_X86
-  switch (ActiveLevel()) {
-    case Level::kAvx2: return MinU32Avx2(v, n);
-    case Level::kScalar: break;
-  }
-#endif
-  return scalar::MinU32(v, n);
 }
 
 uint64_t Checksum64(const void* data, size_t size) {

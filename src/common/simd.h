@@ -12,8 +12,8 @@
 /// Portable SIMD kernel layer for the hot loops the profile actually
 /// shows: selection-vector compaction (columnar filter), batched
 /// HashCombine/Mix64 (join/partition/aggregate key hashing), sorted-u32
-/// intersection (token postings), horizontal min (k-way evidence merge)
-/// and a word-parallel checksum (binary snapshot validation).
+/// intersection (token postings) and a word-parallel checksum (binary
+/// snapshot validation).
 ///
 /// Contract: every dispatched kernel is **bit-identical** to its scalar
 /// twin in `simd::scalar` — same outputs for the same inputs, on every
@@ -81,9 +81,6 @@ void HashCombineMix64Batch(uint64_t* acc, const uint64_t* keys, size_t n);
 size_t IntersectSortedU32(const uint32_t* a, size_t na, const uint32_t* b,
                           size_t nb, uint32_t* out);
 
-/// Minimum of v[0..n), n >= 1.
-uint32_t MinU32(const uint32_t* v, size_t n);
-
 /// Order-independent 64-bit checksum over bytes: the data is cut into
 /// little-endian 8-byte words (the tail zero-padded), each word is mixed
 /// with its position and XOR-folded. XOR makes the accumulation fully
@@ -102,7 +99,6 @@ void HashCombineBatch(uint64_t* acc, const uint64_t* h, size_t n);
 void HashCombineMix64Batch(uint64_t* acc, const uint64_t* keys, size_t n);
 size_t IntersectSortedU32(const uint32_t* a, size_t na, const uint32_t* b,
                           size_t nb, uint32_t* out);
-uint32_t MinU32(const uint32_t* v, size_t n);
 uint64_t Checksum64(const void* data, size_t size);
 /// @}
 

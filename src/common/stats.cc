@@ -5,13 +5,6 @@
 
 namespace esharp {
 
-void OnlineStats::Add(double x) {
-  ++n_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
 double OnlineStats::Variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_);

@@ -13,8 +13,14 @@ namespace esharp {
 /// features over the candidate pool, as §3 of the paper prescribes.
 class OnlineStats {
  public:
-  /// Adds one observation.
-  void Add(double x);
+  /// Adds one observation. Inline: the ranker calls it per candidate and
+  /// feature on the query path.
+  void Add(double x) {
+    ++n_;
+    double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+  }
 
   /// Number of observations added.
   size_t count() const { return n_; }

@@ -1,9 +1,9 @@
 #include "expert/detector.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
-#include "common/simd.h"
 #include "common/stats.h"
 #include "expert/cluster_filter.h"
 #include "common/strings.h"
@@ -15,12 +15,27 @@ namespace {
 /// Dense touched-list scratch for candidate accumulation: slot_of_user maps
 /// a user id to its index in the output pool, validated by an epoch stamp
 /// so consecutive collections skip the O(num_users) clear. Thread-local —
-/// each collecting thread (serving fan-out workers included) reuses its
-/// own, sized to the largest corpus it has seen.
+/// each collecting or merging thread (serving fan-out workers included)
+/// reuses its own, sized to the largest user id it has seen.
 struct EvidenceScratch {
   std::vector<uint64_t> epoch_of_user;
   std::vector<uint32_t> slot_of_user;
   uint64_t epoch = 0;
+  /// MergeEvidenceViews only: one bit per user the current merge has seen
+  /// (all zero between merges: the merge's sweep clears what it set), and
+  /// the merge's accumulation buffer, kept for its capacity.
+  std::vector<uint64_t> seen_words;
+  std::vector<CandidateEvidence> pooled;
+
+  /// Sizes the scratch for user ids below `num_users` and opens an epoch,
+  /// which invalidates every slot of the previous one.
+  void Begin(size_t num_users) {
+    if (epoch_of_user.size() < num_users) {
+      epoch_of_user.resize(num_users, 0);
+      slot_of_user.resize(num_users, 0);
+    }
+    ++epoch;
+  }
 };
 thread_local EvidenceScratch tls_evidence_scratch;
 
@@ -46,11 +61,7 @@ std::optional<std::vector<CandidateEvidence>> ExpertDetector::CollectCandidates(
   std::vector<uint32_t> matching = corpus_->MatchTweets(tokens);
 
   EvidenceScratch& scratch = tls_evidence_scratch;
-  if (scratch.epoch_of_user.size() < corpus_->num_users()) {
-    scratch.epoch_of_user.resize(corpus_->num_users(), 0);
-    scratch.slot_of_user.resize(corpus_->num_users(), 0);
-  }
-  ++scratch.epoch;
+  scratch.Begin(corpus_->num_users());
 
   std::vector<CandidateEvidence> out;
   // Each matching tweet surfaces its author plus its mentions; candidates
@@ -105,13 +116,16 @@ Result<std::vector<RankedExpert>> ExpertDetector::RankCandidates(
   const bool extended = options_.weight_conversation != 0 ||
                         options_.weight_hashtag != 0 ||
                         options_.weight_followers != 0;
-  struct RawFeatures {
-    double log_ts, log_mi, log_ri;
-    double log_cs = 0, log_hs = 0, log_nf = 0;
-  };
-  std::vector<RawFeatures> feats(candidates.size());
-  OnlineStats ts_stats, mi_stats, ri_stats, cs_stats, hs_stats, nf_stats;
-  for (size_t i = 0; i < candidates.size(); ++i) {
+  // Feature-major: feature f of candidate i is log_features[f * n + i].
+  enum Feature : size_t { kTs, kMi, kRi, kCs, kHs, kNf, kNumFeatures };
+  const size_t n = candidates.size();
+  std::vector<double> log_features((extended ? kNumFeatures : kCs) * n);
+  OnlineStats stats[kNumFeatures];
+  for (size_t i = 0; i < n; ++i) {
+    auto put = [&](Feature f, double x) {
+      log_features[f * n + i] = x;
+      stats[f].Add(x);
+    };
     const CandidateEvidence& c = candidates[i];
     double total_tweets =
         static_cast<double>(corpus_->TweetsByUser(c.user));
@@ -125,10 +139,9 @@ Result<std::vector<RankedExpert>> ExpertDetector::RankCandidates(
                 (total_mentions + eps);
     double ri = (static_cast<double>(c.retweets_on_topic) + eps) /
                 (total_retweets + eps);
-    feats[i] = RawFeatures{std::log(ts), std::log(mi), std::log(ri)};
-    ts_stats.Add(feats[i].log_ts);
-    mi_stats.Add(feats[i].log_mi);
-    ri_stats.Add(feats[i].log_ri);
+    put(kTs, std::log(ts));
+    put(kMi, std::log(mi));
+    put(kRi, std::log(ri));
     if (extended) {
       double on_topic = static_cast<double>(c.tweets_on_topic);
       double cs = (static_cast<double>(c.conversational_on_topic) + eps) /
@@ -137,53 +150,83 @@ Result<std::vector<RankedExpert>> ExpertDetector::RankCandidates(
                   (on_topic + eps);
       double nf = std::log(
           1.0 + static_cast<double>(corpus_->user(c.user).followers));
-      feats[i].log_cs = std::log(cs);
-      feats[i].log_hs = std::log(hs);
-      feats[i].log_nf = nf;  // already a log scale
-      cs_stats.Add(feats[i].log_cs);
-      hs_stats.Add(feats[i].log_hs);
-      nf_stats.Add(feats[i].log_nf);
+      put(kCs, std::log(cs));
+      put(kHs, std::log(hs));
+      put(kNf, nf);  // already a log scale
     }
   }
 
-  std::vector<RankedExpert> ranked;
-  ranked.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
+  // OnlineStats::ZScore with each feature's mean and standard deviation
+  // hoisted out of the per-candidate loops (one square root per feature).
+  double mean[kNumFeatures], sd[kNumFeatures];
+  for (size_t f = 0; f < kNumFeatures; ++f) {
+    mean[f] = stats[f].Mean();
+    sd[f] = stats[f].StdDev();
+  }
+  auto z = [&](Feature f, size_t i) {
+    return sd[f] == 0.0 ? 0.0 : (log_features[f * n + i] - mean[f]) / sd[f];
+  };
+  // The one scoring expression. Selection reads the scores it computes and
+  // the winners' records are rebuilt from it, so both carry the same bits.
+  auto rank = [&](size_t i) {
     RankedExpert e;
     e.user = candidates[i].user;
-    e.z_topical_signal = ts_stats.ZScore(feats[i].log_ts);
-    e.z_mention_impact = mi_stats.ZScore(feats[i].log_mi);
-    e.z_retweet_impact = ri_stats.ZScore(feats[i].log_ri);
+    e.z_topical_signal = z(kTs, i);
+    e.z_mention_impact = z(kMi, i);
+    e.z_retweet_impact = z(kRi, i);
     e.score = options_.weight_topical_signal * e.z_topical_signal +
               options_.weight_mention_impact * e.z_mention_impact +
               options_.weight_retweet_impact * e.z_retweet_impact;
     if (extended) {
-      e.z_conversation = cs_stats.ZScore(feats[i].log_cs);
-      e.z_hashtag = hs_stats.ZScore(feats[i].log_hs);
-      e.z_followers = nf_stats.ZScore(feats[i].log_nf);
+      e.z_conversation = z(kCs, i);
+      e.z_hashtag = z(kHs, i);
+      e.z_followers = z(kNf, i);
       e.score += options_.weight_conversation * e.z_conversation +
                  options_.weight_hashtag * e.z_hashtag +
                  options_.weight_followers * e.z_followers;
     }
-    ranked.push_back(e);
-  }
-
-  std::sort(ranked.begin(), ranked.end(),
-            [](const RankedExpert& a, const RankedExpert& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.user < b.user;
-            });
+    return e;
+  };
 
   if (options_.enable_cluster_filter) {
-    ranked = ClusterFilter(ranked);
+    // The filter clusters the whole ranked pool, so this path ranks it all.
+    std::vector<RankedExpert> ranked;
+    ranked.reserve(n);
+    for (size_t i = 0; i < n; ++i) ranked.push_back(rank(i));
+    std::sort(ranked.begin(), ranked.end(),
+              [](const RankedExpert& a, const RankedExpert& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.user < b.user;
+              });
+    std::vector<RankedExpert> out;
+    for (const RankedExpert& e : ClusterFilter(ranked)) {
+      if (out.size() >= options_.max_experts) break;
+      if (e.score < options_.min_z_score) continue;
+      out.push_back(e);
+    }
+    return out;
   }
 
-  std::vector<RankedExpert> out;
-  for (const RankedExpert& e : ranked) {
-    if (e.score < options_.min_z_score) continue;
-    out.push_back(e);
-    if (out.size() >= options_.max_experts) break;
+  // Top-K: drop the candidates under min_z_score, then order only the
+  // first max_experts of the rest (score descending, user ascending). The
+  // order is total over distinct users, so this is a full sort's prefix.
+  std::vector<double> scores(n);
+  std::vector<uint32_t> kept;
+  kept.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    scores[i] = rank(i).score;
+    if (scores[i] < options_.min_z_score) continue;
+    kept.push_back(static_cast<uint32_t>(i));
   }
+  const size_t k = std::min(options_.max_experts, kept.size());
+  std::partial_sort(kept.begin(), kept.begin() + k, kept.end(),
+                    [&](uint32_t a, uint32_t b) {
+                      if (scores[a] != scores[b]) return scores[a] > scores[b];
+                      return candidates[a].user < candidates[b].user;
+                    });
+  std::vector<RankedExpert> out;
+  out.reserve(k);
+  for (size_t j = 0; j < k; ++j) out.push_back(rank(kept[j]));
   return out;
 }
 
@@ -236,60 +279,44 @@ std::vector<CandidateEvidence> Normalize(
 
 std::vector<CandidateEvidence> MergeEvidenceViews(
     const std::vector<const std::vector<CandidateEvidence>*>& lists) {
-  // Cursor per non-empty pool; every pool is sorted by user with unique
-  // users, so the union is a k-way merge: repeatedly take the smallest
-  // user across cursors and fold every pool holding it. k is the expansion
-  // width (<= max_expansion_terms), so a linear min scan beats a heap.
-  struct Cursor {
-    const CandidateEvidence* it;
-    const CandidateEvidence* end;
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(lists.size());
-  size_t total = 0;
+  const std::vector<CandidateEvidence>* only = nullptr;
+  size_t non_empty = 0;
+  microblog::UserId max_user = 0;
   for (const std::vector<CandidateEvidence>* list : lists) {
     if (list == nullptr || list->empty()) continue;
-    cursors.push_back({list->data(), list->data() + list->size()});
-    total += list->size();
+    only = list;
+    ++non_empty;
+    max_user = std::max(max_user, list->back().user);  // pools are sorted
+  }
+  if (non_empty == 0) return {};
+  if (non_empty == 1) return *only;  // already sorted with unique users
+
+  // Dense accumulation: one slot per user in first-sighting order, plus a
+  // bit per user; sweeping the bits emits the slots in ascending user
+  // order. O(pooled entries + users / 64), whatever the pool count.
+  EvidenceScratch& scratch = tls_evidence_scratch;
+  scratch.Begin(size_t{max_user} + 1);
+  const size_t words = max_user / 64 + 1;
+  if (scratch.seen_words.size() < words) scratch.seen_words.resize(words, 0);
+  std::vector<CandidateEvidence>& pooled = scratch.pooled;
+  pooled.clear();
+  for (const std::vector<CandidateEvidence>* list : lists) {
+    if (list == nullptr) continue;
+    for (const CandidateEvidence& c : *list) {
+      AccumulateInto(SlotFor(scratch, &pooled, c.user), c);
+      scratch.seen_words[c.user / 64] |= uint64_t{1} << (c.user % 64);
+    }
   }
   std::vector<CandidateEvidence> out;
-  out.reserve(total);  // upper bound: no user shared across pools
-  // Head users kept in a flat array alongside the cursors so the per-round
-  // minimum is one vectorizable sweep (simd::MinU32) instead of a chain of
-  // dependent compares through struct fields.
-  std::vector<uint32_t> heads(cursors.size());
-  for (size_t i = 0; i < cursors.size(); ++i) heads[i] = cursors[i].it->user;
-  while (!cursors.empty()) {
-    if (cursors.size() == 1) {
-      // One surviving pool: its tail is already sorted with unique users,
-      // so the remaining entries append verbatim — no per-round folding.
-      out.insert(out.end(), cursors[0].it, cursors[0].end);
-      break;
-    }
-    const microblog::UserId next_user =
-        simd::MinU32(heads.data(), heads.size());
-    out.emplace_back();
-    CandidateEvidence* acc = &out.back();
-    acc->user = next_user;
-    for (size_t i = 0; i < cursors.size();) {
-      Cursor& c = cursors[i];
-      if (heads[i] == next_user) {
-        AccumulateInto(acc, *c.it);
-        ++c.it;
-        if (c.it == c.end) {
-          cursors[i] = cursors.back();
-          cursors.pop_back();
-          heads[i] = heads.back();
-          heads.pop_back();
-          continue;  // re-examine the swapped-in cursor at index i
-        }
-        heads[i] = c.it->user;
-      }
-      ++i;
+  out.reserve(pooled.size());
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t bits = scratch.seen_words[w];
+    scratch.seen_words[w] = 0;
+    for (; bits != 0; bits &= bits - 1) {
+      const size_t user = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+      out.push_back(pooled[scratch.slot_of_user[user]]);
     }
   }
-  // `out` is ascending by construction: each round consumes the smallest
-  // user across all cursors, so no final sort is needed.
   return out;
 }
 

@@ -152,15 +152,17 @@ class ExpertDetector {
 /// the union step of e#'s expanded search (§5).
 ///
 /// Lists sorted by user with unique users (the CollectCandidates /
-/// TermEvidenceIndex output invariant) merge with a k-way sorted merge and
-/// no hashing; a list that breaks the invariant is normalized first, so the
-/// historical any-order contract still holds.
+/// TermEvidenceIndex output invariant) merge by dense accumulation with no
+/// hashing or sorting; a list that breaks the invariant is normalized
+/// first, so the historical any-order contract still holds.
 std::vector<CandidateEvidence> MergeEvidence(
     const std::vector<std::vector<CandidateEvidence>>& lists);
 
 /// \brief Zero-copy variant over borrowed pools: what the serving fast path
 /// uses to union precomputed (snapshot-owned) and live pools without
-/// copying either. Null entries are skipped.
+/// copying either. Null entries are skipped. Every pool must be sorted by
+/// user with unique users: the merge sizes its thread-local scratch by
+/// each pool's last user, and a single non-empty pool is returned as is.
 std::vector<CandidateEvidence> MergeEvidenceViews(
     const std::vector<const std::vector<CandidateEvidence>*>& lists);
 

@@ -84,9 +84,9 @@ Result<std::vector<RankedAnswerer>> QnaExpertDetector::RankCandidates(
             });
   std::vector<RankedAnswerer> out;
   for (const RankedAnswerer& r : ranked) {
+    if (out.size() >= options_.max_experts) break;
     if (r.score < options_.min_z_score) continue;
     out.push_back(r);
-    if (out.size() >= options_.max_experts) break;
   }
   return out;
 }

@@ -398,10 +398,20 @@ Status DecodeEvidence(
   ESHARP_RETURN_NOT_OK(CheckOffsets(offsets, total, "EVIDENCE"));
   std::vector<expert::CandidateEvidence> flat;
   ESHARP_RETURN_NOT_OK(ReadEvidenceColumns(r, total, &flat));
-  for (const expert::CandidateEvidence& e : flat) {
-    if (e.user >= num_users) {
-      return Status::IOError("snapshot section EVIDENCE: user ", e.user,
-                             " out of range (", num_users, " users)");
+  // Every pool must be sorted-unique by user, as TermEvidenceIndex builds
+  // it: MergeEvidenceViews sizes its dense scratch by each pool's last user.
+  for (size_t p = 0; p < n; ++p) {
+    for (uint64_t i = offsets[p]; i < offsets[p + 1]; ++i) {
+      const expert::CandidateEvidence& e = flat[i];
+      if (e.user >= num_users) {
+        return Status::IOError("snapshot section EVIDENCE: user ", e.user,
+                               " out of range (", num_users, " users)");
+      }
+      if (i > offsets[p] && e.user <= flat[i - 1].user) {
+        return Status::IOError("snapshot section EVIDENCE: pool ", p,
+                               " not sorted-unique by user at entry ",
+                               i - offsets[p]);
+      }
     }
   }
   std::vector<std::vector<expert::CandidateEvidence>> pools =

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
 
+#include "common/rng.h"
 #include "expert/detector.h"
+#include "ranking_reference.h"
 
 namespace esharp::expert {
 namespace {
@@ -111,6 +115,14 @@ TEST(RankingTest, MinZScoreFiltersAndCapApplies) {
   options.max_experts = 1;
   ExpertDetector capped(&corpus, options);
   EXPECT_EQ((*capped.FindExperts("nfl")).size(), 1u);
+
+  // A cap of 0 returns no expert, with or without the cluster filter.
+  options.max_experts = 0;
+  ExpertDetector none(&corpus, options);
+  EXPECT_TRUE((*none.FindExperts("nfl")).empty());
+  options.enable_cluster_filter = true;
+  ExpertDetector none_filtered(&corpus, options);
+  EXPECT_TRUE((*none_filtered.FindExperts("nfl")).empty());
 }
 
 TEST(RankingTest, WeightsChangeTheScore) {
@@ -156,6 +168,122 @@ TEST(RankingTest, DeterministicTieBreakByUserId) {
   ASSERT_EQ(experts.size(), 2u);
   EXPECT_EQ(experts[0].user, 0u);
   EXPECT_EQ(experts[1].user, 1u);
+}
+
+// Users come in classes of four that share every total the ranker reads
+// (tweets, mentions received, retweets, followers), so identical evidence
+// under different ids scores bit-equal and the user tie-break decides.
+TweetCorpus TieHeavyCorpus(size_t num_classes) {
+  TweetCorpus corpus;
+  const size_t num_users = 4 * num_classes;
+  for (size_t id = 0; id < num_users; ++id) {
+    UserProfile u = MakeUser(static_cast<microblog::UserId>(id));
+    u.followers = (id / 4) * 37 % 1000;
+    corpus.AddUser(u);
+  }
+  for (size_t id = 0; id < num_users; ++id) {
+    const size_t cls = id / 4;
+    const auto next =
+        static_cast<microblog::UserId>(4 * ((cls + 1) % num_classes));
+    for (size_t t = 0; t <= cls % 5; ++t) {
+      corpus.AddTweet(static_cast<microblog::UserId>(id), "topic chatter",
+                      {next, next + 1, next + 2, next + 3},
+                      static_cast<uint32_t>(cls % 4));
+    }
+  }
+  return corpus;
+}
+
+CandidateEvidence RandomCounts(Rng& rng) {
+  CandidateEvidence c;
+  c.is_author = rng.Bernoulli(0.5);
+  c.is_mentioned = !c.is_author || rng.Bernoulli(0.5);
+  c.tweets_on_topic = rng.Uniform(6);
+  c.mentions_on_topic = rng.Uniform(10);
+  c.retweets_on_topic = rng.Uniform(8);
+  c.conversational_on_topic = rng.Uniform(3);
+  c.hashtag_on_topic = rng.Uniform(3);
+  return c;
+}
+
+// A candidate pool sorted by user: most members of a class share one
+// evidence draw, so many candidates tie on score.
+std::vector<CandidateEvidence> TieHeavyPool(Rng& rng, size_t num_classes) {
+  std::vector<CandidateEvidence> pool;
+  for (size_t cls = 0; cls < num_classes; ++cls) {
+    if (!rng.Bernoulli(0.6)) continue;
+    const CandidateEvidence shared = RandomCounts(rng);
+    for (size_t member = 0; member < 4; ++member) {
+      if (rng.Bernoulli(0.2)) continue;
+      CandidateEvidence c = rng.Bernoulli(0.7) ? shared : RandomCounts(rng);
+      c.user = static_cast<microblog::UserId>(4 * cls + member);
+      pool.push_back(c);
+    }
+  }
+  return pool;
+}
+
+void ExpectSameBits(const std::vector<RankedExpert>& got,
+                    const std::vector<RankedExpert>& want,
+                    const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  auto bits = [](double d) { return std::bit_cast<uint64_t>(d); };
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(label + " rank " + std::to_string(i));
+    ASSERT_EQ(got[i].user, want[i].user);
+    EXPECT_EQ(bits(got[i].score), bits(want[i].score));
+    EXPECT_EQ(bits(got[i].z_topical_signal), bits(want[i].z_topical_signal));
+    EXPECT_EQ(bits(got[i].z_mention_impact), bits(want[i].z_mention_impact));
+    EXPECT_EQ(bits(got[i].z_retweet_impact), bits(want[i].z_retweet_impact));
+    EXPECT_EQ(bits(got[i].z_conversation), bits(want[i].z_conversation));
+    EXPECT_EQ(bits(got[i].z_hashtag), bits(want[i].z_hashtag));
+    EXPECT_EQ(bits(got[i].z_followers), bits(want[i].z_followers));
+  }
+}
+
+TEST(RankingTest, MatchesFullSortReferenceBitForBit) {
+  constexpr size_t kClasses = 60;
+  const TweetCorpus corpus = TieHeavyCorpus(kClasses);
+  Rng rng(2016);
+  size_t ties = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::vector<CandidateEvidence> pool = TieHeavyPool(rng, kClasses);
+    const size_t n = pool.size();
+    for (double min_z : {-100.0, 0.0, 0.5, 100.0}) {
+      for (size_t cap : {size_t{0}, size_t{1}, size_t{15}, n, n + 1}) {
+        for (bool extended : {false, true}) {
+          for (bool filter : {false, true}) {
+            DetectorOptions options;
+            options.min_z_score = min_z;
+            options.max_experts = cap;
+            options.enable_cluster_filter = filter;
+            if (extended) {
+              options.weight_conversation = 0.1;
+              options.weight_hashtag = 0.1;
+              options.weight_followers = 0.05;
+            }
+            const std::string label =
+                "trial " + std::to_string(trial) + " n=" + std::to_string(n) +
+                " min_z=" + std::to_string(min_z) +
+                " cap=" + std::to_string(cap) +
+                " extended=" + std::to_string(extended) +
+                " filter=" + std::to_string(filter);
+            Result<std::vector<RankedExpert>> want =
+                ref::RankCandidates(corpus, options, pool);
+            Result<std::vector<RankedExpert>> got =
+                ExpertDetector(&corpus, options).RankCandidates(pool);
+            ASSERT_TRUE(want.ok() && got.ok()) << label;
+            ExpectSameBits(*got, *want, label);
+            for (size_t i = 1; i < want->size(); ++i) {
+              ties += (*want)[i].score == (*want)[i - 1].score;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The pools must actually exercise the user tie-break.
+  EXPECT_GT(ties, 100u);
 }
 
 // ---------------------------------------------------------- MergeEvidence --

@@ -250,6 +250,22 @@ TEST_F(QnaTest, DetectorRanksDomainExpertsOnTop) {
   EXPECT_EQ(top.domain, dom.id);
 }
 
+TEST_F(QnaTest, MaxExpertsCapsTheAnswerEvenAtZero) {
+  const std::string& term = universe_->domain(0).terms[0];
+  qna::QnaDetectorOptions options;
+  options.min_z_score = -100;
+  options.max_experts = 100000;
+  const size_t all =
+      (*qna::QnaExpertDetector(corpus_.get(), options).FindExperts(term))
+          .size();
+  ASSERT_GT(all, 2u);
+  for (size_t cap : {0, 1, 2}) {
+    options.max_experts = cap;
+    qna::QnaExpertDetector capped(corpus_.get(), options);
+    EXPECT_EQ((*capped.FindExperts(term)).size(), cap) << "cap " << cap;
+  }
+}
+
 TEST_F(QnaTest, ExpansionImprovesQnaRecallToo) {
   // Build the community store from the (shared-universe) query log, then
   // compare plain vs expanded Q&A search over all canonical terms.

@@ -6,6 +6,7 @@
 // cancel cooperatively inside candidate collection. Also exercised under
 // TSan via -DESHARP_SANITIZE=thread (the stress test at the bottom).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -353,14 +354,24 @@ CandidateEvidence RandomEvidence(Rng& rng, microblog::UserId user) {
 
 TEST(OnlineFastPathTest, MergeEvidenceMatchesHashOracle) {
   Rng rng(7);
-  for (int round = 0; round < 50; ++round) {
+  // User ranges cycle downward, so merges on this thread span several
+  // 64-user bitmap words and then fewer: the thread-local scratch must come
+  // back clean from a larger merge.
+  const uint32_t kUserRanges[] = {1000, 200, 16};
+  size_t shrinking_merges = 0;
+  microblog::UserId previous_max = 0;
+  for (int round = 0; round < 90; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
-    std::vector<std::vector<CandidateEvidence>> lists(rng.Uniform(6));
+    const uint32_t num_users = kUserRanges[round % 3];
+    // Up to 30 lists: the expansion cap (max_expansion_terms).
+    std::vector<std::vector<CandidateEvidence>> lists(rng.Uniform(31));
+    microblog::UserId max_user = 0;
     for (auto& list : lists) {
-      size_t n = rng.Uniform(12);
+      size_t n = rng.Uniform(40);
       for (size_t i = 0; i < n; ++i) {
-        list.push_back(RandomEvidence(
-            rng, static_cast<microblog::UserId>(rng.Uniform(16))));
+        const auto user = static_cast<microblog::UserId>(rng.Uniform(num_users));
+        max_user = std::max(max_user, user);
+        list.push_back(RandomEvidence(rng, user));
       }
       // Half the lists honor the sorted-unique invariant (the
       // CollectCandidates shape), half stay arbitrary — duplicates and
@@ -380,7 +391,10 @@ TEST(OnlineFastPathTest, MergeEvidenceMatchesHashOracle) {
     }
     ExpectSameEvidence(expert::MergeEvidence(lists), HashMergeOracle(lists),
                        "merge");
+    shrinking_merges += max_user < previous_max;
+    previous_max = max_user;
   }
+  EXPECT_GT(shrinking_merges, 0u);
 }
 
 TEST(OnlineFastPathTest, MergeEvidenceViewsSkipsNullAndEmpty) {

@@ -287,25 +287,6 @@ TEST(SimdIntersectTest, SkewedLengthsAndBlockBoundaries) {
   }
 }
 
-TEST(SimdMinTest, MatchesScalarOnRandomArrays) {
-  LevelGuard guard;
-  Rng rng(23);
-  for (int trial = 0; trial < 60; ++trial) {
-    const size_t n = 1 + rng.Uniform(100);
-    std::vector<uint32_t> v(n);
-    for (size_t i = 0; i < n; ++i) {
-      v[i] = static_cast<uint32_t>(rng.Next());
-    }
-    const uint32_t expected = *std::min_element(v.begin(), v.end());
-    ASSERT_EQ(simd::scalar::MinU32(v.data(), n), expected);
-    for (Level level : TestableLevels()) {
-      simd::ForceLevelForTest(level);
-      ASSERT_EQ(simd::MinU32(v.data(), n), expected)
-          << simd::LevelName(level) << " trial " << trial << " n=" << n;
-    }
-  }
-}
-
 TEST(SimdChecksumTest, MatchesScalarOnRandomBuffers) {
   LevelGuard guard;
   Rng rng(29);

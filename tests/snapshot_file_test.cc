@@ -333,6 +333,36 @@ TEST_F(SnapshotCorruptionTest, ImplausibleSectionCountFails) {
   ExpectLoadFails(mutated, "implausible section count");
 }
 
+// MergeEvidenceViews sizes its scratch by each pool's last user, so a pool
+// that is not sorted-unique by user must not load, though every user in it
+// is in range and every checksum holds.
+TEST(SnapshotEvidenceTest, UnsortedEvidencePoolFailsToLoad) {
+  World world = MakeWorld(606);
+  const expert::TermEvidenceIndex& index = *world.artifacts.evidence_index;
+  std::vector<std::vector<expert::CandidateEvidence>> pools;
+  bool swapped = false;
+  for (size_t i = 0; i < index.num_pools(); ++i) {
+    pools.push_back(index.pool(i));
+    if (!swapped && pools.back().size() >= 2) {
+      std::swap(pools.back()[0], pools.back()[1]);
+      swapped = true;
+    }
+  }
+  ASSERT_TRUE(swapped);
+  const expert::TermEvidenceIndex unsorted =
+      expert::TermEvidenceIndex::FromSnapshotParts(index.TermStrings(),
+                                                   std::move(pools));
+  const std::string path = TempPath("unsorted_evidence.esnap");
+  ASSERT_TRUE(serving::SaveSnapshotFile(path, world.corpus,
+                                        world.artifacts.store, &unsorted)
+                  .ok());
+  Result<serving::SnapshotArtifacts> loaded = serving::LoadSnapshotFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("not sorted-unique"),
+            std::string::npos)
+      << loaded.status().message();
+}
+
 // Little-endian fixed-width fields of the header and section table.
 template <typename T>
 T GetLe(const std::string& bytes, size_t at) {
