@@ -23,8 +23,8 @@ namespace esharp::cluster {
 ///     query" depends only on the tweet's text — a user is a candidate in
 ///     the union iff it is a candidate on some shard.
 ///  3. Shard pools arrive sorted-unique by user (the MergeEvidence
-///     invariant QueryEvidence maintains), so the k-way merge emits the
-///     same ascending-user vector the unsharded detect stage builds.
+///     invariant QueryEvidence maintains), so the merge emits the same
+///     ascending-user vector the unsharded detect stage builds.
 ///  4. Ranking happens once, at the router, with a detector over the
 ///     union corpus: TS/MI/RI denominators (per-user corpus totals) and
 ///     the candidate-pool z-scores see exactly the unsharded inputs, so
@@ -37,7 +37,7 @@ std::vector<expert::CandidateEvidence> MergeShardEvidence(
     const std::vector<const std::vector<expert::CandidateEvidence>*>& pools);
 
 /// \brief Checks that one shard's pool is something MergeAndRank can
-/// rank: sorted-unique by user (the k-way merge invariant above) and every
+/// rank: sorted-unique by user (the merge invariant above) and every
 /// user below `num_users`, the union corpus size the detector indexes its
 /// per-user totals with. Evidence that crossed a process boundary is
 /// outside input; the router fails the attempt on a violation (IOError)

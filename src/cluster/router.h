@@ -120,7 +120,7 @@ struct ClusterResponse {
 };
 
 /// \brief The cluster tier's front door: scatter-gather over N shard
-/// transports, k-way evidence merge, one union-corpus rank step, hedging,
+/// transports, evidence merge, one union-corpus rank step, hedging,
 /// per-shard deadlines and health tracking, and a router-level result
 /// cache.
 ///

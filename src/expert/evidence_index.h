@@ -22,8 +22,8 @@ namespace esharp::expert {
 /// community siblings; nothing else). The corpus is immutable while a
 /// generation serves, so each term's CandidateEvidence pool is a pure
 /// function of (corpus, term) and can be computed offline: online detection
-/// for an in-vocabulary term becomes a hash lookup plus its share of a
-/// k-way sorted merge instead of a postings intersection plus per-tweet
+/// for an in-vocabulary term becomes a hash lookup plus its share of the
+/// evidence merge instead of a postings intersection plus per-tweet
 /// accumulation. Ad-hoc terms (the raw query when no community matches,
 /// phrase-fallback synthesized terms) are not in the vocabulary and take
 /// the live collection path.

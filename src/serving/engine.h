@@ -284,7 +284,7 @@ class ServingEngine {
   /// The detect stage shared by ExecuteUncached and ExecuteEvidence: resolve
   /// each expansion term to its precomputed pool or collect it live (in
   /// parallel on the pool, deadline enforced cooperatively inside the
-  /// collection loops), then k-way-merge the pools. Begins the record's
+  /// collection loops), then merge the pools. Begins the record's
   /// "detect" stamp and annotates it with the terms/candidates counts, or
   /// with a "timeout" outcome when the deadline fires mid-collection (and
   /// returns DeadlineExceeded).

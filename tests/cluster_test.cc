@@ -1,5 +1,5 @@
 // The sharded-serving suite (ctest -L cluster): the router's scatter-
-// gather + k-way merge + single rank step must be *bit-identical* to an
+// gather + evidence merge + single rank step must be *bit-identical* to an
 // unsharded engine over the union corpus, across partition counts — the
 // PR's acceptance criterion — and the failure modes must degrade instead
 // of failing: a dead shard yields annotated partial results, a slow shard
