@@ -4,7 +4,7 @@
 //  2. Partition the tweet corpus across 4 shard engines — each a full
 //     ServingEngine over its slice, with its own snapshot + evidence index.
 //  3. Route traffic through a ClusterRouter: per-query scatter to every
-//     shard, k-way evidence merge, one rank step over the union corpus.
+//     shard, evidence merge, one rank step over the union corpus.
 //     The answer is bit-identical to an unsharded engine (checked live).
 //  4. Kill one shard mid-traffic: queries keep succeeding as degraded
 //     partial answers (shards_answered/N annotation), the health tracker

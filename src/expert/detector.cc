@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/stats.h"
 #include "expert/cluster_filter.h"
@@ -188,45 +189,38 @@ Result<std::vector<RankedExpert>> ExpertDetector::RankCandidates(
     return e;
   };
 
-  if (options_.enable_cluster_filter) {
-    // The filter clusters the whole ranked pool, so this path ranks it all.
-    std::vector<RankedExpert> ranked;
-    ranked.reserve(n);
-    for (size_t i = 0; i < n; ++i) ranked.push_back(rank(i));
-    std::sort(ranked.begin(), ranked.end(),
-              [](const RankedExpert& a, const RankedExpert& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.user < b.user;
-              });
-    std::vector<RankedExpert> out;
-    for (const RankedExpert& e : ClusterFilter(ranked)) {
-      if (out.size() >= options_.max_experts) break;
-      if (e.score < options_.min_z_score) continue;
-      out.push_back(e);
-    }
-    return out;
-  }
-
   // Top-K: drop the candidates under min_z_score, then order only the
   // first max_experts of the rest (score descending, user ascending). The
   // order is total over distinct users, so this is a full sort's prefix.
+  // The cluster filter clusters the whole ranked pool, so with it every
+  // candidate is kept and ordered, and the cap and threshold apply after.
+  const bool filter = options_.enable_cluster_filter;
   std::vector<double> scores(n);
   std::vector<uint32_t> kept;
   kept.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     scores[i] = rank(i).score;
-    if (scores[i] < options_.min_z_score) continue;
+    if (!filter && scores[i] < options_.min_z_score) continue;
     kept.push_back(static_cast<uint32_t>(i));
   }
-  const size_t k = std::min(options_.max_experts, kept.size());
+  const size_t k =
+      filter ? kept.size() : std::min(options_.max_experts, kept.size());
   std::partial_sort(kept.begin(), kept.begin() + k, kept.end(),
                     [&](uint32_t a, uint32_t b) {
                       if (scores[a] != scores[b]) return scores[a] > scores[b];
                       return candidates[a].user < candidates[b].user;
                     });
+  std::vector<RankedExpert> ranked;
+  ranked.reserve(k);
+  for (size_t j = 0; j < k; ++j) ranked.push_back(rank(kept[j]));
+  if (!filter) return ranked;
+
   std::vector<RankedExpert> out;
-  out.reserve(k);
-  for (size_t j = 0; j < k; ++j) out.push_back(rank(kept[j]));
+  for (const RankedExpert& e : ClusterFilter(ranked)) {
+    if (out.size() >= options_.max_experts) break;
+    if (e.score < options_.min_z_score) continue;
+    out.push_back(e);
+  }
   return out;
 }
 
@@ -281,19 +275,22 @@ std::vector<CandidateEvidence> MergeEvidenceViews(
     const std::vector<const std::vector<CandidateEvidence>*>& lists) {
   const std::vector<CandidateEvidence>* only = nullptr;
   size_t non_empty = 0;
+  microblog::UserId min_user = std::numeric_limits<microblog::UserId>::max();
   microblog::UserId max_user = 0;
   for (const std::vector<CandidateEvidence>* list : lists) {
     if (list == nullptr || list->empty()) continue;
     only = list;
     ++non_empty;
-    max_user = std::max(max_user, list->back().user);  // pools are sorted
+    // Pools are sorted, so their ends bound the user-id span.
+    min_user = std::min(min_user, list->front().user);
+    max_user = std::max(max_user, list->back().user);
   }
   if (non_empty == 0) return {};
   if (non_empty == 1) return *only;  // already sorted with unique users
 
   // Dense accumulation: one slot per user in first-sighting order, plus a
   // bit per user; sweeping the bits emits the slots in ascending user
-  // order. O(pooled entries + users / 64), whatever the pool count.
+  // order. O(pooled entries + user-id span / 64), whatever the pool count.
   EvidenceScratch& scratch = tls_evidence_scratch;
   scratch.Begin(size_t{max_user} + 1);
   const size_t words = max_user / 64 + 1;
@@ -309,7 +306,7 @@ std::vector<CandidateEvidence> MergeEvidenceViews(
   }
   std::vector<CandidateEvidence> out;
   out.reserve(pooled.size());
-  for (size_t w = 0; w < words; ++w) {
+  for (size_t w = min_user / 64; w < words; ++w) {
     uint64_t bits = scratch.seen_words[w];
     scratch.seen_words[w] = 0;
     for (; bits != 0; bits &= bits - 1) {

@@ -356,20 +356,24 @@ TEST(OnlineFastPathTest, MergeEvidenceMatchesHashOracle) {
   Rng rng(7);
   // User ranges cycle downward, so merges on this thread span several
   // 64-user bitmap words and then fewer: the thread-local scratch must come
-  // back clean from a larger merge.
+  // back clean from a larger merge. Each round's ids start at a random
+  // offset, so the bitmap sweep often starts past the first word.
   const uint32_t kUserRanges[] = {1000, 200, 16};
-  size_t shrinking_merges = 0;
+  size_t shrinking_merges = 0, offset_merges = 0;
   microblog::UserId previous_max = 0;
   for (int round = 0; round < 90; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     const uint32_t num_users = kUserRanges[round % 3];
+    const auto first_user = static_cast<microblog::UserId>(rng.Uniform(300));
     // Up to 30 lists: the expansion cap (max_expansion_terms).
     std::vector<std::vector<CandidateEvidence>> lists(rng.Uniform(31));
-    microblog::UserId max_user = 0;
+    microblog::UserId min_user = first_user + num_users, max_user = 0;
     for (auto& list : lists) {
       size_t n = rng.Uniform(40);
       for (size_t i = 0; i < n; ++i) {
-        const auto user = static_cast<microblog::UserId>(rng.Uniform(num_users));
+        const auto user = first_user + static_cast<microblog::UserId>(
+                                           rng.Uniform(num_users));
+        min_user = std::min(min_user, user);
         max_user = std::max(max_user, user);
         list.push_back(RandomEvidence(rng, user));
       }
@@ -392,9 +396,11 @@ TEST(OnlineFastPathTest, MergeEvidenceMatchesHashOracle) {
     ExpectSameEvidence(expert::MergeEvidence(lists), HashMergeOracle(lists),
                        "merge");
     shrinking_merges += max_user < previous_max;
+    offset_merges += min_user >= 64 && max_user > min_user;
     previous_max = max_user;
   }
   EXPECT_GT(shrinking_merges, 0u);
+  EXPECT_GT(offset_merges, 0u);
 }
 
 TEST(OnlineFastPathTest, MergeEvidenceViewsSkipsNullAndEmpty) {

@@ -112,7 +112,11 @@ TEST(SimdDispatchTest, KernelsLeaveUpperYmmClean) {
   };
   for (const auto& [name, run] : kernels) {
     ClearUpperYmm();
-    ASSERT_FALSE(UpperYmmInUse()) << "vzeroupper left XINUSE[2] set";
+    // A processor may report XINUSE[2] set for a component in its initial
+    // state (emulators do), and then no clean state can be observed.
+    if (UpperYmmInUse()) {
+      GTEST_SKIP() << "XINUSE[2] reads set right after vzeroupper";
+    }
     run();
     EXPECT_FALSE(UpperYmmInUse()) << name << " returned with dirty upper YMM";
   }
