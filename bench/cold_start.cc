@@ -201,7 +201,6 @@ int main(int argc, char** argv) {
   Result<serving::SnapshotManager::ColdStartArtifacts> cold =
       serving::SnapshotManager::LoadSnapshot(snapshot_path);
   if (!cold.ok()) Fail("load: " + cold.status().ToString());
-  if (!cold->info.has_evidence) Fail("snapshot lost the evidence section");
   std::vector<std::string> queries = Workload(
       built.Acquire()->store(), smoke ? 8 : 64);
   VerifyEquivalence(&built, cold->manager.get(), queries);

@@ -1,10 +1,11 @@
 // Micro-benchmarks of the online stage: the primitives the per-request hot
 // path leans on (token-index matching, store lookups, evidence-index
 // lookups) and the detect-stage workload comparison the evidence index is
-// judged by — the reference engine (live collection per expansion term, no
-// evidence index) against the fast one (precomputed per-term pools), on a
+// judged by — the reference engine (an empty evidence index, so every
+// expansion term is collected live, one after another on the request's
+// thread) against the fast one (precomputed per-term pools), on a
 // multi-term in-vocabulary workload (§6.3 budgets: expansion < 100 ms,
-// detection < 1 s). Both engines fan live terms out across their pool.
+// detection < 1 s).
 //
 // Both engines are verified to return bit-identical ranked experts on every
 // workload query, and their detect/rank trace annotations (candidate and
@@ -56,8 +57,8 @@ void Fail(const std::string& why) {
 }
 
 /// The detect-stage workload: queries that hit a multi-term community, so
-/// expansion fans out to several in-vocabulary terms — the shape the
-/// evidence index and the parallel collection are built for.
+/// expansion yields several in-vocabulary terms — the shape the evidence
+/// index is built for.
 std::vector<std::string> MultiTermQueries(const community::CommunityStore& store,
                                           size_t limit) {
   std::vector<std::string> queries;
@@ -194,15 +195,15 @@ int main(int argc, char** argv) {
 
   // Two snapshot managers over the same corpus and store: the fast one
   // builds the term-evidence index at publish (the default), the reference
-  // one publishes without it — so the reference engine cannot quietly serve
-  // from precomputed pools.
+  // one publishes an empty index — so the reference engine cannot quietly
+  // serve from precomputed pools.
   auto store = std::make_shared<const community::CommunityStore>(
       world->artifacts.store);
   serving::SnapshotManager fast_manager(&corpus);
   fast_manager.Publish(store);
   serving::SnapshotManager ref_manager(&corpus);
-  ref_manager.set_build_evidence_on_publish(false);
-  ref_manager.Publish(store);
+  ref_manager.Publish(store, {},
+                      std::make_shared<const expert::TermEvidenceIndex>());
 
   std::vector<std::string> queries = MultiTermQueries(*store, max_queries);
   if (queries.empty()) Fail("no multi-term community in the store");
@@ -211,7 +212,6 @@ int main(int argc, char** argv) {
   std::shared_ptr<const serving::ServingSnapshot> fast_snapshot =
       fast_manager.Acquire();
   const expert::TermEvidenceIndex* evidence = fast_snapshot->evidence();
-  if (evidence == nullptr) Fail("published snapshot carries no evidence index");
   const core::ESharp& esharp = fast_snapshot->esharp();
   std::vector<std::string> terms;
   for (const std::string& q : queries) {

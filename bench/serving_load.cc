@@ -17,7 +17,7 @@
 // Usage: serving_load [closed_threads] [queries_per_thread] [open_qps]
 //                     [--json=PATH] [--reference] [--shards=N]
 //
-// --reference serves every request without the term-evidence index (every
+// --reference serves every request over an empty term-evidence index (every
 // expansion term collected live), for A/B runs against the default fast
 // path: diff the two JSON files with bench_diff.
 //
@@ -48,6 +48,7 @@
 #include "cluster/router.h"
 #include "cluster/shard.h"
 #include "common/rng.h"
+#include "expert/evidence_index.h"
 #include "obs/debugz.h"
 #include "obs/obs.h"
 #include "serving/engine.h"
@@ -328,9 +329,12 @@ int main(int argc, char** argv) {
   }
 
   serving::SnapshotManager manager(&world->corpus);
-  manager.set_build_evidence_on_publish(!reference);
-  manager.Publish(std::make_shared<const community::CommunityStore>(
-      world->artifacts.store));
+  manager.Publish(
+      std::make_shared<const community::CommunityStore>(
+          world->artifacts.store),
+      {},
+      reference ? std::make_shared<const expert::TermEvidenceIndex>()
+                : nullptr);
 
   serving::ServingOptions serving_options;
   serving_options.num_threads = world_options.threads;
@@ -338,7 +342,7 @@ int main(int argc, char** argv) {
   serving_options.cache.ttl_seconds = 3600;  // TTL out of the way; this
                                              // bench isolates cache effects
   serving::ServingEngine engine(&manager, serving_options);
-  if (reference) std::printf("path: reference (no evidence index)\n");
+  if (reference) std::printf("path: reference (empty evidence index)\n");
 
   std::printf("workload: %zu distinct queries, zipf s=1.05\n",
               queries.size());

@@ -304,7 +304,7 @@ int main(int argc, char** argv) {
   std::this_thread::sleep_for(
       std::chrono::milliseconds(incident_dir.empty() ? 300 : 900));
 
-  auto degraded = router.Query({queries[0], /*deadline_ms=*/-1,
+  auto degraded = router.Query({queries[0], /*deadline_ms=*/0,
                                 /*bypass_cache=*/true});
   if (degraded.ok()) {
     std::printf("degraded answer: %zu experts from %zu/%zu shards "
@@ -324,7 +324,7 @@ int main(int argc, char** argv) {
   stop.store(true, std::memory_order_release);
   for (std::thread& t : clients) t.join();
 
-  auto healed = router.Query({queries[0], /*deadline_ms=*/-1,
+  auto healed = router.Query({queries[0], /*deadline_ms=*/0,
                               /*bypass_cache=*/true});
   if (healed.ok()) {
     std::printf("healed answer: %zu/%zu shards, degraded=%s\n",

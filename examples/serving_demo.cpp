@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
   misc_client.join();
 
   // A post-swap query answers from the new generation.
-  auto post = engine.Query({hot[0], /*deadline_ms=*/-1, /*bypass_cache=*/true});
+  auto post = engine.Query({hot[0], /*deadline_ms=*/0, /*bypass_cache=*/true});
   if (post.ok()) {
     std::printf("post-swap query '%s': %zu experts from snapshot v%llu\n\n",
                 hot[0].c_str(), post->experts.size(),

@@ -15,18 +15,16 @@ Status SaveShardSnapshots(
     const community::CommunityStore& store,
     const std::vector<const expert::TermEvidenceIndex*>& evidence,
     const std::string& prefix) {
-  if (!evidence.empty() && evidence.size() != partition.num_shards()) {
+  if (evidence.size() != partition.num_shards()) {
     return Status::InvalidArgument(
         "SaveShardSnapshots: ", evidence.size(), " evidence indexes for ",
         partition.num_shards(), " shards");
   }
   const uint32_t n = static_cast<uint32_t>(partition.num_shards());
   for (uint32_t i = 0; i < n; ++i) {
-    const expert::TermEvidenceIndex* shard_evidence =
-        evidence.empty() ? nullptr : evidence[i];
     ESHARP_RETURN_NOT_OK(serving::SaveSnapshotFile(
         ShardSnapshotPath(prefix, i, n), *partition.shards[i], store,
-        shard_evidence));
+        evidence[i]));
   }
   return Status::OK();
 }

@@ -15,16 +15,16 @@ namespace esharp::cluster {
 
 /// Per-shard binary snapshots: each shard of the serving tier cold-starts
 /// by mapping its own file (serving/snapshot_file.h format) holding its
-/// sub-corpus, the replicated community store, and optionally its
-/// shard-local term-evidence index. The snapshot builder and the loader
+/// sub-corpus, the replicated community store, and its shard-local
+/// term-evidence index. The snapshot builder and the loader
 /// derive the same `<prefix>.shard<i>-of-<n>.esnap` names, so a restarted
 /// shard process only needs the prefix and its index.
 std::string ShardSnapshotPath(const std::string& prefix, uint32_t shard,
                               uint32_t num_shards);
 
-/// Saves one file per shard. `evidence` is either empty (no EVIDENCE
-/// sections; shards cold-start with live collection) or exactly one
-/// per-shard index aligned with `partition.shards`.
+/// Saves one file per shard. `evidence` holds exactly one non-null
+/// per-shard index aligned with `partition.shards` (InvalidArgument
+/// otherwise).
 Status SaveShardSnapshots(
     const PartitionedCorpus& partition,
     const community::CommunityStore& store,
@@ -33,7 +33,7 @@ Status SaveShardSnapshots(
 
 /// One cold-started shard: its decoded sub-corpus plus a SnapshotManager
 /// with generation 1 published (see SnapshotManager::LoadSnapshot for the
-/// lifetime and evidence semantics).
+/// lifetime semantics).
 struct ColdShard {
   std::shared_ptr<microblog::TweetCorpus> corpus;
   std::unique_ptr<serving::SnapshotManager> manager;

@@ -11,6 +11,9 @@ namespace esharp::cluster {
 namespace {
 /// Time constant of the per-shard qps window (matches ServingMetrics).
 constexpr double kRateTauSeconds = 10.0;
+
+/// Consecutive failures after which a shard reads kDown.
+constexpr uint64_t kDownThreshold = 3;
 }  // namespace
 
 const char* ShardStateName(ShardState state) {
@@ -121,7 +124,7 @@ void ShardHealthTracker::RecordHedge(size_t shard) {
 
 ShardState ShardHealthTracker::StateForLocked(const PerShard& shard) const {
   if (shard.consecutive_failures == 0) return ShardState::kHealthy;
-  if (shard.consecutive_failures < options_.down_threshold) {
+  if (shard.consecutive_failures < kDownThreshold) {
     return ShardState::kDegraded;
   }
   return ShardState::kDown;

@@ -21,8 +21,8 @@ namespace esharp::cluster {
 /// probe, so a shard that answers queries is healthy by construction).
 enum class ShardState {
   kHealthy,   ///< Last attempt succeeded.
-  kDegraded,  ///< 1..down_threshold-1 consecutive failures.
-  kDown,      ///< >= down_threshold consecutive failures.
+  kDegraded,  ///< 1 or 2 consecutive failures.
+  kDown,      ///< 3 or more consecutive failures.
 };
 
 const char* ShardStateName(ShardState state);
@@ -58,8 +58,6 @@ struct ShardStatus {
 class ShardHealthTracker {
  public:
   struct Options {
-    /// Consecutive failures after which a shard reads kDown.
-    uint64_t down_threshold = 3;
     /// Test seam: replaces obs::NowSeconds for the qps window.
     std::function<double()> clock;
     /// Invoked on every state transition (healthy <-> degraded <-> down),

@@ -2,11 +2,6 @@
 
 namespace esharp::cluster {
 
-std::vector<expert::CandidateEvidence> MergeShardEvidence(
-    const std::vector<const std::vector<expert::CandidateEvidence>*>& pools) {
-  return expert::MergeEvidenceViews(pools);
-}
-
 Status CheckShardEvidence(
     const std::vector<expert::CandidateEvidence>& pool, size_t num_users) {
   for (size_t i = 0; i < pool.size(); ++i) {
@@ -26,7 +21,7 @@ Status CheckShardEvidence(
 Result<std::vector<expert::RankedExpert>> MergeAndRank(
     const expert::ExpertDetector& detector,
     const std::vector<const std::vector<expert::CandidateEvidence>*>& pools) {
-  return detector.RankCandidates(MergeShardEvidence(pools));
+  return detector.RankCandidates(expert::MergeEvidenceViews(pools));
 }
 
 }  // namespace esharp::cluster

@@ -8,7 +8,19 @@
 
 namespace esharp::cluster {
 
-/// \brief K-way merge of per-shard evidence pools into the union pool.
+/// \brief Checks that one shard's pool is something MergeAndRank can
+/// rank: sorted-unique by user (the merge invariant below) and every
+/// user below `num_users`, the union corpus size the detector indexes its
+/// per-user totals with. Evidence that crossed a process boundary is
+/// outside input; the router fails the attempt on a violation (IOError)
+/// instead of ranking it.
+Status CheckShardEvidence(
+    const std::vector<expert::CandidateEvidence>& pool, size_t num_users);
+
+/// \brief Merges per-shard evidence pools into the union pool
+/// (expert::MergeEvidenceViews) and ranks it once. `detector` must be built
+/// over the union corpus (the paper's §3 features divide by corpus-wide
+/// per-user totals; partition-local denominators would skew every score).
 ///
 /// Why this is exactly rank-equivalent to an unsharded engine (the
 /// cluster test suite proves it bit-identical on randomized worlds):
@@ -22,33 +34,18 @@ namespace esharp::cluster {
 ///     the expansion term set is identical everywhere, and "tweet matches
 ///     query" depends only on the tweet's text — a user is a candidate in
 ///     the union iff it is a candidate on some shard.
-///  3. Shard pools arrive sorted-unique by user (the MergeEvidence
-///     invariant QueryEvidence maintains), so the merge emits the same
-///     ascending-user vector the unsharded detect stage builds.
-///  4. Ranking happens once, at the router, with a detector over the
-///     union corpus: TS/MI/RI denominators (per-user corpus totals) and
-///     the candidate-pool z-scores see exactly the unsharded inputs, so
-///     every double comes out of the same sequence of operations.
+///  3. Shard pools arrive sorted-unique by user (the invariant
+///     QueryEvidence maintains and CheckShardEvidence enforces), so the
+///     merge emits the same ascending-user vector the unsharded detect
+///     stage builds.
+///  4. Ranking happens once, here, with a detector over the union corpus:
+///     TS/MI/RI denominators (per-user corpus totals) and the
+///     candidate-pool z-scores see exactly the unsharded inputs, so every
+///     double comes out of the same sequence of operations.
 ///
 /// Null entries in `pools` (shards that failed or missed the deadline)
 /// are skipped — that is the degraded partial-result mode, which trades
 /// completeness, never correctness of the merge itself.
-std::vector<expert::CandidateEvidence> MergeShardEvidence(
-    const std::vector<const std::vector<expert::CandidateEvidence>*>& pools);
-
-/// \brief Checks that one shard's pool is something MergeAndRank can
-/// rank: sorted-unique by user (the merge invariant above) and every
-/// user below `num_users`, the union corpus size the detector indexes its
-/// per-user totals with. Evidence that crossed a process boundary is
-/// outside input; the router fails the attempt on a violation (IOError)
-/// instead of ranking it.
-Status CheckShardEvidence(
-    const std::vector<expert::CandidateEvidence>& pool, size_t num_users);
-
-/// \brief Merge + the single cluster-level rank step. `detector` must be
-/// built over the union corpus (the paper's §3 features divide by
-/// corpus-wide per-user totals; partition-local denominators would skew
-/// every score).
 Result<std::vector<expert::RankedExpert>> MergeAndRank(
     const expert::ExpertDetector& detector,
     const std::vector<const std::vector<expert::CandidateEvidence>*>& pools);

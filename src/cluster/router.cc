@@ -16,6 +16,14 @@ namespace esharp::cluster {
 
 namespace {
 
+/// Share of the *remaining* client budget granted to each shard attempt,
+/// leaving headroom for the merge + rank step.
+constexpr double kShardDeadlineFraction = 0.9;
+
+/// A shard is late, and gets a hedge, once it has taken this multiple of
+/// the cluster's hedge-percentile latency.
+constexpr double kHedgeFactor = 1.0;
+
 std::vector<std::string> ShardNames(
     const std::vector<std::unique_ptr<ShardTransport>>& shards) {
   std::vector<std::string> names;
@@ -76,8 +84,7 @@ ClusterRouter::ClusterRouter(
                       : nullptr),
       pool_(options_.pool != nullptr ? options_.pool : owned_pool_.get()),
       health_(ShardNames(shards_),
-              ShardHealthTracker::Options{options_.down_threshold,
-                                          options_.clock,
+              ShardHealthTracker::Options{options_.clock,
                                           options_.on_shard_transition}),
       slow_log_(options_.slow_query_log),
       cache_(options_.cache) {}
@@ -121,8 +128,7 @@ Result<ClusterResponse> ClusterRouter::Query(serving::QueryRequest request) {
   obs::RequestRecord record("cluster_request", request.query,
                             obs::NowSeconds());
   std::shared_ptr<obs::QueryProfile> profile;
-  Result<ClusterResponse> result =
-      Execute(request, EffectiveDeadline(request), &record, &profile);
+  Result<ClusterResponse> result = Execute(request, &record, &profile);
   Finish(&record, &result, std::move(profile));
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   return result;
@@ -166,8 +172,7 @@ void ClusterRouter::LaunchAttempt(const std::shared_ptr<GatherState>& state,
       if (remaining <= 0) {
         expired = true;
       } else {
-        shard_request.deadline_ms =
-            remaining * options_.shard_deadline_fraction;
+        shard_request.deadline_ms = remaining * kShardDeadlineFraction;
       }
     }
     // Open this attempt's profile record and mint its child trace context;
@@ -243,8 +248,8 @@ void ClusterRouter::LaunchAttempt(const std::shared_ptr<GatherState>& state,
 }
 
 Result<ClusterResponse> ClusterRouter::Execute(
-    const serving::QueryRequest& request, double deadline_ms,
-    obs::RequestRecord* record, std::shared_ptr<obs::QueryProfile>* profile) {
+    const serving::QueryRequest& request, obs::RequestRecord* record,
+    std::shared_ptr<obs::QueryProfile>* profile) {
   if (request.query.empty()) {
     record->set_outcome("invalid");
     return Status::InvalidArgument("empty query");
@@ -295,6 +300,7 @@ Result<ClusterResponse> ClusterRouter::Execute(
   }
 
   // Scatter.
+  const double deadline_ms = request.deadline_ms;
   record->Begin("gather");
   auto state = std::make_shared<GatherState>(n);
   state->query = request.query;
@@ -314,7 +320,7 @@ Result<ClusterResponse> ClusterRouter::Execute(
     hedge_delay_ms =
         std::max(options_.hedge_min_ms,
                  health_.LatencyPercentileMs(options_.hedge_percentile) *
-                     options_.hedge_factor);
+                     kHedgeFactor);
   }
   size_t hedges_fired = 0;
   bool deadline_hit = false;

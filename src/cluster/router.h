@@ -31,31 +31,25 @@ struct RouterOptions {
   /// Existing pool to dispatch onto instead of owning one; must outlive
   /// the router. In-process clusters share one pool between the router
   /// and the shard engines without deadlock risk: router tasks call the
-  /// shard engine synchronously, and shard engines collect help-first, so
-  /// neither ever blocks waiting for pool capacity.
+  /// shard engine synchronously, and a shard engine collects on the
+  /// calling thread, so neither ever blocks waiting for pool capacity.
   ThreadPool* pool = nullptr;
   /// Admission bound, as in ServingOptions: beyond it requests are shed
   /// with Unavailable instead of queueing without bound.
   size_t max_in_flight = 256;
-  /// Default end-to-end deadline in milliseconds; <= 0 means none.
-  double default_deadline_ms = 0;
-  /// Fraction of the *remaining* client budget granted to each shard
-  /// attempt, leaving headroom for the merge + rank step. In (0, 1].
-  double shard_deadline_fraction = 0.9;
   /// Router-level result cache over final ranked answers (shards keep no
   /// result caches of their own on this path — their snapshot-time
   /// TermEvidenceIndex is the per-shard cache).
   bool enable_cache = true;
   serving::CacheOptions cache;
   /// Hedged requests (the tail-at-scale defense): when a shard has not
-  /// answered after hedge_factor * cluster-p<hedge_percentile> latency, a
-  /// second attempt is sent and the first finisher wins. With the
+  /// answered after the cluster-p<hedge_percentile> latency, a second
+  /// attempt is sent and the first finisher wins. With the
   /// in-process transport both attempts hit the same engine, so a hedge
   /// only helps against transient slowness (queue wait behind an
   /// expensive request) — exactly the tail this tier produces.
   bool enable_hedging = true;
   double hedge_percentile = 95;
-  double hedge_factor = 1.0;
   /// Floor on the hedge delay, so sub-millisecond in-process latencies do
   /// not turn every request into two.
   double hedge_min_ms = 1.0;
@@ -65,8 +59,6 @@ struct RouterOptions {
   /// Minimum shards that must answer for a (degraded) response; below it
   /// the query fails. 1 = serve whatever answered.
   size_t min_shards_answered = 1;
-  /// Consecutive failures after which a shard reads kDown.
-  uint64_t down_threshold = 3;
   /// Optional scatter tracing: each query's record becomes a
   /// "cluster_request" span with "gather" and "merge_rank" children,
   /// annotated with shard/hedge counts. Must outlive the router.
@@ -129,7 +121,7 @@ struct ClusterResponse {
 ///   Query -> admission (shed over max_in_flight)
 ///         -> cache probe (validated against the combined shard versions)
 ///         -> scatter: one Collect task per shard on the pool, each with
-///            shard_deadline_fraction of the remaining client budget
+///            90% of the remaining client budget (QueryRequest::deadline_ms)
 ///         -> gather: wait for all shards, firing one hedge per late
 ///            shard once the latency trigger arms; stop at the deadline
 ///            with whatever answered
@@ -211,7 +203,6 @@ class ClusterRouter {
   /// The routing pipeline, stamping `record` at each stage boundary. A
   /// query that scattered also gets `*profile`: its lanes and shard counts.
   Result<ClusterResponse> Execute(const serving::QueryRequest& request,
-                                  double deadline_ms,
                                   obs::RequestRecord* record,
                                   std::shared_ptr<obs::QueryProfile>* profile);
   /// The one exit of every admitted query: finishes the record and feeds
@@ -222,11 +213,6 @@ class ClusterRouter {
   /// Launches one attempt (primary or hedge) against shard `index`.
   void LaunchAttempt(const std::shared_ptr<GatherState>& state, size_t index,
                      bool is_hedge);
-
-  double EffectiveDeadline(const serving::QueryRequest& request) const {
-    return request.deadline_ms >= 0 ? request.deadline_ms
-                                    : options_.default_deadline_ms;
-  }
 
   std::vector<std::unique_ptr<ShardTransport>> shards_;
   const expert::ExpertDetector* detector_;

@@ -17,8 +17,7 @@ namespace esharp::cluster {
 struct ShardRequest {
   std::string query;
   /// Milliseconds this attempt may spend, queue wait included; <= 0 means
-  /// no deadline. Always explicit — the router's budget overrides any
-  /// engine-side default, so one slow shard cannot ignore the client.
+  /// no deadline.
   double deadline_ms = 0;
   /// Distributed trace context of this attempt: the router's query trace
   /// id plus a per-attempt child span id. Crosses the wire as a header
@@ -70,8 +69,7 @@ class InProcessShard final : public ShardTransport {
   Result<ShardEvidence> Collect(const ShardRequest& request) override {
     serving::QueryRequest query;
     query.query = request.query;
-    // 0 = explicitly none; never fall through to the engine default (-1).
-    query.deadline_ms = request.deadline_ms > 0 ? request.deadline_ms : 0;
+    query.deadline_ms = request.deadline_ms;
     query.trace = request.trace;
     return engine_->QueryEvidence(std::move(query));
   }

@@ -164,7 +164,6 @@ void MountShardEndpoint(obs::DebugServer* server,
     serving::QueryRequest query;
     query.query = request.Param("q");
     std::string deadline = request.Param("deadline_ms");
-    // 0 = explicit none: the router's budget replaces any engine default.
     query.deadline_ms =
         deadline.empty() ? 0 : std::strtod(deadline.c_str(), nullptr);
     // Lenient by design: a missing, truncated or corrupt trace header

@@ -4,6 +4,17 @@
 
 namespace esharp::core {
 
+std::vector<std::string> ExpansionVocabulary(
+    const community::CommunityStore& store) {
+  std::vector<std::string> vocabulary;
+  for (const community::Community& c : store.communities()) {
+    for (const std::string& term : c.terms) {
+      vocabulary.push_back(ToLowerAscii(term));  // as Expand emits it
+    }
+  }
+  return vocabulary;
+}
+
 QueryExpansion ESharp::Expand(const std::string& query) const {
   QueryExpansion expansion;
   std::string normalized = ToLowerAscii(query);

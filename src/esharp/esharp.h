@@ -39,6 +39,14 @@ struct ESharpOptions {
   expert::DetectorOptions detector;
 };
 
+/// \brief The expansion vocabulary of `store`: every term ESharp::Expand
+/// can emit as a community sibling, normalized the way Expand normalizes
+/// it, in store order (community by community, each community's terms in
+/// order). It is closed per store, so the evidence index of a serving
+/// generation is built over exactly these terms.
+std::vector<std::string> ExpansionVocabulary(
+    const community::CommunityStore& store);
+
 /// \brief The e# system: a community store + a baseline detector, composed
 /// per Fig. 1's online stage.
 ///

@@ -2,9 +2,9 @@
 
 #include <unordered_map>
 
-#include "common/strings.h"
 #include "community/parallel_cd.h"
 #include "community/sql_cd.h"
+#include "esharp/esharp.h"
 #include "obs/obs.h"
 
 namespace esharp::core {
@@ -122,24 +122,16 @@ Result<OfflineArtifacts> RunOfflinePipeline(const querylog::QueryLog& log,
   ESHARP_SPAN_ANNOTATE(index_span, "communities",
                        static_cast<int64_t>(artifacts.store.num_communities()));
   if (options.corpus != nullptr) {
-    // Serving fast-path artifact: the expansion vocabulary is exactly the
-    // store's term set, so every in-vocabulary term's candidate pool can be
-    // collected now, once per weekly refresh, instead of once per request.
-    std::vector<std::string> vocabulary;
-    for (const community::Community& c : artifacts.store.communities()) {
-      // Store terms are lower-cased already, but key the index through the
-      // same normalization Expand applies so lookups can never miss on
-      // case.
-      for (const std::string& term : c.terms) {
-        vocabulary.push_back(ToLowerAscii(term));
-      }
-    }
+    // Serving fast-path artifact: the expansion vocabulary is closed per
+    // store, so every in-vocabulary term's candidate pool can be collected
+    // now, once per weekly refresh, instead of once per request.
     expert::TermEvidenceIndex::BuildOptions evidence_options;
     evidence_options.pool = options.pool;
     artifacts.evidence_index =
         std::make_shared<const expert::TermEvidenceIndex>(
-            expert::TermEvidenceIndex::Build(*options.corpus, vocabulary,
-                                             evidence_options));
+            expert::TermEvidenceIndex::Build(
+                *options.corpus, ExpansionVocabulary(artifacts.store),
+                evidence_options));
     ESHARP_SPAN_ANNOTATE(
         index_span, "evidence_terms",
         static_cast<int64_t>(artifacts.evidence_index->num_terms()));

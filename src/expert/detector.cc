@@ -16,8 +16,8 @@ namespace {
 /// Dense touched-list scratch for candidate accumulation: slot_of_user maps
 /// a user id to its index in the output pool, validated by an epoch stamp
 /// so consecutive collections skip the O(num_users) clear. Thread-local —
-/// each collecting or merging thread (serving fan-out workers included)
-/// reuses its own, sized to the largest user id it has seen.
+/// each collecting or merging thread (serving request threads, index-build
+/// workers) reuses its own, sized to the largest user id it has seen.
 struct EvidenceScratch {
   std::vector<uint64_t> epoch_of_user;
   std::vector<uint32_t> slot_of_user;

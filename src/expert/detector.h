@@ -87,9 +87,8 @@ struct DetectorOptions {
 class CollectCancel {
  public:
   virtual ~CollectCancel() = default;
-  /// Must be safe to call from any collecting thread; returning true once
-  /// should keep returning true (latched), since several workers share one
-  /// token.
+  /// Polled from the collecting thread; once it returns true it should
+  /// keep returning true.
   virtual bool Cancelled() = 0;
 };
 

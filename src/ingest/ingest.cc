@@ -6,6 +6,7 @@
 #include "common/strings.h"
 #include "common/timer.h"
 #include "community/component_cd.h"
+#include "esharp/esharp.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 
@@ -308,14 +309,7 @@ Result<PublishStats> IngestPipeline::Publish() {
         community::CommunityStore::Build(*published_graph_,
                                          detection.assignment));
 
-    // The expansion vocabulary is the new store's term set, normalized the
-    // way the offline pipeline and Publish normalize it.
-    vocabulary_.clear();
-    for (const community::Community& c : published_store_->communities()) {
-      for (const std::string& term : c.terms) {
-        vocabulary_.push_back(ToLowerAscii(term));
-      }
-    }
+    vocabulary_ = core::ExpansionVocabulary(*published_store_);
     graph_dirty_ = false;
   } else if (published_graph_ == nullptr) {
     published_graph_ = std::make_shared<const graph::Graph>();

@@ -238,11 +238,7 @@ Result<RebuildArtifacts> RebuildFromScratch(const IngestPipeline& pipeline) {
   out.store = std::make_shared<const community::CommunityStore>(
       community::CommunityStore::Build(*out.graph, detection.assignment));
 
-  for (const community::Community& c : out.store->communities()) {
-    for (const std::string& term : c.terms) {
-      out.vocabulary.push_back(ToLowerAscii(term));
-    }
-  }
+  out.vocabulary = core::ExpansionVocabulary(*out.store);
   expert::TermEvidenceIndex::BuildOptions evidence_options;
   evidence_options.pool = options.pool;
   out.evidence = std::make_shared<const expert::TermEvidenceIndex>(

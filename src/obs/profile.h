@@ -65,8 +65,8 @@ struct LaneAttempt {
   std::string detail;
   double start_ms = 0;  ///< Launch offset from query admission.
   double dur_ms = 0;    ///< 0 while outstanding.
-  /// Budget the router granted this attempt (shard_deadline_fraction of
-  /// the remaining client budget at launch); 0 = none.
+  /// Budget the router granted this attempt (90% of the remaining client
+  /// budget at launch); 0 = none.
   double deadline_ms = 0;
   /// Shard-side breakdown piggybacked on the evidence response (all 0 when
   /// the attempt failed before the shard answered).

@@ -13,59 +13,21 @@ namespace esharp::serving {
 
 namespace {
 
-/// Shared state of one request's live-term collection fan-out. Owned by
-/// shared_ptr: the submitting request and every helper task co-own it (and
-/// the snapshot), so a helper that dequeues after the request completed —
-/// or after the engine was destroyed — still touches only valid memory,
-/// finds the claim counter exhausted, and returns.
-///
-/// Also the fan-out's CollectCancel: the deadline is evaluated inside the
-/// per-term collection loops (every kCollectCancelStride matching tweets),
-/// and once any worker observes it expired the latch cancels the rest.
-struct LiveDetectState final : expert::CollectCancel {
-  std::shared_ptr<const ServingSnapshot> snapshot;
-  std::vector<std::vector<microblog::TokenId>> tokens;  // per live term
-  std::vector<std::vector<expert::CandidateEvidence>> results;
-  double submitted_seconds = 0;  // the request's deadline clock origin
-  double deadline_ms = 0;        // <= 0: none
-  std::atomic<bool> cancelled{false};
-  std::atomic<size_t> next{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t done = 0;  // guarded by mu
+/// The cooperative deadline of one request's live collection: polled by
+/// CollectCandidates on entry and every kCollectCancelStride matching
+/// tweets, on the clock every deadline of the request runs on.
+class RecordDeadline final : public expert::CollectCancel {
+ public:
+  RecordDeadline(const obs::RequestRecord* record, double deadline_ms)
+      : record_(record), deadline_ms_(deadline_ms) {}
 
   bool Cancelled() override {
-    if (cancelled.load(std::memory_order_relaxed)) return true;
-    if (deadline_ms > 0 &&
-        (obs::NowSeconds() - submitted_seconds) * 1e3 > deadline_ms) {
-      cancelled.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
+    return deadline_ms_ > 0 && record_->ElapsedMs() > deadline_ms_;
   }
 
-  /// Claims and collects terms until none remain. Run by the submitting
-  /// thread (always) and by any helper the pool gets to in time.
-  void RunWorker() {
-    const size_t n = tokens.size();
-    const expert::ExpertDetector& detector = snapshot->esharp().detector();
-    for (;;) {
-      size_t k = next.fetch_add(1, std::memory_order_relaxed);
-      if (k >= n) return;
-      std::optional<std::vector<expert::CandidateEvidence>> pool =
-          detector.CollectCandidates(tokens[k], this);
-      if (pool.has_value()) results[k] = std::move(*pool);
-      std::lock_guard<std::mutex> lock(mu);
-      if (++done == n) cv.notify_all();
-    }
-  }
-
-  /// Blocks until every claimed term finished (all terms are claimed by
-  /// the time the submitting thread's RunWorker returns).
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return done == tokens.size(); });
-  }
+ private:
+  const obs::RequestRecord* record_;
+  double deadline_ms_;  // <= 0: none
 };
 
 }  // namespace
@@ -125,10 +87,9 @@ std::future<Result<QueryResponse>> ServingEngine::SubmitQuery(
       std::make_shared<std::promise<Result<QueryResponse>>>(
           std::move(promise));
   const double submitted = obs::NowSeconds();
-  double deadline_ms = EffectiveDeadline(request);
-  pool_->Submit([this, shared_promise, submitted, deadline_ms,
+  pool_->Submit([this, shared_promise, submitted,
                  request = std::move(request)]() mutable {
-    Result<QueryResponse> result = Run(request, submitted, deadline_ms);
+    Result<QueryResponse> result = Run(request, submitted);
     // Release the admission slot before fulfilling the future, so a caller
     // that observed completion also observes the slot as free.
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -142,8 +103,7 @@ Result<QueryResponse> ServingEngine::Query(QueryRequest request) {
     return Status::Unavailable("overloaded: ", options_.max_in_flight,
                                " requests in flight");
   }
-  Result<QueryResponse> result =
-      Run(request, obs::NowSeconds(), EffectiveDeadline(request));
+  Result<QueryResponse> result = Run(request, obs::NowSeconds());
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   return result;
 }
@@ -179,12 +139,11 @@ void ServingEngine::Finish(obs::RequestRecord* record, const Status& status,
 }
 
 Result<QueryResponse> ServingEngine::Run(const QueryRequest& request,
-                                         double submitted_seconds,
-                                         double deadline_ms) {
+                                         double submitted_seconds) {
   obs::RequestRecord record("request", request.query, submitted_seconds);
   Open(&record, request.trace);
-  Result<QueryResponse> result = Execute(request, deadline_ms, &record);
-  Finish(&record, result.status(), deadline_ms);
+  Result<QueryResponse> result = Execute(request, &record);
+  Finish(&record, result.status(), request.deadline_ms);
   if (result.ok()) {
     result->stages = StageTimings{record.StageMs("expand"),
                                   record.StageMs("detect"),
@@ -259,7 +218,6 @@ void ServingEngine::MaybeInvalidateOnSwap(uint64_t current_version) {
 }
 
 Result<QueryResponse> ServingEngine::Execute(const QueryRequest& request,
-                                             double deadline_ms,
                                              obs::RequestRecord* record) {
   if (request.query.empty()) {
     record->set_outcome("invalid");
@@ -299,13 +257,14 @@ Result<QueryResponse> ServingEngine::Execute(const QueryRequest& request,
   }
   record->End();
 
+  const double deadline_ms = request.deadline_ms;
   if (deadline_ms > 0 && record->ElapsedMs() > deadline_ms) {
     return Status::DeadlineExceeded("deadline of ", deadline_ms,
                                     " ms elapsed in queue");
   }
 
   if (!options_.enable_single_flight || request.bypass_cache) {
-    return ExecuteUncached(key, request, deadline_ms, snapshot, record);
+    return ExecuteUncached(key, request, snapshot, record);
   }
 
   // Single-flight: the first request for a key becomes the leader and runs
@@ -326,7 +285,7 @@ Result<QueryResponse> ServingEngine::Execute(const QueryRequest& request,
 
   if (leader) {
     Result<QueryResponse> result =
-        ExecuteUncached(key, request, deadline_ms, snapshot, record);
+        ExecuteUncached(key, request, snapshot, record);
     {
       std::lock_guard<std::mutex> lock(flights_mu_);
       flights_.erase(key);
@@ -370,7 +329,7 @@ Result<QueryResponse> ServingEngine::Execute(const QueryRequest& request,
 }
 
 Result<QueryResponse> ServingEngine::ExecuteUncached(
-    const std::string& key, const QueryRequest& request, double deadline_ms,
+    const std::string& key, const QueryRequest& request,
     const std::shared_ptr<const ServingSnapshot>& snapshot,
     obs::RequestRecord* record) {
   if (options_.execution_hook) options_.execution_hook(key);
@@ -386,7 +345,7 @@ Result<QueryResponse> ServingEngine::ExecuteUncached(
   // Stage 2: candidate collection (shared with the cluster tier's
   // QueryEvidence path; see DetectMerged).
   Result<std::vector<expert::CandidateEvidence>> detected =
-      DetectMerged(expansion.terms, deadline_ms, snapshot, record);
+      DetectMerged(expansion.terms, request.deadline_ms, snapshot, record);
   if (!detected.ok()) return detected.status();
 
   // Stage 3: ranking (z-scored features over the union pool).
@@ -412,71 +371,41 @@ Result<std::vector<expert::CandidateEvidence>> ServingEngine::DetectMerged(
     const std::vector<std::string>& terms, double deadline_ms,
     const std::shared_ptr<const ServingSnapshot>& snapshot,
     obs::RequestRecord* record) {
-  // In-vocabulary terms resolve to their snapshot-time precomputed pools (a
-  // hash lookup); the rest collect live — in parallel on the worker pool
-  // when enabled — with the deadline enforced cooperatively *inside* each
-  // term's collection, so one term over a head token's postings cannot blow
-  // the budget unchecked. A snapshot published without an index collects
-  // every term live.
+  // A term in the generation's index resolves to its precomputed pool (a
+  // hash lookup); any other term is collected here, on the request's
+  // thread, with the deadline polled inside the collection so one term
+  // over a head token's postings cannot blow the budget unchecked.
   obs::RequestRecord::Stamp& detect = record->Begin("detect");
-  const expert::TermEvidenceIndex* evidence = snapshot->evidence();
-  const size_t num_terms = terms.size();
-  std::vector<const std::vector<expert::CandidateEvidence>*> pools(num_terms,
-                                                                   nullptr);
-  std::vector<size_t> live_terms;
-  for (size_t i = 0; i < num_terms; ++i) {
-    const std::vector<expert::CandidateEvidence>* pre =
-        evidence != nullptr ? evidence->Find(terms[i]) : nullptr;
-    if (pre != nullptr) {
-      pools[i] = pre;
-    } else {
-      live_terms.push_back(i);
-    }
-  }
-
-  std::shared_ptr<LiveDetectState> live;
-  if (!live_terms.empty()) {
-    // Heap-owned, shared with every helper task: a helper that dequeues
-    // after this request finished (pool backlog) finds no work left and
-    // touches only this state and the snapshot it co-owns — never the
-    // request stack or the engine.
-    live = std::make_shared<LiveDetectState>();
-    live->snapshot = snapshot;
-    live->submitted_seconds = record->submitted_seconds();
-    live->deadline_ms = deadline_ms;
-    live->tokens.reserve(live_terms.size());
-    const microblog::TweetCorpus& corpus =
-        *snapshot->esharp().detector().corpus();
-    for (size_t i : live_terms) {
+  const expert::TermEvidenceIndex& evidence = *snapshot->evidence();
+  const expert::ExpertDetector& detector = snapshot->esharp().detector();
+  RecordDeadline deadline(record, deadline_ms);
+  std::vector<const expert::TermEvidenceIndex::Pool*> pools;
+  pools.reserve(terms.size());
+  std::vector<expert::TermEvidenceIndex::Pool> live;
+  live.reserve(terms.size());  // pools point into it
+  for (const std::string& term : terms) {
+    const expert::TermEvidenceIndex::Pool* pool = evidence.Find(term);
+    if (pool == nullptr) {
       // Expansion terms are already lower-cased: split + intern only.
-      live->tokens.push_back(corpus.TokenizeNormalized(terms[i]));
+      std::optional<expert::TermEvidenceIndex::Pool> collected =
+          detector.CollectCandidates(
+              detector.corpus()->TokenizeNormalized(term), &deadline);
+      if (!collected.has_value()) {
+        detect.outcome = "timeout";
+        return Status::DeadlineExceeded("deadline of ", deadline_ms,
+                                        " ms elapsed during detection");
+      }
+      live.push_back(std::move(*collected));
+      pool = &live.back();
     }
-    live->results.resize(live_terms.size());
-    // Fan live-term collection out across the worker pool.
-    const size_t helpers =
-        std::min(live_terms.size() - 1, pool_->num_threads());
-    for (size_t h = 0; h < helpers; ++h) {
-      pool_->Submit([live] { live->RunWorker(); });
-    }
-    // Help-first: this thread collects terms too, so progress never waits
-    // on pool capacity; Wait() then covers claims helpers are finishing.
-    live->RunWorker();
-    live->Wait();
-    if (live->cancelled.load(std::memory_order_relaxed)) {
-      detect.outcome = "timeout";
-      return Status::DeadlineExceeded("deadline of ", deadline_ms,
-                                      " ms elapsed during detection");
-    }
-    for (size_t k = 0; k < live_terms.size(); ++k) {
-      pools[live_terms[k]] = &live->results[k];
-    }
+    pools.push_back(pool);
   }
 
   std::vector<expert::CandidateEvidence> merged =
       expert::MergeEvidenceViews(pools);
   detect.Count("terms_precomputed",
-               static_cast<int64_t>(num_terms - live_terms.size()));
-  detect.Count("terms_live", static_cast<int64_t>(live_terms.size()));
+               static_cast<int64_t>(terms.size() - live.size()));
+  detect.Count("terms_live", static_cast<int64_t>(live.size()));
   detect.Count("candidates", static_cast<int64_t>(merged.size()));
   return merged;
 }
@@ -493,10 +422,8 @@ Result<EvidenceResponse> ServingEngine::QueryEvidence(QueryRequest request) {
                             obs::NowSeconds());
   Open(&record, request.trace.valid() ? request.trace
                                       : obs::TraceContext::NewRoot());
-  const double deadline_ms = EffectiveDeadline(request);
-  Result<EvidenceResponse> result =
-      ExecuteEvidence(request, deadline_ms, &record);
-  Finish(&record, result.status(), deadline_ms);
+  Result<EvidenceResponse> result = ExecuteEvidence(request, &record);
+  Finish(&record, result.status(), request.deadline_ms);
   if (result.ok()) {
     result->shard_ms = record.total_ms();
     result->queue_ms = record.StageMs("admission");
@@ -508,8 +435,7 @@ Result<EvidenceResponse> ServingEngine::QueryEvidence(QueryRequest request) {
 }
 
 Result<EvidenceResponse> ServingEngine::ExecuteEvidence(
-    const QueryRequest& request, double deadline_ms,
-    obs::RequestRecord* record) {
+    const QueryRequest& request, obs::RequestRecord* record) {
   // A leaner Execute(): no result cache and no single-flight — the
   // per-term pools in the snapshot's TermEvidenceIndex already are this
   // path's cache, and deduplication belongs at the router, which sees the
@@ -522,6 +448,7 @@ Result<EvidenceResponse> ServingEngine::ExecuteEvidence(
   if (snapshot == nullptr) {
     return Status::FailedPrecondition("no snapshot published yet");
   }
+  const double deadline_ms = request.deadline_ms;
   if (deadline_ms > 0 && record->ElapsedMs() > deadline_ms) {
     return Status::DeadlineExceeded("deadline of ", deadline_ms,
                                     " ms elapsed in queue");

@@ -38,9 +38,6 @@ struct ServingOptions {
   /// queuing without bound — an overloaded service must fail fast, not
   /// collapse under its own backlog.
   size_t max_in_flight = 64;
-  /// Default per-request deadline in milliseconds; <= 0 means none.
-  /// Measured from submission, so queue wait counts against it.
-  double default_deadline_ms = 0;
   /// Result cache; set enable_cache = false to force every request through
   /// the detector (benchmarking, tests).
   bool enable_cache = true;
@@ -66,8 +63,9 @@ struct ServingOptions {
 /// \brief One query to serve.
 struct QueryRequest {
   std::string query;
-  /// Overrides ServingOptions::default_deadline_ms when >= 0.
-  double deadline_ms = -1;
+  /// Deadline in milliseconds, measured from submission (queue wait
+  /// counts against it); <= 0 means none.
+  double deadline_ms = 0;
   /// Skips cache lookup AND population for this request.
   bool bypass_cache = false;
   /// Distributed trace context to serve under. Invalid (default) = the
@@ -267,24 +265,24 @@ class ServingEngine {
 
   /// One admitted Query/SubmitQuery request, submitted at
   /// `submitted_seconds` (obs::NowSeconds() time base): opens its record,
-  /// runs Execute and finishes the record. deadline_ms <= 0 means none.
+  /// runs Execute and finishes the record.
   Result<QueryResponse> Run(const QueryRequest& request,
-                            double submitted_seconds, double deadline_ms);
+                            double submitted_seconds);
 
   /// The query pipeline, stamping `record` at each stage boundary.
   Result<QueryResponse> Execute(const QueryRequest& request,
-                                double deadline_ms, obs::RequestRecord* record);
+                                obs::RequestRecord* record);
 
   /// The detector work proper, against one pinned snapshot.
   Result<QueryResponse> ExecuteUncached(
-      const std::string& key, const QueryRequest& request, double deadline_ms,
+      const std::string& key, const QueryRequest& request,
       const std::shared_ptr<const ServingSnapshot>& snapshot,
       obs::RequestRecord* record);
 
-  /// The detect stage shared by ExecuteUncached and ExecuteEvidence: resolve
-  /// each expansion term to its precomputed pool or collect it live (in
-  /// parallel on the pool, deadline enforced cooperatively inside the
-  /// collection loops), then merge the pools. Begins the record's
+  /// The detect stage shared by ExecuteUncached and ExecuteEvidence: look
+  /// each expansion term up in the snapshot's evidence index, collect any
+  /// term it lacks on this thread (deadline enforced cooperatively inside
+  /// the collection loop), then merge the pools. Begins the record's
   /// "detect" stamp and annotates it with the terms/candidates counts, or
   /// with a "timeout" outcome when the deadline fires mid-collection (and
   /// returns DeadlineExceeded).
@@ -295,7 +293,6 @@ class ServingEngine {
 
   /// The QueryEvidence pipeline, stamping `record`.
   Result<EvidenceResponse> ExecuteEvidence(const QueryRequest& request,
-                                           double deadline_ms,
                                            obs::RequestRecord* record);
 
   /// Opens the record of an admitted request: its queue wait becomes the
@@ -310,11 +307,6 @@ class ServingEngine {
 
   /// Drops stale cache entries when the snapshot generation moved.
   void MaybeInvalidateOnSwap(uint64_t current_version);
-
-  double EffectiveDeadline(const QueryRequest& request) const {
-    return request.deadline_ms >= 0 ? request.deadline_ms
-                                    : options_.default_deadline_ms;
-  }
 
   SnapshotManager* snapshots_;
   ServingOptions options_;

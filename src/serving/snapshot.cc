@@ -25,20 +25,16 @@ uint64_t SnapshotManager::Publish(
   std::lock_guard<std::mutex> lock(publish_mu_);
   const microblog::TweetCorpus* generation_corpus =
       corpus != nullptr ? corpus.get() : corpus_;
-  if (evidence == nullptr && build_evidence_on_publish_ &&
-      generation_corpus != nullptr) {
-    // The expansion vocabulary of this generation is the store's term set;
-    // precompute every term's candidate pool so the engine's detect stage
-    // is a lookup for in-vocabulary terms. Runs on the publisher's thread
-    // under the publish lock — the weekly refresh path, not a query path.
-    std::vector<std::string> vocabulary;
-    for (const community::Community& c : store->communities()) {
-      for (const std::string& term : c.terms) {
-        vocabulary.push_back(ToLowerAscii(term));
-      }
-    }
+  if (evidence == nullptr) {
+    // Precompute every expansion-vocabulary term's candidate pool so the
+    // engine's detect stage is a lookup for in-vocabulary terms. Runs on
+    // the publisher's thread under the publish lock — the weekly refresh
+    // path, not a query path. Without a corpus nothing can be collected.
     evidence = std::make_shared<const expert::TermEvidenceIndex>(
-        expert::TermEvidenceIndex::Build(*generation_corpus, vocabulary));
+        generation_corpus != nullptr
+            ? expert::TermEvidenceIndex::Build(
+                  *generation_corpus, core::ExpansionVocabulary(*store))
+            : expert::TermEvidenceIndex());
   }
   uint64_t version = next_version_++;
   auto snapshot =
@@ -85,20 +81,15 @@ Result<SnapshotManager::ColdStartArtifacts> SnapshotManager::LoadSnapshot(
   artifacts.corpus = decoded.corpus;
   artifacts.info = decoded.info;
   artifacts.manager = std::make_unique<SnapshotManager>(decoded.corpus.get());
-  // A file without evidence cold-starts with live collection; rebuilding
-  // the index here would cost exactly the offline work this path skips.
   // The generation owns the decoded corpus, so it survives even if the
   // caller drops ColdStartArtifacts::corpus.
-  artifacts.manager->set_build_evidence_on_publish(false);
   artifacts.manager->Publish(decoded.store, decoded.corpus, options,
                              decoded.evidence);
-  artifacts.manager->set_build_evidence_on_publish(true);
   obs::EventLog::Global().Add(
       obs::LogLevel::kINFO, "serving", "cold start from snapshot file",
       {{"file_bytes",
         StrFormat("%llu",
-                  static_cast<unsigned long long>(decoded.info.file_bytes))},
-       {"has_evidence", decoded.info.has_evidence ? "true" : "false"}});
+                  static_cast<unsigned long long>(decoded.info.file_bytes))}});
   return artifacts;
 }
 

@@ -28,15 +28,14 @@ namespace esharp::serving {
 /// moved on to a newer generation.
 class ServingSnapshot {
  public:
-  /// `evidence` may be null (the engine then collects every term live);
-  /// SnapshotManager::Publish builds one by default. The corpus is borrowed
-  /// and must outlive the snapshot (the weekly-refresh setup, where one
-  /// corpus spans every generation).
+  /// `evidence` must not be null; an empty index makes the engine collect
+  /// every term live. The corpus is borrowed and must outlive the snapshot
+  /// (the weekly-refresh setup, where one corpus spans every generation).
   ServingSnapshot(
       uint64_t version,
       std::shared_ptr<const community::CommunityStore> store,
       const microblog::TweetCorpus* corpus, core::ESharpOptions options,
-      std::shared_ptr<const expert::TermEvidenceIndex> evidence = nullptr)
+      std::shared_ptr<const expert::TermEvidenceIndex> evidence)
       : version_(version),
         store_(std::move(store)),
         evidence_(std::move(evidence)),
@@ -55,7 +54,7 @@ class ServingSnapshot {
       std::shared_ptr<const community::CommunityStore> store,
       std::shared_ptr<const microblog::TweetCorpus> corpus,
       core::ESharpOptions options,
-      std::shared_ptr<const expert::TermEvidenceIndex> evidence = nullptr)
+      std::shared_ptr<const expert::TermEvidenceIndex> evidence)
       : version_(version),
         store_(std::move(store)),
         evidence_(std::move(evidence)),
@@ -79,9 +78,9 @@ class ServingSnapshot {
   const core::ESharp& esharp() const { return esharp_; }
 
   /// Precomputed per-term candidate pools for this generation's expansion
-  /// vocabulary, or nullptr (live collection for every term). Borrowed
-  /// pools stay valid while the snapshot is held — exactly the serving
-  /// engine's per-request pinning discipline.
+  /// vocabulary; never null. The engine collects a term outside it live.
+  /// Borrowed pools stay valid while the snapshot is held — exactly the
+  /// serving engine's per-request pinning discipline.
   const expert::TermEvidenceIndex* evidence() const { return evidence_.get(); }
 
   /// The corpus this generation was built against (owned by the snapshot on
@@ -128,9 +127,10 @@ class SnapshotManager {
   ///
   /// `evidence` is the generation's precomputed term-evidence index
   /// (RunOfflinePipeline builds one when OfflineOptions::corpus is set).
-  /// When null and evidence building is enabled (the default), Publish
-  /// builds it here — on the publisher's thread, i.e. the weekly refresh,
-  /// never the query path.
+  /// When null, Publish builds it over the store's expansion vocabulary
+  /// here — on the publisher's thread, i.e. the weekly refresh, never the
+  /// query path. A caller that wants every term collected live passes an
+  /// empty index.
   uint64_t Publish(
       std::shared_ptr<const community::CommunityStore> store,
       core::ESharpOptions options = {},
@@ -154,14 +154,6 @@ class SnapshotManager {
       core::ESharpOptions options = {},
       std::shared_ptr<const expert::TermEvidenceIndex> evidence = nullptr);
 
-  /// Disables (or re-enables) building a missing evidence index at publish
-  /// time. Reference/baseline setups use this to serve with live collection
-  /// only; snapshots published while disabled carry whatever `evidence`
-  /// the caller passed (usually none).
-  void set_build_evidence_on_publish(bool build) {
-    build_evidence_on_publish_ = build;
-  }
-
   /// Serializes the current generation (corpus, store, evidence) to the
   /// versioned binary snapshot file at `path` — the artifact LoadSnapshot
   /// cold-starts from. FailedPrecondition before the first Publish.
@@ -178,12 +170,9 @@ class SnapshotManager {
   };
 
   /// Cold-starts a serving tier from a snapshot file: maps and validates
-  /// `path`, reassembles the artifacts, and publishes them as generation 1
-  /// — no log parsing, graph build, clustering or evidence collection.
-  /// When the file carries no EVIDENCE section the publish does NOT
-  /// rebuild the index (that would silently reintroduce the pipeline cost
-  /// this path exists to skip); the engine serves with live collection
-  /// until the next regular Publish.
+  /// `path`, reassembles the artifacts (the file's EVIDENCE section is the
+  /// generation's index), and publishes them as generation 1 — no log
+  /// parsing, graph build, clustering or evidence collection.
   static Result<ColdStartArtifacts> LoadSnapshot(
       const std::string& path, core::ESharpOptions options = {});
 
@@ -202,7 +191,6 @@ class SnapshotManager {
   const microblog::TweetCorpus* corpus_;
   std::mutex publish_mu_;
   uint64_t next_version_ = 1;  // guarded by publish_mu_
-  bool build_evidence_on_publish_ = true;
   std::atomic<uint64_t> version_{0};
   std::atomic<std::shared_ptr<const ServingSnapshot>> current_{nullptr};
 };

@@ -12,7 +12,7 @@ namespace esharp::serving {
 
 namespace {
 
-// Section ids, in file order. EVIDENCE is optional.
+// Section ids, in file order.
 enum SectionId : uint32_t {
   kMeta = 1,
   kUsers = 2,
@@ -44,14 +44,12 @@ constexpr uint32_t kMaxSections = 64;     // format sanity bound
 // ---- writer ---------------------------------------------------------------
 
 std::string EncodeMeta(const microblog::TweetCorpus& corpus,
-                       const community::CommunityStore& store,
-                       bool has_evidence) {
+                       const community::CommunityStore& store) {
   std::string s;
   AppendU64(&s, corpus.num_users());
   AppendU64(&s, corpus.num_tweets());
   AppendU64(&s, corpus.num_tokens());
   AppendU64(&s, store.num_communities());
-  AppendU64(&s, has_evidence ? 1 : 0);
   return s;
 }
 
@@ -227,17 +225,13 @@ struct MetaCounts {
   uint64_t num_tweets = 0;
   uint64_t num_tokens = 0;
   uint64_t num_communities = 0;
-  bool has_evidence = false;
 };
 
 Status DecodeMeta(ByteReader* r, MetaCounts* meta) {
-  uint64_t has_evidence = 0;
   ESHARP_RETURN_NOT_OK(r->ReadU64(&meta->num_users));
   ESHARP_RETURN_NOT_OK(r->ReadU64(&meta->num_tweets));
   ESHARP_RETURN_NOT_OK(r->ReadU64(&meta->num_tokens));
   ESHARP_RETURN_NOT_OK(r->ReadU64(&meta->num_communities));
-  ESHARP_RETURN_NOT_OK(r->ReadU64(&has_evidence));
-  meta->has_evidence = has_evidence != 0;
   return Status::OK();
 }
 
@@ -435,17 +429,18 @@ Status SaveSnapshotFile(const std::string& path,
                         const microblog::TweetCorpus& corpus,
                         const community::CommunityStore& store,
                         const expert::TermEvidenceIndex* evidence) {
+  if (evidence == nullptr) {
+    return Status::InvalidArgument(
+        "snapshot '", path, "': no term-evidence index to save");
+  }
   std::vector<std::pair<uint32_t, std::string>> sections;
-  sections.emplace_back(kMeta,
-                        EncodeMeta(corpus, store, evidence != nullptr));
+  sections.emplace_back(kMeta, EncodeMeta(corpus, store));
   sections.emplace_back(kUsers, EncodeUsers(corpus));
   sections.emplace_back(kTweets, EncodeTweets(corpus));
   sections.emplace_back(kTokens, EncodeTokens(corpus));
   sections.emplace_back(kTotals, EncodeTotals(corpus));
   sections.emplace_back(kStore, EncodeStore(store));
-  if (evidence != nullptr) {
-    sections.emplace_back(kEvidence, EncodeEvidence(*evidence));
-  }
+  sections.emplace_back(kEvidence, EncodeEvidence(*evidence));
 
   // Lay sections out 8-byte aligned after the header + table.
   const uint32_t count = static_cast<uint32_t>(sections.size());
@@ -533,22 +528,18 @@ Result<SnapshotArtifacts> LoadSnapshotFile(const std::string& path) {
     }
   }
 
-  auto find = [&](uint32_t id) -> const SectionEntry* {
-    for (const SectionEntry& e : entries) {
-      if (e.id == id) return &e;
-    }
-    return nullptr;
-  };
   auto reader_for = [&](const SectionEntry* e) {
     return ByteReader(data + e->offset, e->size, SectionName(e->id));
   };
   auto require = [&](uint32_t id, const SectionEntry** e) -> Status {
-    *e = find(id);
-    if (*e == nullptr) {
-      return Status::IOError("snapshot '", path, "': missing ",
-                             SectionName(id));
+    for (const SectionEntry& entry : entries) {
+      if (entry.id == id) {
+        *e = &entry;
+        return Status::OK();
+      }
     }
-    return Status::OK();
+    return Status::IOError("snapshot '", path, "': missing ",
+                           SectionName(id));
   };
 
   const SectionEntry* meta_e = nullptr;
@@ -557,12 +548,14 @@ Result<SnapshotArtifacts> LoadSnapshotFile(const std::string& path) {
   const SectionEntry* tokens_e = nullptr;
   const SectionEntry* totals_e = nullptr;
   const SectionEntry* store_e = nullptr;
+  const SectionEntry* evidence_e = nullptr;
   ESHARP_RETURN_NOT_OK(require(kMeta, &meta_e));
   ESHARP_RETURN_NOT_OK(require(kUsers, &users_e));
   ESHARP_RETURN_NOT_OK(require(kTweets, &tweets_e));
   ESHARP_RETURN_NOT_OK(require(kTokens, &tokens_e));
   ESHARP_RETURN_NOT_OK(require(kTotals, &totals_e));
   ESHARP_RETURN_NOT_OK(require(kStore, &store_e));
+  ESHARP_RETURN_NOT_OK(require(kEvidence, &evidence_e));
 
   MetaCounts meta;
   {
@@ -621,12 +614,7 @@ Result<SnapshotArtifacts> LoadSnapshotFile(const std::string& path) {
                            " communities, META says ", meta.num_communities);
   }
 
-  const SectionEntry* evidence_e = find(kEvidence);
-  if (meta.has_evidence != (evidence_e != nullptr)) {
-    return Status::IOError("snapshot '", path,
-                           "': META/EVIDENCE presence mismatch");
-  }
-  if (evidence_e != nullptr) {
+  {
     ByteReader r = reader_for(evidence_e);
     ESHARP_RETURN_NOT_OK(DecodeEvidence(&r, users.size(),
                                         &artifacts.evidence));
@@ -640,7 +628,6 @@ Result<SnapshotArtifacts> LoadSnapshotFile(const std::string& path) {
   artifacts.info.format_version = version;
   artifacts.info.file_bytes = size;
   artifacts.info.num_sections = count;
-  artifacts.info.has_evidence = evidence_e != nullptr;
   return artifacts;
 }
 

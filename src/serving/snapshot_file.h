@@ -25,7 +25,7 @@ namespace esharp::serving {
 ///   | section table: section_count x 32-byte entries               |
 ///   |   { id(4) reserved(4) offset(8) size(8) checksum(8) }        |
 ///   +--------------------------------------------------------------+
-///   | sections: META USERS TWEETS TOKENS TOTALS STORE [EVIDENCE]   |
+///   | sections: META USERS TWEETS TOKENS TOTALS STORE EVIDENCE     |
 ///   +--------------------------------------------------------------+
 ///
 /// Every section body is flat columnar arrays — counts, offset arrays and
@@ -41,7 +41,7 @@ namespace esharp::serving {
 /// checksum covers its section bytes (simd::Checksum64), and every decode
 /// is bounds-checked — a truncated, flipped or rewritten file fails
 /// LoadSnapshotFile with a diagnostic Status, never a crash.
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
+inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /// First header bytes: "ESHARPSN".
 inline constexpr uint64_t kSnapshotMagic = 0x4e53505241485345ULL;
@@ -51,12 +51,11 @@ struct SnapshotFileInfo {
   uint32_t format_version = 0;
   uint64_t file_bytes = 0;
   uint32_t num_sections = 0;
-  bool has_evidence = false;
 };
 
 /// The reassembled artifacts of a snapshot file: everything a serving
 /// process (or one cluster shard) needs to answer queries. `evidence` is
-/// null when the file was saved without a term-evidence index.
+/// never null on a successful load.
 struct SnapshotArtifacts {
   std::shared_ptr<microblog::TweetCorpus> corpus;
   std::shared_ptr<const community::CommunityStore> store;
@@ -64,9 +63,9 @@ struct SnapshotArtifacts {
   SnapshotFileInfo info;
 };
 
-/// Serializes (corpus, store, evidence) to `path`. `evidence` may be null;
-/// the EVIDENCE section is then omitted and a cold-started process serves
-/// with live candidate collection.
+/// Serializes (corpus, store, evidence) to `path`. InvalidArgument when
+/// `evidence` is null: every serving generation carries its index (an
+/// empty one makes a cold-started process collect every term live).
 Status SaveSnapshotFile(const std::string& path,
                         const microblog::TweetCorpus& corpus,
                         const community::CommunityStore& store,

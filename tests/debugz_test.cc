@@ -1,25 +1,30 @@
 // Tests of the embedded debug HTTP server and the statusz endpoint family:
 // lifecycle (ephemeral port, stop/restart), request parsing and dispatch
-// (params, 400/404/405, inline 503 shedding), keep-alive connections
-// (opt-in, idle timeout, prompt stop, admission by request, no delayed-ACK
-// stalls), every mounted endpoint's content, readiness probe composition,
-// and the SLO watchdog's multi-window burn-rate state machine under a
-// manual clock.
+// (params, 400/404/405, inline 503 shedding), a seeded mutation fuzz of the
+// request parser, keep-alive connections (opt-in, idle timeout, prompt
+// stop, admission by request, no delayed-ACK stalls), every mounted
+// endpoint's content, readiness probe composition, and the SLO watchdog's
+// multi-window burn-rate state machine under a manual clock.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "obs/debugz.h"
 #include "obs/event_log.h"
 #include "obs/flightrecorder.h"
@@ -319,6 +324,198 @@ TEST(DebugServerKeepAliveTest, OneConnectionServesManyRequestsWithoutStalls) {
   // four exchanges.
   EXPECT_LT(std::chrono::steady_clock::now() - start,
             std::chrono::milliseconds(kExchanges * 40 / 4));
+}
+
+// ---- Request parser mutation fuzz ------------------------------------------
+
+/// What one fuzz connection saw: every byte the server sent, and whether
+/// the server ended the connection (FIN or reset) before the client's
+/// receive timeout — a connection that never ends is a hang.
+struct FuzzExchange {
+  std::string response;
+  bool closed = false;
+};
+
+/// Connects, writes `payload` (in one send, or one byte per send),
+/// half-closes so a truncated request reaches end-of-stream instead of
+/// waiting out the server's read timeout, and reads until the server
+/// closes or `timeout_seconds` pass without a byte.
+FuzzExchange SendFuzzRequest(int port, const std::string& payload,
+                             bool byte_at_a_time, double timeout_seconds) {
+  FuzzExchange out;
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return out;
+  timeval tv;
+  tv.tv_sec = static_cast<time_t>(timeout_seconds);
+  tv.tv_usec = 0;
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return out;
+  }
+  const size_t chunk = byte_at_a_time ? 1 : payload.size();
+  for (size_t at = 0; at < payload.size(); at += chunk) {
+    // A server that already answered (say, past the 8 KiB cap) may have
+    // closed: stop writing and read what it sent.
+    if (::send(fd, payload.data() + at, std::min(chunk, payload.size() - at),
+               MSG_NOSIGNAL) <= 0) {
+      break;
+    }
+  }
+  ::shutdown(fd, SHUT_WR);
+  char buf[4096];
+  for (;;) {
+    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n > 0) {
+      out.response.append(buf, static_cast<size_t>(n));
+    } else if (n == 0 || errno == ECONNRESET) {
+      out.closed = true;
+      break;
+    } else if (errno != EINTR) {
+      break;  // timed out: the server neither answered nor closed
+    }
+  }
+  ::close(fd);
+  return out;
+}
+
+/// Splits what a server sent into responses and checks each one: a status
+/// line with a code the server may send, a header block, and a body of
+/// exactly its Content-Length. Returns the header blocks, or the first
+/// defect in `*error`.
+std::vector<std::string> ParseFuzzResponses(const std::string& bytes,
+                                            std::string* error) {
+  std::vector<std::string> heads;
+  size_t at = 0;
+  while (at < bytes.size()) {
+    const size_t head_end = bytes.find("\r\n\r\n", at);
+    if (head_end == std::string::npos) {
+      *error = "response head never ends";
+      return heads;
+    }
+    const std::string head = bytes.substr(at, head_end + 4 - at);
+    const std::string code = head.size() > 13 ? head.substr(9, 3) : "";
+    if (head.compare(0, 9, "HTTP/1.1 ") != 0 || head[12] != ' ' ||
+        (code != "200" && code != "400" && code != "404" && code != "405" &&
+         code != "503")) {
+      *error = "bad status line: " + head.substr(0, head.find('\r'));
+      return heads;
+    }
+    const size_t length_at = head.find("\r\nContent-Length: ");
+    if (length_at == std::string::npos) {
+      *error = "no Content-Length";
+      return heads;
+    }
+    const size_t length =
+        std::strtoull(head.c_str() + length_at + 18, nullptr, 10);
+    if (bytes.size() - (head_end + 4) < length) {
+      *error = "body shorter than its Content-Length";
+      return heads;
+    }
+    heads.push_back(head);
+    at = head_end + 4 + length;
+  }
+  return heads;
+}
+
+// A seeded battery of mutations of one valid keep-alive GET: every
+// truncation, byte flips, inserted NUL/CR/LF/space, header blocks around
+// and past the 8 KiB cap, and pipelined pairs; a subset also goes out one
+// byte per write. Every connection must end in well-formed responses (or
+// none: a clean close) — never a hang or a crash — and the server must
+// still answer a plain GET afterwards.
+TEST(DebugServerTest, ParserSurvivesMutatedRequests) {
+  DebugServerOptions options;
+  options.io_timeout_seconds = 2.0;
+  DebugServer server(options);
+  server.Handle("/fuzz", [](const HttpRequest& request) {
+    HttpResponse r;
+    r.body = "q=" + request.Param("q") + "\n";
+    return r;
+  });
+  ASSERT_TRUE(server.Start().ok());
+  const int port = server.port();
+  const double client_timeout = options.io_timeout_seconds + 3;
+
+  const std::string valid =
+      "GET /fuzz?q=a+b%21&x=1 HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+      "Connection: keep-alive\r\n\r\n";
+  struct Case {
+    std::string payload;
+    bool pipelined = false;
+  };
+  std::vector<Case> cases;
+  for (size_t n = 0; n < valid.size(); ++n) {
+    cases.push_back({valid.substr(0, n)});
+  }
+  Rng rng(20261019);
+  for (int i = 0; i < 120; ++i) {
+    std::string flipped = valid;
+    flipped[rng.Uniform(flipped.size())] ^=
+        static_cast<char>(1 + rng.Uniform(255));
+    cases.push_back({flipped});
+  }
+  const char kInserted[] = {'\0', '\r', '\n', ' '};
+  for (int i = 0; i < 80; ++i) {
+    std::string inserted = valid;
+    inserted.insert(inserted.begin() + rng.Uniform(inserted.size() + 1),
+                    kInserted[i % 4]);
+    cases.push_back({inserted});
+  }
+  const std::string line = valid.substr(0, valid.find("\r\n") + 2);
+  for (size_t pad : {8000, 8192, 9000, 20000}) {
+    cases.push_back({line + "X-Pad: " + std::string(pad, 'p') + "\r\n\r\n"});
+  }
+  cases.push_back({line + "X-Pad: " + std::string(9000, 'p')});  // no end
+  cases.push_back({valid + valid, true});
+  cases.push_back({valid + valid.substr(0, 20), true});
+  cases.push_back({valid + "not-http at all\r\n\r\n", true});
+
+  size_t answered = 0, closed_silently = 0, byte_at_a_time = 0;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    // Every seventh single-write case also goes out one byte per write,
+    // within the server's read timeout (a pipelined pair must not: the
+    // server could then see its first request alone).
+    const bool slow = !c.pipelined && c.payload.size() < 1024 && i % 7 == 0;
+    for (bool one_byte : {false, slow}) {
+      if (one_byte && !slow) continue;
+      SCOPED_TRACE("case " + std::to_string(i) +
+                   (one_byte ? " byte-at-a-time" : ""));
+      FuzzExchange exchange =
+          SendFuzzRequest(port, c.payload, one_byte, client_timeout);
+      ASSERT_TRUE(exchange.closed) << "connection hung";
+      std::string error;
+      std::vector<std::string> heads =
+          ParseFuzzResponses(exchange.response, &error);
+      ASSERT_TRUE(error.empty()) << error << "\n" << exchange.response;
+      if (c.pipelined) {
+        // Keep-alive is only for a request with nothing behind it.
+        ASSERT_EQ(heads.size(), 1u);
+        EXPECT_NE(heads[0].find("\r\nConnection: close\r\n"),
+                  std::string::npos)
+            << heads[0];
+      }
+      heads.empty() ? ++closed_silently : ++answered;
+      byte_at_a_time += one_byte;
+    }
+  }
+  EXPECT_GT(cases.size(), 250u);
+  EXPECT_GT(answered, 0u);
+  EXPECT_GT(closed_silently, 0u);  // at least the empty request
+  EXPECT_GT(byte_at_a_time, 20u);
+
+  auto after = HttpGet("127.0.0.1", port, "/fuzz?q=ok");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->status, 200);
+  EXPECT_EQ(after->body, "q=ok\n");
 }
 
 // ---- The statusz endpoint family ------------------------------------------

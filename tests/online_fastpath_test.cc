@@ -1,14 +1,17 @@
-// The online fast-path equivalence suite (ctest -L online): the
-// snapshot-time evidence index, interned-token matching and parallel live
-// fan-out must be *bit-identical* to the serial reference,
-// core::ESharp::FindExperts over the same store and corpus — same ranked
-// experts, same doubles, on randomized worlds — and the deadline must
-// cancel cooperatively inside candidate collection. Also exercised under
-// TSan via -DESHARP_SANITIZE=thread (the stress test at the bottom).
+// The online fast-path equivalence suite (ctest -L online): the engine
+// over the snapshot-time evidence index — complete, or empty so every term
+// is collected live — and interned-token matching must be *bit-identical*
+// to the reference, core::ESharp::FindExperts over the same store and
+// corpus — same ranked experts, same doubles, on randomized worlds; every
+// publish path must index its whole expansion vocabulary; and the
+// deadline must cancel cooperatively inside candidate collection. Also
+// exercised under TSan via -DESHARP_SANITIZE=thread (the stress test at
+// the bottom).
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -23,10 +26,13 @@
 #include "esharp/pipeline.h"
 #include "expert/detector.h"
 #include "expert/evidence_index.h"
+#include "ingest/ingest.h"
+#include "ingest/sharded.h"
 #include "microblog/corpus.h"
 #include "microblog/generator.h"
 #include "querylog/generator.h"
 #include "serving/engine.h"
+#include "serving/snapshot_file.h"
 
 namespace esharp {
 namespace {
@@ -141,6 +147,11 @@ std::vector<std::string> QueryMix(const World& world) {
   return queries;
 }
 
+/// The index of a generation whose every term is collected live.
+std::shared_ptr<const expert::TermEvidenceIndex> EmptyIndex() {
+  return std::make_shared<const expert::TermEvidenceIndex>();
+}
+
 // Every request reaches the detector: no cache, no single-flight.
 serving::ServingOptions UncachedOptions() {
   serving::ServingOptions o;
@@ -168,15 +179,15 @@ TEST(OnlineFastPathTest, RandomizedWorldsBitIdenticalToReference) {
     serving::SnapshotManager fast_manager(&world.corpus);
     // Reuse the pipeline-built index: this is the production hand-off.
     fast_manager.Publish(store, {}, world.artifacts.evidence_index);
+    // An empty index: the reference engine collects every term live.
     serving::SnapshotManager ref_manager(&world.corpus);
-    ref_manager.set_build_evidence_on_publish(false);
-    ref_manager.Publish(store);
-    ASSERT_NE(fast_manager.Acquire()->evidence(), nullptr);
-    ASSERT_EQ(ref_manager.Acquire()->evidence(), nullptr);
+    ref_manager.Publish(store, {}, EmptyIndex());
+    ASSERT_GT(fast_manager.Acquire()->evidence()->num_terms(), 0u);
+    ASSERT_EQ(ref_manager.Acquire()->evidence()->num_terms(), 0u);
 
     serving::ServingEngine ref_engine(&ref_manager, UncachedOptions());
     serving::ServingEngine fast_engine(&fast_manager, UncachedOptions());
-    // The serial reference: no index, no fan-out.
+    // The oracle: every term collected and merged by ESharp itself.
     const core::ESharp oracle(store.get(), &world.corpus);
 
     for (const std::string& q : QueryMix(world)) {
@@ -213,6 +224,120 @@ TEST(OnlineFastPathTest, PublishBuiltEvidenceMatchesPipelineBuilt) {
       ASSERT_NE(b, nullptr) << normalized;
       ExpectSameEvidence(*a, *b, "term '" + normalized + "'");
     }
+  }
+}
+
+// ------------------------------------------------ vocabulary coverage ----
+
+/// Every term a query can expand into against `store` has a pool in
+/// `index`: each ExpansionVocabulary term, and every term of each store
+/// term's expansion; and the index holds nothing else. A publish path that
+/// dropped its index would still answer bit-identically, only slower, so
+/// this is the check that notices.
+void ExpectIndexCoversVocabulary(const community::CommunityStore& store,
+                                 const microblog::TweetCorpus* corpus,
+                                 const expert::TermEvidenceIndex& index,
+                                 const std::string& path) {
+  SCOPED_TRACE(path);
+  const std::vector<std::string> vocabulary = core::ExpansionVocabulary(store);
+  ASSERT_FALSE(vocabulary.empty());
+  for (const std::string& term : vocabulary) {
+    ASSERT_NE(index.Find(term), nullptr) << "vocabulary term '" << term << "'";
+  }
+  const core::ESharp esharp(&store, corpus);
+  for (const community::Community& c : store.communities()) {
+    for (const std::string& term : c.terms) {
+      for (const std::string& expanded : esharp.Expand(term).terms) {
+        ASSERT_NE(index.Find(expanded), nullptr)
+            << "'" << term << "' expands into '" << expanded << "'";
+      }
+    }
+  }
+  EXPECT_EQ(index.num_terms(),
+            std::set<std::string>(vocabulary.begin(), vocabulary.end()).size());
+}
+
+void ExpectSnapshotCoversVocabulary(const serving::SnapshotManager& manager,
+                                    const std::string& path) {
+  std::shared_ptr<const serving::ServingSnapshot> snapshot = manager.Acquire();
+  ASSERT_NE(snapshot, nullptr) << path;
+  ExpectIndexCoversVocabulary(snapshot->store(), snapshot->corpus(),
+                              *snapshot->evidence(), path);
+}
+
+TEST(OnlineFastPathTest, EveryPublishPathIndexesItsWholeVocabulary) {
+  // The offline pipeline with a corpus, and Publish building the index.
+  World world = MakeWorld({733, 3, 5, 120, 5});
+  ExpectIndexCoversVocabulary(world.artifacts.store, &world.corpus,
+                              *world.artifacts.evidence_index,
+                              "RunOfflinePipeline");
+  serving::SnapshotManager manager(&world.corpus);
+  manager.Publish(world.artifacts.store);
+  ExpectSnapshotCoversVocabulary(manager, "SnapshotManager::Publish(store)");
+
+  // A saved generation, loaded back.
+  const std::string path = ::testing::TempDir() + "/coverage.esnap";
+  ASSERT_TRUE(manager.SaveSnapshot(path).ok());
+  Result<serving::SnapshotArtifacts> loaded = serving::LoadSnapshotFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectIndexCoversVocabulary(*loaded->store, loaded->corpus.get(),
+                              *loaded->evidence, "LoadSnapshotFile");
+
+  // Streaming ingest: a first publish, a tweet-only delta (store reused,
+  // pools extended) and a click-only delta (store rebuilt).
+  ingest::IngestOptions options;
+  options.extraction.min_query_count = 2;
+  options.extraction.min_similarity = 0.05;
+  const char* kTerms[] = {"solar", "panels", "hockey", "sushi"};
+  Rng rng(17);
+  auto tweet = [&](auto& target) {
+    target.AppendTweet(static_cast<microblog::UserId>(rng.Uniform(6)),
+                       std::string("about ") + kTerms[rng.Uniform(4)] + " " +
+                           kTerms[rng.Uniform(4)],
+                       {static_cast<microblog::UserId>(rng.Uniform(6))},
+                       static_cast<uint32_t>(rng.Uniform(3)));
+  };
+  auto clicks = [&](auto& target) {
+    const std::string query =
+        std::string(kTerms[rng.Uniform(4)]) + " " + kTerms[rng.Uniform(4)];
+    target.AppendSearches(query, 1);
+    target.AppendClicks(query, static_cast<uint32_t>(rng.Uniform(6)),
+                        1 + rng.Uniform(3));
+  };
+  auto seed = [&](auto& target) {
+    for (microblog::UserId u = 0; u < 6; ++u) {
+      microblog::UserProfile profile;
+      profile.id = u;
+      profile.screen_name = "u" + std::to_string(u);
+      target.AppendUser(profile);
+    }
+    for (int i = 0; i < 60; ++i) clicks(target);
+    for (int i = 0; i < 60; ++i) tweet(target);
+  };
+
+  serving::SnapshotManager ingest_manager;
+  ingest::IngestPipeline pipeline(&ingest_manager, options);
+  seed(pipeline);
+  ASSERT_TRUE(pipeline.Publish().ok());
+  ExpectSnapshotCoversVocabulary(ingest_manager, "IngestPipeline first");
+  for (int i = 0; i < 20; ++i) tweet(pipeline);
+  Result<ingest::PublishStats> tweets_only = pipeline.Publish();
+  ASSERT_TRUE(tweets_only.ok());
+  EXPECT_FALSE(tweets_only->graph_changed);
+  ExpectSnapshotCoversVocabulary(ingest_manager, "IngestPipeline tweets");
+  for (int i = 0; i < 20; ++i) clicks(pipeline);
+  Result<ingest::PublishStats> clicks_only = pipeline.Publish();
+  ASSERT_TRUE(clicks_only.ok());
+  EXPECT_TRUE(clicks_only->graph_changed);
+  ExpectSnapshotCoversVocabulary(ingest_manager, "IngestPipeline clicks");
+
+  // Every shard of the sharded tier indexes the union vocabulary.
+  ingest::ShardedIngest sharded(3, options);
+  seed(sharded);
+  ASSERT_TRUE(sharded.Publish().ok());
+  for (uint32_t s = 0; s < sharded.num_shards(); ++s) {
+    ExpectSnapshotCoversVocabulary(*sharded.shard_manager(s),
+                                   "ShardedIngest shard " + std::to_string(s));
   }
 }
 
@@ -421,11 +546,10 @@ TEST(OnlineFastPathTest, MergeEvidenceViewsSkipsNullAndEmpty) {
 TEST(OnlineFastPathTest, DeadlineCancelsInsideLiveCollection) {
   World world = MakeWorld({601, 2, 8, 200, 20});
   serving::SnapshotManager manager(&world.corpus);
-  manager.set_build_evidence_on_publish(false);  // force live collection
   manager.Publish(std::make_shared<const community::CommunityStore>(
-      world.artifacts.store));
+                      world.artifacts.store),
+                  {}, EmptyIndex());  // every term collects live
 
-  // Cancellation must also cover the fan-out's helper tasks.
   serving::ServingOptions options = UncachedOptions();
   // Burn the whole deadline before collection starts: the stage-boundary
   // check has already passed, so only the poll *inside* CollectCandidates

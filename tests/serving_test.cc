@@ -332,7 +332,7 @@ TEST_F(ServingTest, SecondIdenticalQueryHitsCache) {
   EXPECT_TRUE(third->from_cache);
 
   // bypass_cache forces a fresh execution.
-  auto fourth = engine.Query({*answered_query_, /*deadline_ms=*/-1,
+  auto fourth = engine.Query({*answered_query_, /*deadline_ms=*/0,
                               /*bypass_cache=*/true});
   ASSERT_TRUE(fourth.ok());
   EXPECT_FALSE(fourth->from_cache);
@@ -1015,7 +1015,7 @@ TEST_F(ServingTest, SpanShapesArePinnedPerRequestKind) {
   EXPECT_EQ(shapes_of({*answered_query_}),
             (Shapes{"admission<request{}", "cache<request{outcome=hit}",
                     "request{outcome=cache_hit,trace}"}));
-  EXPECT_EQ(shapes_of({*answered_query_, /*deadline_ms=*/-1,
+  EXPECT_EQ(shapes_of({*answered_query_, /*deadline_ms=*/0,
                        /*bypass_cache=*/true}),
             concat({"admission<request{}", "cache<request{outcome=bypass}"},
                    detector_stages, {"request{outcome=ok,trace}"}));

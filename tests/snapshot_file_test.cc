@@ -136,7 +136,8 @@ TEST(SnapshotRoundTripTest, ColdStartAnswersBitIdentically) {
     Result<serving::SnapshotManager::ColdStartArtifacts> cold =
         serving::SnapshotManager::LoadSnapshot(path);
     ASSERT_TRUE(cold.ok()) << cold.status().message();
-    ASSERT_TRUE(cold->info.has_evidence);
+    EXPECT_EQ(cold->manager->Acquire()->evidence()->num_terms(),
+              world.artifacts.evidence_index->num_terms());
     EXPECT_EQ(cold->info.format_version, serving::kSnapshotFormatVersion);
     ASSERT_NE(cold->manager->Acquire(), nullptr);
     EXPECT_EQ(cold->manager->version(), 1u);
@@ -175,23 +176,25 @@ TEST(SnapshotRoundTripTest, ColdStartAnswersBitIdentically) {
   }
 }
 
-TEST(SnapshotRoundTripTest, WithoutEvidenceServesLiveCollection) {
+TEST(SnapshotRoundTripTest, EmptyIndexRoundTripsAndServesEveryTermLive) {
   World world = MakeWorld(404);
-  const std::string path = TempPath("no_evidence.esnap");
+  const std::string path = TempPath("empty_evidence.esnap");
+  const expert::TermEvidenceIndex empty_index;
   ASSERT_TRUE(serving::SaveSnapshotFile(path, world.corpus,
-                                        world.artifacts.store, nullptr)
+                                        world.artifacts.store, &empty_index)
                   .ok());
   Result<serving::SnapshotManager::ColdStartArtifacts> cold =
       serving::SnapshotManager::LoadSnapshot(path);
   ASSERT_TRUE(cold.ok()) << cold.status().message();
-  EXPECT_FALSE(cold->info.has_evidence);
-  // The cold-start publish must NOT have rebuilt the index.
-  EXPECT_EQ(cold->manager->Acquire()->evidence(), nullptr);
+  // The cold-start publish keeps the file's (empty) index: it must NOT
+  // have rebuilt one.
+  EXPECT_EQ(cold->manager->Acquire()->evidence()->num_terms(), 0u);
 
-  // Live collection still answers identically to a reference engine.
+  // Live collection answers identically to an engine over the
+  // pipeline-built index.
   serving::SnapshotManager reference(&world.corpus);
-  reference.set_build_evidence_on_publish(false);
-  reference.Publish(world.artifacts.store);
+  reference.Publish(world.artifacts.store, {},
+                    world.artifacts.evidence_index);
   serving::ServingEngine reference_engine(&reference, EngineOptions());
   serving::ServingEngine cold_engine(cold->manager.get(), EngineOptions());
   for (const std::string& query : QueryMix(world)) {
@@ -214,14 +217,16 @@ TEST(SnapshotRoundTripTest, EmptyArraysRoundTrip) {
   World world = MakeWorld(454);
   const std::string path = TempPath("empty_store.esnap");
   const community::CommunityStore empty_store;
-  ASSERT_TRUE(
-      serving::SaveSnapshotFile(path, world.corpus, empty_store, nullptr)
-          .ok());
+  const expert::TermEvidenceIndex empty_index;
+  ASSERT_TRUE(serving::SaveSnapshotFile(path, world.corpus, empty_store,
+                                        &empty_index)
+                  .ok());
   Result<serving::SnapshotArtifacts> loaded = serving::LoadSnapshotFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_EQ(loaded->store->num_communities(), 0u);
   EXPECT_TRUE(loaded->store->InterWeights().empty());
   EXPECT_EQ(loaded->corpus->num_tweets(), world.corpus.num_tweets());
+  EXPECT_EQ(loaded->evidence->num_terms(), 0u);
 }
 
 TEST(SnapshotRoundTripTest, SaveBeforePublishFails) {
@@ -233,6 +238,18 @@ TEST(SnapshotRoundTripTest, SaveBeforePublishFails) {
 }
 
 // ---- corruption battery ---------------------------------------------------
+
+// Little-endian fixed-width fields of the header and section table.
+template <typename T>
+T GetLe(const std::string& bytes, size_t at) {
+  T v;
+  std::memcpy(&v, bytes.data() + at, sizeof(T));
+  return v;
+}
+template <typename T>
+void PutLe(std::string* bytes, size_t at, T v) {
+  std::memcpy(bytes->data() + at, &v, sizeof(T));
+}
 
 class SnapshotCorruptionTest : public ::testing::Test {
  protected:
@@ -333,6 +350,34 @@ TEST_F(SnapshotCorruptionTest, ImplausibleSectionCountFails) {
   ExpectLoadFails(mutated, "implausible section count");
 }
 
+// Every generation carries its term-evidence index: saving without one is
+// a caller error, and a file whose table lacks the EVIDENCE section (every
+// checksum intact) fails to load, naming it.
+TEST_F(SnapshotCorruptionTest, EvidenceIsRequiredOnSaveAndLoad) {
+  Status saved =
+      serving::SaveSnapshotFile(TempPath("no_index.esnap"),
+                                microblog::TweetCorpus(),
+                                community::CommunityStore(), nullptr);
+  EXPECT_EQ(saved.code(), StatusCode::kInvalidArgument) << saved.ToString();
+
+  // EVIDENCE is the last table entry: drop it and re-seal the table.
+  constexpr size_t kHeader = 24, kEntry = 32;
+  const uint32_t count = GetLe<uint32_t>(bytes_, 12);
+  ASSERT_EQ(GetLe<uint32_t>(bytes_, kHeader + (count - 1) * kEntry), 7u);
+  std::string mutated = bytes_;
+  PutLe<uint32_t>(&mutated, 12, count - 1);
+  PutLe<uint64_t>(&mutated, 16,
+                  simd::Checksum64(mutated.data() + kHeader,
+                                   (count - 1) * kEntry));
+  const std::string path = TempPath("no_evidence_section.esnap");
+  ASSERT_TRUE(WriteStringToFile(path, mutated).ok());
+  Result<serving::SnapshotArtifacts> loaded = serving::LoadSnapshotFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("missing snapshot section EVIDENCE"),
+            std::string::npos)
+      << loaded.status().message();
+}
+
 // MergeEvidenceViews sizes its scratch by each pool's last user, so a pool
 // that is not sorted-unique by user must not load, though every user in it
 // is in range and every checksum holds.
@@ -363,18 +408,6 @@ TEST(SnapshotEvidenceTest, UnsortedEvidencePoolFailsToLoad) {
       << loaded.status().message();
 }
 
-// Little-endian fixed-width fields of the header and section table.
-template <typename T>
-T GetLe(const std::string& bytes, size_t at) {
-  T v;
-  std::memcpy(&v, bytes.data() + at, sizeof(T));
-  return v;
-}
-template <typename T>
-void PutLe(std::string* bytes, size_t at, T v) {
-  std::memcpy(bytes->data() + at, &v, sizeof(T));
-}
-
 // Every mutation lands inside one section and is then re-sealed: the
 // section's checksum and the table checksum are recomputed, so only the
 // section decoders (and the cross-section checks after them) stand between
@@ -384,7 +417,7 @@ void PutLe(std::string* bytes, size_t at, T v) {
 TEST_F(SnapshotCorruptionTest, ResealedSectionMutationsDecodeOrFailCleanly) {
   constexpr size_t kHeader = 24, kEntry = 32;
   const uint32_t count = GetLe<uint32_t>(bytes_, 12);
-  ASSERT_GE(count, 6u);
+  ASSERT_EQ(count, 7u);
   struct Section {
     uint32_t id;
     uint64_t offset, size;
@@ -459,10 +492,8 @@ TEST_F(SnapshotCorruptionTest, ResealedSectionMutationsDecodeOrFailCleanly) {
     for (const std::string& q : queries_) {
       Result<std::vector<expert::RankedExpert>> answer = esharp.FindExperts(q);
       (void)answer;  // OK or a Status; neither may crash
-      if (loaded->evidence != nullptr) {
-        for (const std::string& term : esharp.Expand(q).terms) {
-          (void)loaded->evidence->Find(term);
-        }
+      for (const std::string& term : esharp.Expand(q).terms) {
+        (void)loaded->evidence->Find(term);
       }
     }
   }
@@ -484,8 +515,15 @@ TEST(ShardColdStartTest, SaveLoadRoundTripsEveryShard) {
   cluster::PartitionedCorpus partition =
       cluster::PartitionCorpus(world.corpus, kShards);
   const std::string prefix = TempPath("cluster_snap");
-  ASSERT_TRUE(cluster::SaveShardSnapshots(partition, world.artifacts.store,
-                                          {}, prefix)
+  const expert::TermEvidenceIndex empty_index;
+  // Every shard needs an index: none is an error, not a no-index file.
+  EXPECT_EQ(cluster::SaveShardSnapshots(partition, world.artifacts.store, {},
+                                        prefix)
+                .code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(cluster::SaveShardSnapshots(
+                  partition, world.artifacts.store,
+                  {&empty_index, &empty_index, &empty_index}, prefix)
                   .ok());
 
   Result<std::vector<cluster::ColdShard>> cold =

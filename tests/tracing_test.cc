@@ -864,7 +864,7 @@ TEST(TracingStressTest, ConcurrentTracedQueriesAndReadersStayCoherent) {
       for (int i = 0; i < 40; ++i) {
         serving::QueryRequest request;
         request.query = query;
-        request.deadline_ms = (i % 4 == 0) ? 50 : -1;
+        request.deadline_ms = (i % 4 == 0) ? 50 : 0;
         if (i % 3 == t % 3) request.trace = obs::TraceContext::NewRoot();
         auto routed = fc.router->Query(request);
         if (routed.ok()) {
