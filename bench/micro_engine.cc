@@ -12,19 +12,34 @@
 // expert counts) are compared, before any timing is reported — a speedup
 // table can never ship from divergent paths.
 //
+// A last section times cache hits as client threads are added: closed-loop
+// ServingEngine::Query calls over in-vocabulary queries that are all in
+// the result cache, from 1, 2 and 4 clients (capped at the CPUs this
+// process may run on), each pinned to its own core. Rounds interleave the
+// thread counts, and the median round is reported. Every request must be
+// a cache hit. On a shared box these closed loops are too noisy to gate,
+// so their gauges (cache_hits_per_s, cache_hit_p50_us) are informational
+// by name.
+//
 // Usage: micro_engine [--iters=K] [--queries=N] [--json=PATH] [--smoke]
 //
 // Results are published as bench.online.* gauges into a bench-local
 // MetricsRegistry and written as a JSON snapshot (default BENCH_online.json;
 // schema in EXPERIMENTS.md).
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -160,6 +175,89 @@ DetectPass TimeDetect(serving::ServingEngine& engine,
     if (pass.detect_ms < best.detect_ms) best = pass;
   }
   return best;
+}
+
+/// CPUs this process may run on, ascending.
+std::vector<int> AllowedCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+struct HitRound {
+  double hits_per_s = 0;
+  double p50_us = 0;
+};
+
+/// One closed-loop round: `cpus.size()` clients, client i pinned to
+/// cpus[i], query `keys` round-robin for `seconds`. Every key must already
+/// be cached; a request that is not a cache hit fails the bench.
+HitRound TimeCacheHits(serving::ServingEngine& engine,
+                       const std::vector<std::string>& keys,
+                       const std::vector<int>& cpus, double seconds) {
+  const size_t threads = cpus.size();
+  std::atomic<size_t> ready{0};
+  std::atomic<bool> go{false};
+  std::atomic<bool> stop{false};
+  std::vector<std::vector<float>> latencies_ns(threads);
+  std::vector<size_t> not_hits(threads, 0);
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < threads; ++t) {
+    clients.emplace_back([&, t] {
+      cpu_set_t set;
+      CPU_ZERO(&set);
+      CPU_SET(cpus[t], &set);
+      pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+      std::vector<float>& latencies = latencies_ns[t];
+      latencies.reserve(size_t{1} << 20);  // samples kept per round
+      size_t k = (t * keys.size()) / threads;  // clients start apart
+      ready.fetch_add(1);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      while (!stop.load(std::memory_order_relaxed)) {
+        serving::QueryRequest request;
+        request.query = keys[k];
+        const auto start = std::chrono::steady_clock::now();
+        Result<serving::QueryResponse> response =
+            engine.Query(std::move(request));
+        const auto end = std::chrono::steady_clock::now();
+        if (!response.ok() || !response->from_cache) ++not_hits[t];
+        if (latencies.size() < latencies.capacity()) {
+          latencies.push_back(static_cast<float>(
+              std::chrono::duration<double, std::nano>(end - start).count()));
+        }
+        k = k + 1 == keys.size() ? 0 : k + 1;
+      }
+    });
+  }
+  while (ready.load() < threads) std::this_thread::yield();
+  Timer timer;
+  go.store(true, std::memory_order_release);
+  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& c : clients) c.join();
+  const double elapsed = timer.ElapsedSeconds();
+
+  std::vector<float> all;
+  for (size_t t = 0; t < threads; ++t) {
+    if (not_hits[t] > 0) Fail("a timed request was not a cache hit");
+    all.insert(all.end(), latencies_ns[t].begin(), latencies_ns[t].end());
+  }
+  if (all.empty()) Fail("no cache hit completed in a round");
+  HitRound round;
+  round.hits_per_s = static_cast<double>(all.size()) / elapsed;
+  std::nth_element(all.begin(), all.begin() + all.size() / 2, all.end());
+  round.p50_us = all[all.size() / 2] / 1e3;
+  return round;
+}
+
+double Median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return xs[xs.size() / 2];
 }
 
 }  // namespace
@@ -370,6 +468,56 @@ int main(int argc, char** argv) {
               "multi-term in-vocabulary workload)\n",
               detect_speedup);
 
+  // ---- Cache-hit scaling ---------------------------------------------------
+  std::vector<std::string> hit_keys;
+  for (const community::Community& c : store->communities()) {
+    for (const std::string& term : c.terms) {
+      if (hit_keys.size() < 500) hit_keys.push_back(term);
+    }
+  }
+  serving::ServingOptions hit_options;
+  hit_options.num_threads = 1;  // Query runs on the client's own thread
+  serving::ServingEngine hit_engine(&fast_manager, hit_options);
+  for (const std::string& key : hit_keys) {
+    serving::QueryRequest request;
+    request.query = key;
+    if (!hit_engine.Query(std::move(request)).ok()) {
+      Fail("cache fill failed on '" + key + "'");
+    }
+  }
+  const std::vector<int> cpus = AllowedCpus();
+  std::vector<size_t> hit_threads;
+  for (size_t n : {size_t{1}, size_t{2}, size_t{4}}) {
+    if (n <= cpus.size()) hit_threads.push_back(n);
+  }
+  const size_t hit_rounds = smoke ? 1 : 5;
+  const double hit_seconds = smoke ? 0.02 : 0.25;
+  std::vector<std::vector<double>> hit_qps(hit_threads.size());
+  std::vector<std::vector<double>> hit_p50(hit_threads.size());
+  for (size_t round = 0; round < hit_rounds; ++round) {
+    for (size_t i = 0; i < hit_threads.size(); ++i) {
+      HitRound r = TimeCacheHits(
+          hit_engine, hit_keys,
+          std::vector<int>(cpus.begin(), cpus.begin() + hit_threads[i]),
+          hit_seconds);
+      hit_qps[i].push_back(r.hits_per_s);
+      hit_p50[i].push_back(r.p50_us);
+    }
+  }
+  std::printf("\nCache-hit scaling: %zu cached queries, pinned closed-loop "
+              "clients, median of %zu rounds of %.2f s\n",
+              hit_keys.size(), hit_rounds, hit_seconds);
+  std::printf("%-10s %14s %10s %10s\n", "Threads", "Hits/s", "p50(us)",
+              "vs 1");
+  std::vector<double> hit_qps_median, hit_p50_median;
+  for (size_t i = 0; i < hit_threads.size(); ++i) {
+    hit_qps_median.push_back(Median(hit_qps[i]));
+    hit_p50_median.push_back(Median(hit_p50[i]));
+    std::printf("%-10zu %14.0f %10.3f %9.2fx\n", hit_threads[i],
+                hit_qps_median[i], hit_p50_median[i],
+                hit_qps_median[i] / hit_qps_median[0]);
+  }
+
   // ---- Machine-readable snapshot ------------------------------------------
   obs::MetricsRegistry registry;
   registry.GetGauge("bench.online.queries")
@@ -419,6 +567,13 @@ int main(int argc, char** argv) {
       ->Set(static_cast<double>(fast_run.terms_precomputed));
   registry.GetGauge("bench.online.terms_live")
       ->Set(static_cast<double>(fast_run.terms_live));
+  for (size_t i = 0; i < hit_threads.size(); ++i) {
+    const obs::Labels threads{{"threads", std::to_string(hit_threads[i])}};
+    registry.GetGauge("bench.online.cache_hits_per_s", threads)
+        ->Set(hit_qps_median[i]);
+    registry.GetGauge("bench.online.cache_hit_p50_us", threads)
+        ->Set(hit_p50_median[i]);
+  }
   Status written = registry.WriteJsonFile(json_path);
   if (!written.ok()) {
     ESHARP_LOG(WARN) << "could not write " << json_path << ": "

@@ -54,7 +54,7 @@ class OnlineStats {
 /// resolution across the whole range — the usual trade for serving-side
 /// p50/p95/p99 accounting where exact samples would be too much state.
 /// Not thread-safe; callers that record from many threads shard or lock
-/// (see serving/metrics.h).
+/// (obs::Histogram in obs/metrics.h keeps one per thread shard).
 class LatencyHistogram {
  public:
   LatencyHistogram();

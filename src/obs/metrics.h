@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -22,13 +23,28 @@ namespace esharp::obs {
 /// call sites with the same labels in different order share one instrument.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
+/// Shards of every per-thread-sharded instrument: Counter, Histogram,
+/// LiveRequests (obs/profile.h) and the serving engine's windowed rate.
+inline constexpr size_t kThreadShards = 16;
+
+/// \brief The calling thread's shard in [0, kThreadShards): assigned
+/// round-robin on the thread's first call and fixed for its lifetime, and
+/// the same in every sharded instrument. Writers on different threads
+/// therefore touch different shards as long as threads <= kThreadShards.
+inline size_t ThreadShard() {
+  static std::atomic<size_t> next{0};
+  thread_local const size_t index =
+      next.fetch_add(1, std::memory_order_relaxed) % kThreadShards;
+  return index;
+}
+
 /// \brief Monotonic counter, sharded across cache lines so concurrent
 /// writers on the hot serving path never contend on one atomic. Reads sum
 /// the shards (eventually consistent between increments, exact at rest).
 class Counter {
  public:
   void Increment(uint64_t delta = 1) {
-    shards_[ShardIndex()].value.fetch_add(delta, std::memory_order_relaxed);
+    shards_[ThreadShard()].value.fetch_add(delta, std::memory_order_relaxed);
   }
 
   /// Sum over shards.
@@ -45,19 +61,10 @@ class Counter {
   }
 
  private:
-  static constexpr size_t kNumShards = 16;
   struct alignas(64) Shard {
     std::atomic<uint64_t> value{0};
   };
-  /// Each thread sticks to one shard (round-robin assignment on first use),
-  /// so increments are uncontended as long as threads <= shards.
-  static size_t ShardIndex() {
-    static std::atomic<size_t> next{0};
-    thread_local size_t index =
-        next.fetch_add(1, std::memory_order_relaxed) % kNumShards;
-    return index;
-  }
-  std::array<Shard, kNumShards> shards_;
+  std::array<Shard, kThreadShards> shards_;
 };
 
 /// \brief Last-writer-wins double value (queue depths, stage seconds,
@@ -115,35 +122,43 @@ struct Exemplar {
   std::string label;  ///< Trace id (32 hex) or other correlation key.
 };
 
-/// \brief Thread-safe latency distribution: `common/stats.h`
-/// LatencyHistogram behind a mutex. The lock is held for a few bucket
-/// increments; callers that cannot afford even that shard externally.
+/// \brief Thread-safe latency distribution: one `common/stats.h`
+/// LatencyHistogram per thread shard (see ThreadShard), each behind its
+/// own mutex, so concurrent observers on different threads never share a
+/// lock or a cache line. A shard allocates its buckets on its first
+/// observation. Readers merge the shards: counts and buckets add exactly,
+/// so a snapshot equals that of one histogram fed the same observations.
 ///
 /// Observations may carry an exemplar label; the histogram keeps the
 /// latest labeled observation per decade bucket (1ms/10ms/100ms/1s/inf),
-/// exported in the JSON snapshot.
+/// exported in the JSON snapshot. Exemplars share one mutex, taken only by
+/// labeled observations.
 class Histogram {
  public:
   void Observe(double seconds) { Observe(seconds, {}); }
 
   void Observe(double seconds, std::string_view exemplar_label) {
-    std::lock_guard<std::mutex> lock(mu_);
-    hist_.Add(seconds);
-    if (!exemplar_label.empty()) {
-      size_t bucket = 0;
-      while (bucket + 1 < kExemplarBuckets &&
-             seconds > kExemplarUpperSeconds[bucket]) {
-        ++bucket;
-      }
-      exemplars_[bucket].le_seconds = kExemplarUpperSeconds[bucket];
-      exemplars_[bucket].value_seconds = seconds;
-      exemplars_[bucket].label = std::string(exemplar_label);
+    Shard& shard = shards_[ThreadShard()];
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      if (!shard.hist.has_value()) shard.hist.emplace();
+      shard.hist->Add(seconds);
     }
+    if (exemplar_label.empty()) return;
+    size_t bucket = 0;
+    while (bucket + 1 < kExemplarBuckets &&
+           seconds > kExemplarUpperSeconds[bucket]) {
+      ++bucket;
+    }
+    std::lock_guard<std::mutex> lock(exemplar_mu_);
+    exemplars_[bucket].le_seconds = kExemplarUpperSeconds[bucket];
+    exemplars_[bucket].value_seconds = seconds;
+    exemplars_[bucket].label = std::string(exemplar_label);
   }
 
   /// Buckets that have seen a labeled observation, ascending by bound.
   std::vector<Exemplar> Exemplars() const {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(exemplar_mu_);
     std::vector<Exemplar> out;
     for (const Exemplar& e : exemplars_) {
       if (!e.label.empty()) out.push_back(e);
@@ -151,26 +166,29 @@ class Histogram {
     return out;
   }
 
+  /// Merges the shards, each read under its own lock.
   HistogramSnapshot Snapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
+    LatencyHistogram merged;
+    for (const Shard& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      if (shard.hist.has_value()) merged.Merge(*shard.hist);
+    }
     HistogramSnapshot s;
-    s.count = hist_.count();
-    s.mean = hist_.Mean();
-    s.max = hist_.Max();
-    s.p50 = hist_.Percentile(50);
-    s.p95 = hist_.Percentile(95);
-    s.p99 = hist_.Percentile(99);
+    s.count = merged.count();
+    s.mean = merged.Mean();
+    s.max = merged.Max();
+    s.p50 = merged.Percentile(50);
+    s.p95 = merged.Percentile(95);
+    s.p99 = merged.Percentile(99);
     return s;
   }
 
-  double Percentile(double p) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return hist_.Percentile(p);
-  }
-
   void Reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    hist_.Reset();
+    for (Shard& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      if (shard.hist.has_value()) shard.hist->Reset();
+    }
+    std::lock_guard<std::mutex> lock(exemplar_mu_);
     for (Exemplar& e : exemplars_) e = Exemplar{};
   }
 
@@ -179,8 +197,13 @@ class Histogram {
   static constexpr double kExemplarUpperSeconds[kExemplarBuckets] = {
       0.001, 0.01, 0.1, 1.0, 1e300};
 
-  mutable std::mutex mu_;
-  LatencyHistogram hist_;
+  struct alignas(64) Shard {
+    mutable std::mutex mu;
+    std::optional<LatencyHistogram> hist;  // empty until first observed
+  };
+
+  std::array<Shard, kThreadShards> shards_;
+  mutable std::mutex exemplar_mu_;
   std::array<Exemplar, kExemplarBuckets> exemplars_;
 };
 
@@ -217,7 +240,8 @@ struct RegistrySample {
 ///
 /// `Get*` interns an instrument under (name, labels) and returns a stable
 /// pointer: instruments are never deleted, so callers cache the pointer
-/// once and record lock-free afterwards. All methods are thread-safe.
+/// once and record without the registry's mutex afterwards. All methods
+/// are thread-safe.
 ///
 /// Two exporters ship with the registry: Prometheus text exposition
 /// (`ExportPrometheus`) and a JSON snapshot (`ExportJson` /
@@ -250,7 +274,7 @@ class MetricsRegistry {
 
   /// Reads every instrument once (map order, keys sorted). The walk holds
   /// the registry mutex but reads each instrument lock-free (counters,
-  /// gauges) or under its own short lock (histograms).
+  /// gauges) or under each shard's short lock in turn (histograms).
   RegistrySample SampleAll() const;
 
   /// Writes ExportJson() to `path`.

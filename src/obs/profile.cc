@@ -237,18 +237,22 @@ void RequestRecord::FillProfile(QueryProfile* profile) const {
 }
 
 void LiveRequests::Add(RequestRecord* record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  record->id_ = next_id_++;
-  record->prev_ = tail_;
-  record->next_ = nullptr;
-  (tail_ != nullptr ? tail_->next_ : head_) = record;
-  tail_ = record;
+  const size_t index = ThreadShard();
+  Shard& shard = shards_[index];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  record->id_ = shard.next_sequence++ * kThreadShards + index;
+  record->prev_ = nullptr;
+  record->next_ = shard.head;
+  if (shard.head != nullptr) shard.head->prev_ = record;
+  shard.head = record;
 }
 
 void LiveRequests::Remove(RequestRecord* record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  (record->prev_ != nullptr ? record->prev_->next_ : head_) = record->next_;
-  (record->next_ != nullptr ? record->next_->prev_ : tail_) = record->prev_;
+  Shard& shard = shards_[record->id_ % kThreadShards];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  (record->prev_ != nullptr ? record->prev_->next_ : shard.head) =
+      record->next_;
+  if (record->next_ != nullptr) record->next_->prev_ = record->prev_;
   record->prev_ = record->next_ = nullptr;
 }
 

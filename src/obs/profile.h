@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/metrics.h"
 #include "obs/trace_context.h"
 
 namespace esharp::obs {
@@ -191,7 +192,7 @@ class RequestRecord {
   const char* live_stage() const {
     return live_stage_.load(std::memory_order_relaxed);
   }
-  /// Admission-order id, assigned by LiveRequests::Add (0 = unregistered).
+  /// Unique non-zero id, assigned by LiveRequests::Add (0 = unregistered).
   uint64_t id() const { return id_; }
 
   /// Emits the request as spans: the root span (named by `root`, tagged
@@ -219,34 +220,47 @@ class RequestRecord {
   TraceContext trace_;
   std::string_view query_;
   std::atomic<const char*> live_stage_{"admitted"};
-  // LiveRequests membership (guarded by its mutex).
+  // LiveRequests membership (guarded by the mutex of the record's shard).
   uint64_t id_ = 0;
   RequestRecord* prev_ = nullptr;
   RequestRecord* next_ = nullptr;
 };
 
 /// \brief The in-flight records of one engine, behind the /tracez table:
-/// an intrusive list in admission order. Add and Remove take one mutex
-/// each; the stage changes of a registered record take none.
+/// one intrusive list per thread shard (see ThreadShard in obs/metrics.h).
+/// Add and Remove take the calling thread's shard mutex and link only
+/// records of that shard, so requests on different threads share no lock
+/// and write no other request's record; the stage changes of a registered
+/// record take none.
 class LiveRequests {
  public:
-  /// Registers `record` until Remove, assigning its id.
+  /// Registers `record` until Remove, assigning its id: unique and
+  /// non-zero, and naming the shard that holds the record, so Remove may
+  /// run on any thread.
   void Add(RequestRecord* record);
   void Remove(RequestRecord* record);
 
-  /// Calls `fn(const RequestRecord&)` for every registered record, oldest
-  /// first, under the mutex (so `fn` must be quick and must not block).
+  /// Calls `fn(const RequestRecord&)` for every registered record, one
+  /// shard at a time under that shard's mutex (so `fn` must be quick and
+  /// must not block). The order is unspecified: sort by
+  /// submitted_seconds() for admission order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const RequestRecord* r = head_; r != nullptr; r = r->next_) fn(*r);
+    for (const Shard& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      for (const RequestRecord* r = shard.head; r != nullptr; r = r->next_) {
+        fn(*r);
+      }
+    }
   }
 
  private:
-  mutable std::mutex mu_;
-  RequestRecord* head_ = nullptr;
-  RequestRecord* tail_ = nullptr;
-  uint64_t next_id_ = 1;
+  struct alignas(64) Shard {
+    mutable std::mutex mu;
+    RequestRecord* head = nullptr;
+    uint64_t next_sequence = 1;
+  };
+  std::array<Shard, kThreadShards> shards_;
 };
 
 struct SlowQueryLogOptions {

@@ -37,7 +37,7 @@ std::optional<CachedResult> ShardedResultCache::Get(const std::string& key,
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.stats.misses;
     return std::nullopt;
   }
   Entry& entry = it->second;
@@ -46,13 +46,13 @@ std::optional<CachedResult> ShardedResultCache::Get(const std::string& key,
   if (expired || stale) {
     shard.lru.erase(entry.lru_it);
     shard.map.erase(it);
-    expirations_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.stats.expirations;
+    ++shard.stats.misses;
     return std::nullopt;
   }
   // Touch: move to the front of the LRU list.
   shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru_it);
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++shard.stats.hits;
   return entry.value;
 }
 
@@ -74,7 +74,7 @@ void ShardedResultCache::Put(const std::string& key, CachedResult value,
   while (shard.map.size() >= capacity && !shard.lru.empty()) {
     shard.map.erase(shard.lru.back());
     shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.stats.evictions;
   }
   shard.lru.push_front(key);
   shard.map.emplace(key,
@@ -84,10 +84,9 @@ void ShardedResultCache::Put(const std::string& key, CachedResult value,
 void ShardedResultCache::InvalidateAll() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    size_t dropped = shard->map.size();
+    shard->stats.expirations += shard->map.size();
     shard->map.clear();
     shard->lru.clear();
-    expirations_.fetch_add(dropped, std::memory_order_relaxed);
   }
 }
 
@@ -102,10 +101,13 @@ size_t ShardedResultCache::size() const {
 
 CacheStats ShardedResultCache::stats() const {
   CacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.expirations = expirations_.load(std::memory_order_relaxed);
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    s.hits += shard->stats.hits;
+    s.misses += shard->stats.misses;
+    s.evictions += shard->stats.evictions;
+    s.expirations += shard->stats.expirations;
+  }
   return s;
 }
 

@@ -1,7 +1,6 @@
 #ifndef ESHARP_SERVING_CACHE_H_
 #define ESHARP_SERVING_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -78,7 +77,8 @@ class ShardedResultCache {
   /// Total live entries across shards (approximate under concurrency).
   size_t size() const;
 
-  /// Monotonic hit/miss/eviction counters.
+  /// Monotonic hit/miss/eviction counters, summed over the shards (each
+  /// read under its lock).
   CacheStats stats() const;
 
   const CacheOptions& options() const { return options_; }
@@ -91,10 +91,14 @@ class ShardedResultCache {
     /// Position in the shard's LRU list (front = most recent).
     std::list<std::string>::iterator lru_it;
   };
-  struct Shard {
+  /// One key-hashed shard. Its counts live beside the entries they count,
+  /// under the lock every lookup already holds, so a hit writes nothing
+  /// another shard's readers share.
+  struct alignas(64) Shard {
     std::mutex mu;
     std::list<std::string> lru;
     std::unordered_map<std::string, Entry> map;
+    CacheStats stats;
   };
 
   Shard& ShardFor(const std::string& key);
@@ -102,10 +106,6 @@ class ShardedResultCache {
   CacheOptions options_;
   size_t shard_mask_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> expirations_{0};
 };
 
 }  // namespace esharp::serving

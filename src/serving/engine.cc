@@ -164,6 +164,13 @@ std::vector<ActiveRequestInfo> ServingEngine::ActiveRequests() const {
     info.elapsed_ms = (now - record.submitted_seconds()) * 1e3;
     out.push_back(std::move(info));
   });
+  // The registry lists per thread shard; the longest-waiting request was
+  // submitted first.
+  std::sort(out.begin(), out.end(),
+            [](const ActiveRequestInfo& a, const ActiveRequestInfo& b) {
+              return a.elapsed_ms != b.elapsed_ms ? a.elapsed_ms > b.elapsed_ms
+                                                  : a.id < b.id;
+            });
   return out;
 }
 

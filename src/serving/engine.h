@@ -243,7 +243,7 @@ class ServingEngine {
   HealthView Health() const;
 
   /// In-flight requests with their current stage and elapsed time, for
-  /// /tracez. Ordered by request id (admission order).
+  /// /tracez. Ordered by submission time (admission order).
   std::vector<ActiveRequestInfo> ActiveRequests() const;
 
   /// The slow-query log behind /queryz: every finished request but cache

@@ -44,21 +44,34 @@ ServingMetrics::ServingMetrics() {
   detect_ = registry.GetHistogram("serving.stage_seconds",
                                   stage_labels("detect"));
   rank_ = registry.GetHistogram("serving.stage_seconds", stage_labels("rank"));
-  start_time_ = obs::NowSeconds();
-  last_event_time_ = start_time_;
+  RestartWindow();
 }
 
 double ServingMetrics::Now() const {
-  // Callers hold mu_ (clock_ is mutable state).
   return clock_ ? clock_() : obs::NowSeconds();
 }
 
-void ServingMetrics::SetClockForTest(std::function<double()> clock) {
-  std::lock_guard<std::mutex> lock(mu_);
-  clock_ = std::move(clock);
+std::array<std::unique_lock<std::mutex>, obs::kThreadShards>
+ServingMetrics::LockRate() const {
+  std::array<std::unique_lock<std::mutex>, obs::kThreadShards> locks;
+  for (size_t i = 0; i < rate_.size(); ++i) {
+    locks[i] = std::unique_lock<std::mutex>(rate_[i].mu);
+  }
+  return locks;
+}
+
+void ServingMetrics::RestartWindow() {
   start_time_ = Now();
-  last_event_time_ = start_time_;
-  ewma_events_ = 0;
+  for (RateShard& shard : rate_) {
+    shard.mass = 0;
+    shard.last_event_time = start_time_;
+  }
+}
+
+void ServingMetrics::SetClockForTest(std::function<double()> clock) {
+  auto locks = LockRate();
+  clock_ = std::move(clock);
+  RestartWindow();
 }
 
 void ServingMetrics::Record(const obs::RequestRecord& record) {
@@ -89,12 +102,13 @@ void ServingMetrics::Record(const obs::RequestRecord& record) {
     rank_->Observe((record.StageMs("rank") + record.StageMs("merge_rank")) /
                    1e3);
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  double now = Now();
-  double dt = now - last_event_time_;
-  if (dt > 0) ewma_events_ *= std::exp(-dt / kRateTauSeconds);
-  ewma_events_ += 1.0;
-  last_event_time_ = now;
+  RateShard& shard = rate_[obs::ThreadShard()];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  const double now = Now();
+  const double dt = now - shard.last_event_time;
+  if (dt > 0) shard.mass *= std::exp(-dt / kRateTauSeconds);
+  shard.mass += 1.0;
+  shard.last_event_time = now;
 }
 
 MetricsReport ServingMetrics::Report() const {
@@ -106,19 +120,22 @@ MetricsReport ServingMetrics::Report() const {
   r.timeouts = timeouts_->Value();
   r.errors = errors_->Value();
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    double now = Now();
+    auto locks = LockRate();
+    const double now = Now();
     r.uptime_seconds = now - start_time_;
     r.window_tau_seconds = kRateTauSeconds;
-    // Decay the accumulated mass to "now", then normalize. The plain EWMA
-    // estimate is mass / tau; the (1 - e^{-age/tau}) factor corrects the
-    // early-life bias (with only age << tau seconds observed, the window
-    // has had no time to fill, so divide by the fraction that could fill).
-    double age = now - start_time_;
-    double mass = ewma_events_;
-    double dt = now - last_event_time_;
-    if (dt > 0) mass *= std::exp(-dt / kRateTauSeconds);
-    double fill = 1.0 - std::exp(-age / kRateTauSeconds);
+    // Decay every shard's mass to "now" and sum, then normalize. The plain
+    // EWMA estimate is mass / tau; the (1 - e^{-age/tau}) factor corrects
+    // the early-life bias (with only age << tau seconds observed, the
+    // window has had no time to fill, so divide by the fraction that could
+    // fill).
+    double mass = 0;
+    for (const RateShard& shard : rate_) {
+      const double dt = now - shard.last_event_time;
+      mass += dt > 0 ? shard.mass * std::exp(-dt / kRateTauSeconds)
+                     : shard.mass;
+    }
+    const double fill = 1.0 - std::exp(-r.uptime_seconds / kRateTauSeconds);
     if (fill > 1e-12) r.window_qps = mass / (kRateTauSeconds * fill);
   }
   r.qps = r.uptime_seconds > 0
@@ -174,10 +191,8 @@ void ServingMetrics::Reset() {
   expand_->Reset();
   detect_->Reset();
   rank_->Reset();
-  std::lock_guard<std::mutex> lock(mu_);
-  start_time_ = Now();
-  last_event_time_ = start_time_;
-  ewma_events_ = 0;
+  auto locks = LockRate();
+  RestartWindow();
 }
 
 }  // namespace esharp::serving

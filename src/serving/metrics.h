@@ -1,6 +1,7 @@
 #ifndef ESHARP_SERVING_METRICS_H_
 #define ESHARP_SERVING_METRICS_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -57,8 +58,11 @@ struct MetricsReport {
 /// recorded here shows up in obs::DumpAll() / the JSON exporter alongside
 /// the offline pipeline's resource gauges.
 ///
-/// The shed path stays lock-free (sharded counter increment), which must
-/// stay cheap precisely when the system is overloaded.
+/// Every write Record makes goes to the calling thread's shard (counters,
+/// histograms and the windowed rate alike), so requests finishing on
+/// different threads share no lock. The shed path stays lock-free (sharded
+/// counter increment), which must stay cheap precisely when the system is
+/// overloaded.
 class ServingMetrics {
  public:
   ServingMetrics();
@@ -89,11 +93,29 @@ class ServingMetrics {
 
   /// Test seam: replaces the clock used for uptime and the windowed rate.
   /// Pass nullptr to restore the default (obs::NowSeconds). Must return a
-  /// monotonically non-decreasing seconds value.
+  /// monotonically non-decreasing seconds value, and may be called from
+  /// any thread that records.
   void SetClockForTest(std::function<double()> clock);
 
  private:
+  /// One thread shard of the windowed rate (see obs::ThreadShard): the
+  /// EWMA mass of the requests its threads recorded, decayed to the last
+  /// of them. The EWMA is linear, so the shards' masses, each decayed to
+  /// one instant, sum to the mass of a single window over every request.
+  struct alignas(64) RateShard {
+    mutable std::mutex mu;
+    double mass = 0;
+    double last_event_time = 0;
+  };
+
+  /// The clock. Callers hold at least one rate shard's mutex: clock_ and
+  /// start_time_ change only with every shard locked.
   double Now() const;
+  /// Locks every rate shard, in index order.
+  std::array<std::unique_lock<std::mutex>, obs::kThreadShards> LockRate()
+      const;
+  /// Empties the window and restarts uptime now; callers hold LockRate().
+  void RestartWindow();
 
   // Registry-owned instruments (never deleted; safe to cache).
   obs::Counter* completed_;
@@ -108,11 +130,9 @@ class ServingMetrics {
   obs::Histogram* rank_;
 
   // Windowed-rate state (EWMA of request arrivals, time constant kTau).
-  mutable std::mutex mu_;
   std::function<double()> clock_;  // null = obs::NowSeconds
   double start_time_ = 0;
-  double ewma_events_ = 0;
-  double last_event_time_ = 0;
+  std::array<RateShard, obs::kThreadShards> rate_;
 };
 
 }  // namespace esharp::serving

@@ -6,17 +6,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/file_io.h"
+#include "common/stats.h"
+#include "common/strings.h"
 #include "obs/flightrecorder.h"
 #include "obs/obs.h"
+#include "obs/profile.h"
 #include "obs/resource_meter.h"
 #include "obs/timeseries.h"
 
@@ -85,6 +91,165 @@ TEST(HistogramTest, PercentilesAreOrderedAndSane) {
   EXPECT_NEAR(s.max, 1.0, 0.01);
   hist.Reset();
   EXPECT_EQ(hist.Snapshot().count, 0u);
+}
+
+// Observers on several threads write several shards; the merged reading
+// must equal one LatencyHistogram fed the same values. The values are
+// dyadic (a multiple of 2^-23 s), so every partial sum is exact and the
+// mean compares bit for bit whatever order the shards merge in.
+TEST(HistogramTest, ShardedObservationsMergeToOneHistogram) {
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPerThread = 5000;
+  auto value = [](size_t thread, size_t i) {
+    const double mantissa =
+        1.0 + static_cast<double>((thread * 31 + i) % 8) / 8;
+    return std::ldexp(mantissa, static_cast<int>((thread + i) % 24) - 20);
+  };
+  Histogram hist;
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&hist, &value, t] {
+      for (size_t i = 0; i < kPerThread; ++i) hist.Observe(value(t, i));
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  LatencyHistogram reference;
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < kPerThread; ++i) reference.Add(value(t, i));
+  }
+  HistogramSnapshot s = hist.Snapshot();
+  EXPECT_EQ(s.count, reference.count());
+  EXPECT_EQ(s.mean, reference.Mean());
+  EXPECT_EQ(s.max, reference.Max());
+  EXPECT_EQ(s.p50, reference.Percentile(50));
+  EXPECT_EQ(s.p95, reference.Percentile(95));
+  EXPECT_EQ(s.p99, reference.Percentile(99));
+  hist.Reset();
+  EXPECT_EQ(hist.Snapshot().count, 0u);
+}
+
+// Labelled observations from every thread race on one exemplar slot per
+// decade bucket: each slot keeps one whole (value, label) pair, and the
+// latest labelled observation replaces it; unlabelled ones never do.
+TEST(HistogramTest, ExemplarIsLatestLabelledObservationPerBucket) {
+  const double kValues[] = {0.0005, 0.005, 0.05, 0.5, 5.0};
+  const double kBounds[] = {0.001, 0.01, 0.1, 1.0, 1e300};
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPerThread = 1000;
+  Histogram hist;
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&hist, &kValues, t] {
+      for (size_t i = 0; i < kPerThread; ++i) {
+        hist.Observe(kValues[i % 5], StrFormat("%zu-%zu", t, i));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  std::vector<Exemplar> raced = hist.Exemplars();
+  ASSERT_EQ(raced.size(), 5u);
+  for (size_t b = 0; b < 5; ++b) {
+    size_t t = 0, i = 0;
+    ASSERT_EQ(std::sscanf(raced[b].label.c_str(), "%zu-%zu", &t, &i), 2);
+    EXPECT_LT(t, kThreads);
+    EXPECT_EQ(i % 5, b) << "label of another bucket: " << raced[b].label;
+    EXPECT_EQ(raced[b].value_seconds, kValues[b]);
+    EXPECT_EQ(raced[b].le_seconds, kBounds[b]);
+  }
+
+  for (size_t b = 0; b < 5; ++b) {
+    hist.Observe(kValues[b] * 1.5, StrFormat("last-%zu", b));
+    hist.Observe(kValues[b]);
+  }
+  std::vector<Exemplar> latest = hist.Exemplars();
+  ASSERT_EQ(latest.size(), 5u);
+  for (size_t b = 0; b < 5; ++b) {
+    EXPECT_EQ(latest[b].label, StrFormat("last-%zu", b));
+    EXPECT_EQ(latest[b].value_seconds, kValues[b] * 1.5);
+  }
+  EXPECT_EQ(hist.Snapshot().count, kThreads * kPerThread + 10);
+  hist.Reset();
+  EXPECT_TRUE(hist.Exemplars().empty());
+}
+
+// ---- LiveRequests -----------------------------------------------------------
+
+// The /tracez registry under churn: writer threads register and drop their
+// records in a loop while a reader walks the registry. A walk never sees a
+// record twice, nor one whose Remove has returned; every id is unique and
+// non-zero.
+TEST(LiveRequestsTest, ConcurrentAddRemoveAndForEach) {
+  constexpr size_t kWriters = 4;
+  constexpr size_t kRecordsPerWriter = 3;
+  constexpr size_t kMinRounds = 500;
+  constexpr size_t kWalks = 2000;
+  constexpr size_t kMinSeen = 1000;
+  struct Slot {
+    RequestRecord record{"request", "q", 0.0};
+    std::atomic<bool> registered{false};
+  };
+  std::array<Slot, kWriters * kRecordsPerWriter> slots;
+  std::map<const RequestRecord*, const Slot*> slot_of;
+  for (const Slot& slot : slots) slot_of[&slot.record] = &slot;
+
+  LiveRequests live;
+  std::atomic<size_t> started{0};
+  std::atomic<bool> walking{true};
+  std::vector<std::vector<uint64_t>> ids(kWriters);
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      Slot* own = &slots[w * kRecordsPerWriter];
+      started.fetch_add(1);
+      for (size_t round = 0; round < kMinRounds || walking.load(); ++round) {
+        for (size_t r = 0; r < kRecordsPerWriter; ++r) {
+          own[r].registered.store(true);
+          live.Add(&own[r].record);
+          ids[w].push_back(own[r].record.id());
+        }
+        // Unlink from the middle, the tail and the head of the list.
+        for (size_t r : {size_t{1}, size_t{0}, size_t{2}}) {
+          live.Remove(&own[r].record);
+          own[r].registered.store(false);
+        }
+      }
+    });
+  }
+  // Walk once every writer runs, and until the walks have met records
+  // often enough to matter (an empty walk checks nothing).
+  while (started.load() < kWriters) std::this_thread::yield();
+  size_t seen_total = 0, duplicates = 0, stale = 0, zero_ids = 0;
+  for (size_t walk = 0; walk < kWalks || seen_total < kMinSeen; ++walk) {
+    std::vector<const RequestRecord*> seen;
+    live.ForEach([&](const RequestRecord& record) {
+      seen.push_back(&record);
+      if (!slot_of.at(&record)->registered.load()) ++stale;
+      if (record.id() == 0) ++zero_ids;
+    });
+    seen_total += seen.size();
+    std::sort(seen.begin(), seen.end());
+    duplicates += static_cast<size_t>(
+        seen.end() - std::unique(seen.begin(), seen.end()));
+  }
+  walking.store(false);
+  for (auto& t : writers) t.join();
+  EXPECT_EQ(duplicates, 0u);
+  EXPECT_EQ(stale, 0u);
+  EXPECT_EQ(zero_ids, 0u);
+
+  std::vector<uint64_t> all;
+  for (const std::vector<uint64_t>& v : ids) {
+    all.insert(all.end(), v.begin(), v.end());
+  }
+  ASSERT_GE(all.size(), kWriters * kRecordsPerWriter * kMinRounds);
+  EXPECT_EQ(std::count(all.begin(), all.end(), uint64_t{0}), 0);
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
+
+  size_t left = 0;
+  live.ForEach([&left](const RequestRecord&) { ++left; });
+  EXPECT_EQ(left, 0u);
 }
 
 // ---- Registry -------------------------------------------------------------

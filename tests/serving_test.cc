@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
+#include <cmath>
+#include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -153,6 +157,41 @@ TEST(ShardedResultCacheTest, InvalidateAllDropsEverything) {
   cache.InvalidateAll();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.Get("a", 0.0, 1).has_value());
+}
+
+// Concurrent probes and fills across shards: each shard counts its hits
+// and misses under the lock its lookups hold, and the shards' sum accounts
+// for every Get exactly.
+TEST(ShardedResultCacheTest, ConcurrentCountsAccountForEveryGet) {
+  CacheOptions options;
+  options.shards = 4;
+  options.capacity_per_shard = 8;
+  options.ttl_seconds = 2.0;  // expirations churn as well
+  ShardedResultCache cache(options);
+  constexpr size_t kThreads = 4;
+  constexpr size_t kGetsPerThread = 5000;
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, t] {
+      for (size_t i = 0; i < kGetsPerThread; ++i) {
+        // Three hot keys hit between their expiries on any schedule; 64
+        // cold ones overflow the 32 entries, so evictions churn too.
+        const std::string key =
+            i % 4 == 0 ? "cold" + std::to_string((t * 31 + i * 7) % 64)
+                       : "hot" + std::to_string(i % 3);
+        const double now = static_cast<double>(i) * 0.01;
+        if (!cache.Get(key, now, /*current_version=*/1).has_value()) {
+          cache.Put(key, MakeResult(1.0, 1), now);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kGetsPerThread);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.misses, 0u);
+  EXPECT_GT(stats.evictions, 0u);
 }
 
 // -------------------------------------------------------- Serving fixture --
@@ -783,6 +822,49 @@ TEST_F(ServingTest, WatchdogDegradesWhenShedRateExceedsObjective) {
   EXPECT_EQ(health.completed, 0u);
 }
 
+// /tracez lists in-flight requests by submission time, whichever pool
+// thread (and so whichever registry shard) each one runs on.
+TEST_F(ServingTest, ActiveRequestsListConcurrentRequestsInSubmissionOrder) {
+  auto manager = NewManager();
+  std::atomic<int> entered{0};
+  std::promise<void> release;
+  std::shared_future<void> release_future = release.get_future().share();
+
+  ServingOptions options;
+  options.enable_cache = false;
+  options.enable_single_flight = false;
+  options.num_threads = 2;
+  options.execution_hook = [&](const std::string&) {
+    entered.fetch_add(1);
+    release_future.wait();
+  };
+  ServingEngine engine(manager.get(), options);
+
+  // The same request under another spelling (the engine lower-cases).
+  std::string second_query = *answered_query_;
+  for (char& c : second_query) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  auto first = engine.SubmitQuery({*answered_query_});
+  while (entered.load() < 1) std::this_thread::yield();
+  auto second = engine.SubmitQuery({second_query});
+  while (entered.load() < 2) std::this_thread::yield();
+
+  std::vector<ActiveRequestInfo> active = engine.ActiveRequests();
+  release.set_value();
+  EXPECT_TRUE(first.get().ok());
+  EXPECT_TRUE(second.get().ok());
+  EXPECT_TRUE(engine.ActiveRequests().empty());
+
+  ASSERT_EQ(active.size(), 2u);
+  EXPECT_EQ(active[0].query, *answered_query_);
+  EXPECT_EQ(active[1].query, second_query);
+  EXPECT_GE(active[0].elapsed_ms, active[1].elapsed_ms);
+  EXPECT_NE(active[0].id, 0u);
+  EXPECT_NE(active[1].id, 0u);
+  EXPECT_NE(active[0].id, active[1].id);
+}
+
 // The live records behind /tracez: a pinned request shows up with its
 // stage, and finishing moves it into the slow-query log (/queryz) with its
 // outcome.
@@ -1126,6 +1208,46 @@ TEST(ServingMetricsTest, WindowedQpsEarlyLifeIsNotUnderestimated) {
   }
   MetricsReport r = metrics.Report();
   EXPECT_NEAR(r.window_qps, 20.0, 5.0);
+  metrics.SetClockForTest(nullptr);
+}
+
+// The windowed rate keeps one decayed mass per thread shard. Requests
+// recorded from several threads, in phases at different clock readings,
+// must give the single-window EWMA of all of them: the sum over requests
+// of e^{-(now - t)/tau}, normalized by tau and the window's fill. Each
+// phase's fresh threads take the next shards, so the shards' last events
+// sit at different readings.
+TEST(ServingMetricsTest, WindowedQpsSumsThreadShardsToOneWindow) {
+  ServingMetrics metrics;
+  std::atomic<double> now{0};
+  metrics.SetClockForTest([&now] { return now.load(); });
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPhases = 12;
+  std::vector<double> times;
+  for (size_t phase = 0; phase < kPhases; ++phase) {
+    const double t = 0.7 * static_cast<double>(phase) + 0.05;
+    now.store(t);
+    std::vector<std::thread> threads;
+    for (size_t j = 0; j < kThreads; ++j) {
+      const size_t events = 1 + (j * 7 + phase * 3) % 5;
+      times.insert(times.end(), events, t);
+      threads.emplace_back([&metrics, events] {
+        for (size_t e = 0; e < events; ++e) RecordOkRequest(&metrics);
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+
+  for (double at : {0.7 * kPhases, 0.7 * kPhases + 25.0}) {
+    now.store(at);
+    MetricsReport r = metrics.Report();
+    const double tau = r.window_tau_seconds;
+    double mass = 0;
+    for (double t : times) mass += std::exp(-(at - t) / tau);
+    const double expected = mass / (tau * (1.0 - std::exp(-at / tau)));
+    EXPECT_EQ(r.completed, times.size());
+    EXPECT_NEAR(r.window_qps, expected, 1e-9 * expected) << "at " << at;
+  }
   metrics.SetClockForTest(nullptr);
 }
 
